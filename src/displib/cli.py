@@ -175,18 +175,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DISPLIB_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring DISPLIB_THREADS={env!r}", file=sys.stderr)
-    return 1
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance, diags = _load_instance(args.instance)
     if not args.json:
@@ -198,8 +186,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if mode == "exact":
         report = solve.solve_exact(instance,
                                    node_limit=args.node_limit,
-                                   time_limit=args.time_limit,
-                                   threads=_thread_count(args))
+                                   time_limit=args.time_limit)
     else:
         report = solve.solve_heuristic(instance,
                                        time_limit=args.time_limit,
@@ -475,8 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="heuristic restart budget")
     p.add_argument("--backtrack-limit", type=int, default=256, metavar="N",
                    help="heuristic backtracks per restart")
-    p.add_argument("--threads", type=int, default=None,
-                   help="exact search threads (or DISPLIB_THREADS)")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_solve)
 

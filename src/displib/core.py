@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 CYCLIC_GRAPH = "CyclicGraph"
 MULTIPLE_ENTRIES = "MultipleEntries"
 MULTIPLE_EXITS = "MultipleExits"
-UNREACHABLE_OPERATION = "UnreachableOperation"
 INDEX_OUT_OF_RANGE = "IndexOutOfRange"
 NEGATIVE_VALUE = "NegativeValue"
 DUPLICATE_RESOURCE = "DuplicateResourceInOperation"
@@ -88,6 +87,12 @@ class ObjectiveComponent:
     coeff: int = 0
     increment: int = 0
 
+    def cost(self, t: int) -> int:
+        """Cost of the operation starting at time t on the train's route."""
+        if t >= self.threshold:
+            return self.coeff * (t - self.threshold) + self.increment
+        return 0
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -152,6 +157,8 @@ def _check_operation_values(t: int, k: int, op: Operation) -> None:
 
 
 def _check_train_graph(t: int, train: Train) -> None:
+    """Increasing successors, a single entry and a single exit. Together
+    they put every operation on some entry-to-exit path."""
     n = len(train.operations)
     if n == 0:
         raise InstanceError(EMPTY_TRAIN, f"train {t} has no operations", train=t)
@@ -183,26 +190,6 @@ def _check_train_graph(t: int, train: Train) -> None:
             raise InstanceError(MULTIPLE_EXITS,
                                 f"train {t} operation {k}: no successors "
                                 f"(the last operation must be the only exit)",
-                                train=t, operation=k)
-    # With increasing successor indices, unique entry/exit already imply that
-    # every operation lies on some entry->exit path; keep an explicit check
-    # as a guard against future relaxations of the ordering rule.
-    reachable = [False] * n
-    reachable[0] = True
-    for k in range(n):
-        if reachable[k]:
-            for s in train.operations[k].successors:
-                reachable[s] = True
-    coreachable = [False] * n
-    coreachable[n - 1] = True
-    for k in range(n - 1, -1, -1):
-        if not coreachable[k]:
-            if any(coreachable[s] for s in train.operations[k].successors):
-                coreachable[k] = True
-    for k in range(n):
-        if not (reachable[k] and coreachable[k]):
-            raise InstanceError(UNREACHABLE_OPERATION,
-                                f"train {t} operation {k}: not on any entry-to-exit path",
                                 train=t, operation=k)
 
 

@@ -550,8 +550,7 @@ def solution_assignment(model: MilpModel, instance: Instance,
         late = 1.0 if t >= comp.threshold else 0.0
         values[f"v{c}"] = late
         if (comp.train, comp.operation) in on_route:
-            cost = comp.coeff * max(0, t - comp.threshold) \
-                + (comp.increment if t >= comp.threshold else 0)
+            cost = comp.cost(t)
         elif model.options.reference_objective:
             cost = max(0, comp.coeff * (t - comp.threshold)
                        + (comp.increment if t >= comp.threshold else 0))

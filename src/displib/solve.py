@@ -16,13 +16,12 @@ the binding stamp for train i is the best stamp owned by some other train).
 from __future__ import annotations
 
 import random
-import threading
 import time as _time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Instance, Event, Solution, Train, is_route
+from .core import Instance, Event, Solution, Train, is_route, predecessors
 from .verify import evaluate_objective
 
 _INF = float("inf")
@@ -47,12 +46,6 @@ class SolveReport:
         """Equality modulo wall time (for determinism checks)."""
         return (self.status == other.status and self.solution == other.solution
                 and self.nodes == other.nodes and self.bound == other.bound)
-
-
-def _component_value(coeff: int, increment: int, threshold: int, t: int) -> int:
-    if t >= threshold:
-        return coeff * (t - threshold) + increment
-    return 0
 
 
 class _ResourceState:
@@ -171,7 +164,7 @@ class _Dispatcher:
             rs.count += 1
         z_delta = 0
         for comp in self.comps_by_op.get((train, op), ()):
-            z_delta += _component_value(comp.coeff, comp.increment, comp.threshold, t)
+            z_delta += comp.cost(t)
         token = (train, self.last_op[train], self.last_time[train], self.floor,
                  snaps, z_delta, self.ended[train])
         self.last_op[train] = op
@@ -251,10 +244,7 @@ class _TrainStatics:
 
     def __init__(self, train: Train, comps: dict[tuple[int, int], list], index: int):
         n = len(train.operations)
-        self.preds: list[list[int]] = [[] for _ in range(n)]
-        for k, op in enumerate(train.operations):
-            for s in op.successors:
-                self.preds[s].append(k)
+        self.preds = predecessors(train)
         # Shortest remaining min_duration sum to the exit, and the successor
         # achieving it (route choice of the greedy dispatcher).
         self.dist = [0] * n
@@ -301,36 +291,25 @@ def _path_counts(train: Train, start: int) -> tuple[list[int], list[int]]:
     return from_start, to_exit
 
 
-class _Incumbent:
-    """Best solution so far; updates are locked and only ever improve."""
+class _ExactSearch:
+    """Depth-first branch and bound over one dispatcher: the incumbent, the
+    node count and whether a budget cut the search short."""
 
-    def __init__(self) -> None:
-        self.z: int | None = None
-        self.solution: Solution | None = None
-        self._lock = threading.Lock()
-
-    def offer(self, z: int, solution: Solution) -> None:
-        with self._lock:
-            if self.z is None or z < self.z:
-                self.z = z
-                self.solution = solution
-
-
-class _ExactWorker:
-    def __init__(self, instance: Instance, incumbent: _Incumbent,
-                 deadline: float | None, budget):
+    def __init__(self, instance: Instance, node_limit: int | None,
+                 deadline: float | None):
         self.instance = instance
         self.disp = _Dispatcher(instance)
-        self.incumbent = incumbent
+        self.node_limit = node_limit
         self.deadline = deadline
-        self.budget = budget  # _NodeBudget
         self.statics = [
             _TrainStatics(train, self.disp.comps_by_op, i)
             for i, train in enumerate(instance.trains)
         ]
         self.comp_trains = sorted({c.train for c in instance.objective})
+        self.nodes = 0
         self.truncated = False
-        self.frontier_bound: int | None = None
+        self.z: int | None = None
+        self.solution: Solution | None = None
 
     # ---- lower bound ----------------------------------------------------
 
@@ -377,8 +356,7 @@ class _ExactWorker:
                 # On every remaining path: its cost is unavoidable, and t is
                 # a lower bound on its eventual start.
                 for comp in comps:
-                    lb += _component_value(comp.coeff, comp.increment,
-                                           comp.threshold, t)
+                    lb += comp.cost(t)
         return lb
 
     def bound(self) -> int:
@@ -390,33 +368,16 @@ class _ExactWorker:
 
     # ---- search ---------------------------------------------------------
 
-    def search_from(self, moves: Iterable[tuple[int, int, int]]) -> None:
-        """DFS over the given root moves (train, op, time)."""
-        for train, op, t in moves:
-            if self.truncated:
-                return
-            token = self.disp.apply(train, op, t)
-            self._dfs()
-            self.disp.undo(token)
-
     def _dfs(self) -> None:
+        """Search every completion of the current partial schedule. Each
+        applied move is one node; the budgets are checked before it."""
         disp = self.disp
-        if not self.budget.tick():
-            self.truncated = True
-            return
-        if self.deadline is not None and self.budget.should_check_time():
-            if _time.monotonic() > self.deadline:
-                self.truncated = True
-        if self.truncated:
-            b = self.bound()
-            if self.frontier_bound is None or b < self.frontier_bound:
-                self.frontier_bound = b
-            return
         if disp.done():
-            self.incumbent.offer(disp.z_partial, disp.to_solution())
+            if self.z is None or disp.z_partial < self.z:
+                self.z = disp.z_partial
+                self.solution = disp.to_solution()
             return
-        best = self.incumbent.z
-        if best is not None and self.bound() >= best:
+        if self.z is not None and self.bound() >= self.z:
             return
         moves: list[tuple[int, int, int]] = []
         for i in range(disp.n_trains):
@@ -435,44 +396,21 @@ class _ExactWorker:
                 # and they can only drift later: no completion exists.
                 return
         for train, op, t in moves:
+            self.nodes += 1
+            if (self.node_limit is not None and self.nodes > self.node_limit
+                    or self.deadline is not None and self.nodes % 256 == 0
+                    and _time.monotonic() > self.deadline):
+                self.truncated = True
+                return
             token = disp.apply(train, op, t)
             self._dfs()
             disp.undo(token)
             if self.truncated:
-                b = self.bound()
-                if self.frontier_bound is None or b < self.frontier_bound:
-                    self.frontier_bound = b
                 return
 
 
-class _NodeBudget:
-    """Node counter with an optional cap, shared across workers."""
-
-    def __init__(self, limit: int | None, shared: bool):
-        self.limit = limit
-        self.count = 0
-        self._since_check = 0
-        self._lock = threading.Lock() if shared else None
-
-    def tick(self) -> bool:
-        if self._lock is None:
-            self.count += 1
-            self._since_check += 1
-            return self.limit is None or self.count <= self.limit
-        with self._lock:
-            self.count += 1
-            self._since_check += 1
-            return self.limit is None or self.count <= self.limit
-
-    def should_check_time(self) -> bool:
-        if self._since_check >= 256:
-            self._since_check = 0
-            return True
-        return False
-
-
 def solve_exact(instance: Instance, *, node_limit: int | None = None,
-                time_limit: float | None = None, threads: int = 1) -> SolveReport:
+                time_limit: float | None = None) -> SolveReport:
     """Exact depth-first branch and bound.
 
     Branches on which operation starts next, which fixes routes and the
@@ -481,74 +419,27 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     per-train earliest-exit relaxations of the remaining cost to the cost of
     already fixed events. Optimal/Infeasible are only reported when the
     search space was exhausted; budget-limited runs degrade to Feasible or
-    TimeoutNoSolution.
-
-    With threads > 1 the root branches are spread over a thread pool sharing
-    the incumbent; the single-threaded run is the determinism reference.
+    TimeoutNoSolution, and their bound is a valid lower bound on the
+    optimum: the bound of the empty schedule, which no node below it
+    undercuts because every term of the bound only grows along a path.
+    Deterministic for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
-    incumbent = _Incumbent()
-    budget = _NodeBudget(node_limit, shared=threads > 1)
-
-    root = _ExactWorker(instance, incumbent, deadline, budget)
-    if root.disp.done():
-        solution = root.disp.to_solution()
-        return SolveReport(status=SolveStatus.OPTIMAL, solution=solution,
-                           nodes=0, wall_time=_time.monotonic() - start, bound=0)
-    root_moves: list[tuple[int, int, int]] = []
-    any_alive = True
-    for i in range(root.disp.n_trains):
-        if root.disp.ended[i]:
-            continue
-        alive = False
-        for op in sorted(root.disp.candidates(i)):
-            status, t = root.disp.probe(i, op)
-            if status == _OK:
-                root_moves.append((i, op, t))
-                alive = True
-            elif status == _BLOCKED:
-                alive = True
-        if not alive:
-            any_alive = False
-            break
-
-    truncated = False
-    frontier: int | None = None
-    if any_alive and root_moves:
-        if threads <= 1:
-            root.search_from(root_moves)
-            truncated = root.truncated
-            frontier = root.frontier_bound
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            workers = [
-                _ExactWorker(instance, incumbent, deadline, budget)
-                for _ in root_moves
-            ]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(w.search_from, [mv])
-                    for w, mv in zip(workers, root_moves)
-                ]
-                for f in futures:
-                    f.result()
-            truncated = any(w.truncated for w in workers)
-            bounds = [w.frontier_bound for w in workers if w.frontier_bound is not None]
-            frontier = min(bounds) if bounds else None
-
-    wall = _time.monotonic() - start
-    if incumbent.solution is not None:
-        if truncated:
-            return SolveReport(status=SolveStatus.FEASIBLE, solution=incumbent.solution,
-                               nodes=budget.count, wall_time=wall, bound=frontier)
-        return SolveReport(status=SolveStatus.OPTIMAL, solution=incumbent.solution,
-                           nodes=budget.count, wall_time=wall, bound=incumbent.z)
-    if truncated:
-        return SolveReport(status=SolveStatus.TIMEOUT_NO_SOLUTION, solution=None,
-                           nodes=budget.count, wall_time=wall, bound=frontier)
-    return SolveReport(status=SolveStatus.INFEASIBLE, solution=None,
-                       nodes=budget.count, wall_time=wall, bound=None)
+    search = _ExactSearch(instance, node_limit, deadline)
+    search._dfs()
+    if search.truncated:
+        # Every move is undone again, so this is the bound of the root.
+        bound: int | None = search.bound()
+        status = (SolveStatus.FEASIBLE if search.solution is not None
+                  else SolveStatus.TIMEOUT_NO_SOLUTION)
+    elif search.solution is not None:
+        bound, status = search.z, SolveStatus.OPTIMAL
+    else:
+        bound, status = None, SolveStatus.INFEASIBLE
+    return SolveReport(status=status, solution=search.solution,
+                       nodes=search.nodes, wall_time=_time.monotonic() - start,
+                       bound=bound)
 
 
 def _pick_route(train: Train, st: _TrainStatics, rng: random.Random | None,

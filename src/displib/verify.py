@@ -220,11 +220,8 @@ def evaluate_objective(instance: Instance,
     total = 0
     for comp in instance.objective:
         t = times.get((comp.train, comp.operation))
-        if t is None:
-            continue
-        if t >= comp.threshold:
-            total += comp.coeff * (t - comp.threshold) + comp.increment
-        # below threshold: both terms are zero
+        if t is not None:
+            total += comp.cost(t)
     return total
 
 

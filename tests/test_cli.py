@@ -213,13 +213,6 @@ class TestSolveCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_env_fallback(self, junction_path, monkeypatch, capsys):
-        monkeypatch.setenv("DISPLIB_THREADS", "abc")
-        assert cli.main(["solve", junction_path]) == 0
-        assert "ignoring DISPLIB_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("DISPLIB_THREADS", "2")
-        assert cli.main(["solve", junction_path]) == 0
-
 
 class TestEmitLp:
     def test_golden_lp_and_sidecar(self, junction_path, tmp_path, capsys):

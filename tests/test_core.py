@@ -189,6 +189,28 @@ class TestRoutes:
                     assert is_route(train, route)
                     assert route[0] == 0 and route[-1] == train.exit_op
 
+    def test_validated_trains_route_every_operation(self):
+        """Increasing successors with a single entry and a single exit put
+        every operation on some route, with no separate reachability rule."""
+        rng = random.Random(29)
+        accepted = 0
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            ops = []
+            for k in range(n - 1):
+                width = rng.randint(1, min(2, n - k - 1))
+                ops.append(Operation(0, tuple(sorted(rng.sample(range(k + 1, n), width)))))
+            ops.append(Operation(0, ()))
+            try:
+                train = build_instance([ops]).trains[0]
+            except InstanceError as err:
+                assert err.rule == MULTIPLE_ENTRIES
+                continue
+            on_route = {k for route in enumerate_routes(train).routes for k in route}
+            assert on_route == set(range(n))
+            accepted += 1
+        assert accepted > 50
+
     def test_is_route_rejects_non_paths(self, junction):
         train = junction.trains[0]
         assert not is_route(train, ())

@@ -153,15 +153,28 @@ class TestSolveExact:
                                  SolveStatus.TIMEOUT_NO_SOLUTION)
         assert report.bound is not None
         assert report.bound <= 10
+        # A capped run's bound must hold for the whole tree, including the
+        # root branches the search never reached.
+        rng = random.Random(1)
+        capped = 0
+        for _ in range(60):
+            instance = random_instance(rng, max_trains=3, max_ops=6)
+            full = solve_exact(instance)
+            for cap in (1, 2, 5, 10, 30):
+                report = solve_exact(instance, node_limit=cap)
+                if report.nodes <= cap:
+                    assert report.same_outcome(full)
+                    continue
+                assert report.status in (SolveStatus.FEASIBLE,
+                                         SolveStatus.TIMEOUT_NO_SOLUTION)
+                assert report.bound is not None
+                if full.status is SolveStatus.OPTIMAL:
+                    assert report.bound <= full.solution.objective_value
+                capped += 1
+        assert capped > 100
 
     def test_deterministic(self, junction):
         assert solve_exact(junction).same_outcome(solve_exact(junction))
-
-    def test_threads_agree_on_value(self, junction):
-        single = solve_exact(junction)
-        multi = solve_exact(junction, threads=2)
-        assert multi.status is SolveStatus.OPTIMAL
-        assert multi.solution.objective_value == single.solution.objective_value
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
