@@ -176,6 +176,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    for flag, value in (("--time-limit", args.time_limit),
+                        ("--node-limit", args.node_limit),
+                        ("--max-restarts", args.max_restarts)):
+        if value is not None and not value >= 0:
+            raise _Fail(EXIT_USAGE, f"{flag} must be non-negative")
     instance, diags = _load_instance(args.instance)
     if not args.json:
         _print_warnings(diags)
@@ -191,8 +196,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         report = solve.solve_heuristic(instance,
                                        time_limit=args.time_limit,
                                        seed=args.seed,
-                                       max_restarts=args.max_restarts,
-                                       backtrack_limit=args.backtrack_limit)
+                                       max_restarts=args.max_restarts)
     payload = {
         "status": report.status.value,
         "mode": mode,
@@ -253,11 +257,16 @@ def _cmd_map_solution(args: argparse.Namespace) -> int:
             or sidecar.get("format") != "displib-lp-name-map":
         raise _Fail(EXIT_USAGE, f"{args.name_map} is not a name map file")
     raw_options = sidecar.get("options", {})
-    options = milp.ModelOptions(
-        reference_objective=bool(raw_options.get("reference_objective", False)),
-        relaxed_bounds=bool(raw_options.get("relaxed_bounds", False)))
-    model = milp.build_model(instance, options)
     recorded = sidecar.get("variables", {})
+    if not isinstance(raw_options, dict) or not isinstance(recorded, dict) \
+            or not all(isinstance(raw_options.get(key, False), bool)
+                       for key in ("reference_objective", "relaxed_bounds")):
+        raise _Fail(EXIT_USAGE, f"{args.name_map} is not a name map file "
+                                "(malformed options or variables)")
+    options = milp.ModelOptions(
+        reference_objective=raw_options.get("reference_objective", False),
+        relaxed_bounds=raw_options.get("relaxed_bounds", False))
+    model = milp.build_model(instance, options)
     if set(recorded) != {v.name for v in model.variables}:
         raise _Fail(EXIT_USAGE,
                     "name map does not match this instance (was it emitted "
@@ -460,8 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="heuristic seed")
     p.add_argument("--max-restarts", type=int, default=None, metavar="N",
                    help="heuristic restart budget")
-    p.add_argument("--backtrack-limit", type=int, default=256, metavar="N",
-                   help="heuristic backtracks per restart")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_solve)
 

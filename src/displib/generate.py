@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .core import (
     Instance,
@@ -359,20 +360,14 @@ def perturb(line: GeneratedLine, spec: PerturbSpec) -> GeneratedLine:
         components.append(replace(comp, train=new_train,
                                   operation=remap[comp.operation],
                                   threshold=max(0, comp.threshold - at)))
-    instance = build_instance(new_trains, components)
-    timetables = tuple(_earliest_unconstrained(t.operations)
-                       for t in instance.trains)
-    return GeneratedLine(instance=instance, placements=tuple(new_placements),
-                         timetable=timetables, num_stations=line.num_stations,
-                         tracks_per_station=line.tracks_per_station,
-                         spec=line.spec)
+    return _rebuild(line, new_trains, components, new_placements)
 
 
 # ---------------------------------------------------------------------------
 # Patterns
 
 
-def _rebuild(line: GeneratedLine, trains: list[tuple[Operation, ...]],
+def _rebuild(line: GeneratedLine, trains: Sequence[Sequence[Operation]],
              components: list[ObjectiveComponent],
              placements: list[TrainPlacement]) -> GeneratedLine:
     instance = build_instance(trains, components)

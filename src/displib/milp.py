@@ -499,38 +499,32 @@ def solution_assignment(model: MilpModel, instance: Instance,
     reference_objective the off-route cost variables may exceed it.
     """
     on_route: dict[tuple[int, int], tuple[int, int]] = {}
+    used_arcs: set[tuple[int, int, int]] = set()    # consecutive route pairs
+    prev_op: dict[int, int] = {}
     for pos, ev in enumerate(solution.events):
         on_route[(ev.train, ev.operation)] = (ev.time, pos)
+        if ev.train in prev_op:
+            used_arcs.add((ev.train, prev_op[ev.train], ev.operation))
+        prev_op[ev.train] = ev.operation
     values: dict[str, float] = {}
     t_vals: dict[tuple[int, int], int] = {}
     u_vals: dict[tuple[int, int], int] = {}
     for i, train in enumerate(instance.trains):
         preds = predecessors(train)
-        route_ops = {a for (j, a) in on_route if j == i}
         for a, op in enumerate(train.operations):
             sel = (i, a) in on_route
             values[_x(i, a)] = 1.0 if sel else 0.0
             if sel:
                 t_vals[(i, a)], u_vals[(i, a)] = on_route[(i, a)]
             else:
-                t = op.start_lb
-                u = 0
-                for p in preds[a]:
-                    arc_used = (p in route_ops and a in route_ops
-                                and _consecutive(solution, i, p, a))
-                    dur = train.operations[p].min_duration if arc_used else 0
-                    t = max(t, t_vals[(i, p)] + dur)
-                    u = max(u, u_vals[(i, p)] + (1 if arc_used else 0))
-                t_vals[(i, a)] = t
-                u_vals[(i, a)] = u
+                t_vals[(i, a)] = max([op.start_lb]
+                                     + [t_vals[(i, p)] for p in preds[a]])
+                u_vals[(i, a)] = max([0] + [u_vals[(i, p)] for p in preds[a]])
             values[_t(i, a)] = float(t_vals[(i, a)])
             values[_u(i, a)] = float(u_vals[(i, a)])
-        # arcs: consecutive route pairs
         for a, op in enumerate(train.operations):
             for b in op.successors:
-                used = (a in route_ops and b in route_ops
-                        and _consecutive(solution, i, a, b))
-                values[_y(i, a, b)] = 1.0 if used else 0.0
+                values[_y(i, a, b)] = 1.0 if (i, a, b) in used_arcs else 0.0
     for p in conflict_pairs(instance):
         i, a, j, b = p
         z_ab = z_ba = 0.0
@@ -559,13 +553,3 @@ def solution_assignment(model: MilpModel, instance: Instance,
         values[f"w{c}"] = float(cost)
     return values
 
-
-def _consecutive(solution: Solution, train: int, a: int, b: int) -> bool:
-    prev = None
-    for ev in solution.events:
-        if ev.train != train:
-            continue
-        if prev == a and ev.operation == b:
-            return True
-        prev = ev.operation
-    return False

@@ -223,14 +223,9 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
             raise ValueError(f"order does not schedule every operation of train {train}")
 
     disp = _Dispatcher(instance)
-    times: list[int] = []
-    for train, op in order:
-        status, t = disp.probe(train, op)
-        if status != _OK:
-            return None
-        disp.apply(train, op, t)
-        times.append(t)
-    return times
+    if _replay(disp, order) is None:
+        return None
+    return [t for t, _, _ in disp.events]
 
 
 def order_objective(instance: Instance, order: Sequence[tuple[int, int]],
@@ -240,11 +235,10 @@ def order_objective(instance: Instance, order: Sequence[tuple[int, int]],
 
 
 class _TrainStatics:
-    """Per-train data that does not change during search."""
+    """Per-train route and urgency data of the heuristic, fixed per instance."""
 
     def __init__(self, train: Train, comps: dict[tuple[int, int], list], index: int):
         n = len(train.operations)
-        self.preds = predecessors(train)
         # Shortest remaining min_duration sum to the exit, and the successor
         # achieving it (route choice of the greedy dispatcher).
         self.dist = [0] * n
@@ -274,23 +268,6 @@ class _TrainStatics:
             self.static_slack[k] = s
 
 
-def _path_counts(train: Train, start: int) -> tuple[list[int], list[int]]:
-    """(#paths start->k, #paths k->exit) for every k; 0 when unreachable."""
-    n = len(train.operations)
-    from_start = [0] * n
-    from_start[start] = 1
-    for k in range(start, n):
-        if from_start[k]:
-            for s in train.operations[k].successors:
-                from_start[s] += from_start[k]
-    to_exit = [0] * n
-    to_exit[n - 1] = 1
-    for k in range(n - 1, -1, -1):
-        for s in train.operations[k].successors:
-            to_exit[k] += to_exit[s]
-    return from_start, to_exit
-
-
 class _ExactSearch:
     """Depth-first branch and bound over one dispatcher: the incumbent, the
     node count and whether a budget cut the search short."""
@@ -301,10 +278,7 @@ class _ExactSearch:
         self.disp = _Dispatcher(instance)
         self.node_limit = node_limit
         self.deadline = deadline
-        self.statics = [
-            _TrainStatics(train, self.disp.comps_by_op, i)
-            for i, train in enumerate(instance.trains)
-        ]
+        self.preds = [predecessors(train) for train in instance.trains]
         self.comp_trains = sorted({c.train for c in instance.objective})
         self.nodes = 0
         self.truncated = False
@@ -316,24 +290,28 @@ class _ExactSearch:
     def _train_bound(self, i: int) -> int:
         """Cost lower bound of train i's unscheduled components: earliest
         possible start ignoring other trains, counted only for operations
-        the train cannot avoid on its way to the exit."""
+        the train cannot avoid on its way to the exit.
+
+        Operation indices are topological and every operation reaches the
+        exit, so a remaining route avoids k exactly when an arc a->b out of
+        a reachable a < k lands beyond k. One forward sweep finds both the
+        reachable operations and `reach`, the farthest such arc head."""
         disp = self.disp
         train = self.instance.trains[i]
-        st = self.statics[i]
-        n = len(train.operations)
+        preds = self.preds[i]
         last = disp.last_op[i]
-        from_start, to_exit = _path_counts(train, 0 if last is None else last)
-        total_paths = from_start[n - 1]
+        if last is None:
+            span, reach = range(len(train.operations)), 0
+        else:
+            span = range(last + 1, len(train.operations))
+            reach = max(train.operations[last].successors)
         earliest: dict[int, int] = {}
         lb = 0
-        span = range(0, n) if last is None else range(last + 1, n)
         for k in span:
-            if not from_start[k]:
-                continue
             op = train.operations[k]
             t = max(op.start_lb, disp.floor)
             best_pred: int | None = None
-            for p in st.preds[k]:
+            for p in preds[k]:
                 if p == last:
                     cand = disp.last_time[i] + train.operations[p].min_duration
                 elif p in earliest:
@@ -342,6 +320,8 @@ class _ExactSearch:
                     continue
                 if best_pred is None or cand < best_pred:
                     best_pred = cand
+            if best_pred is None and k:
+                continue            # unreachable: only the entry has no preds
             if best_pred is not None and best_pred > t:
                 t = best_pred
             for usage in op.resources:
@@ -352,11 +332,14 @@ class _ExactSearch:
                         t = s
             earliest[k] = t
             comps = disp.comps_by_op.get((i, k))
-            if comps and from_start[k] * to_exit[k] == total_paths:
-                # On every remaining path: its cost is unavoidable, and t is
+            if comps and reach <= k:
+                # On every remaining route: its cost is unavoidable, and t is
                 # a lower bound on its eventual start.
                 for comp in comps:
                     lb += comp.cost(t)
+            for s in op.successors:
+                if s > reach:
+                    reach = s
         return lb
 
     def bound(self) -> int:
@@ -442,15 +425,15 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
                        bound=bound)
 
 
-def _pick_route(train: Train, st: _TrainStatics, rng: random.Random | None,
+def _pick_route(train: Train, st: _TrainStatics, rng: random.Random,
                 jitter_span: int) -> list[int]:
-    """Entry-to-exit path following the shortest remaining duration; with an
-    rng, fork choices are jittered to diversify restarts."""
+    """Entry-to-exit path following the shortest remaining duration, fork
+    choices jittered by up to jitter_span to diversify restarts."""
     ops = train.operations
     route = [0]
     k = 0
     while ops[k].successors:
-        if rng is not None and len(ops[k].successors) > 1:
+        if len(ops[k].successors) > 1:
             k = min(sorted(ops[k].successors),
                     key=lambda s: (st.dist[s] + rng.randint(0, jitter_span), s))
         else:
@@ -552,25 +535,19 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
 
 def _insertion_pass(instance: Instance, disp: _Dispatcher,
                     statics: Sequence[_TrainStatics], rng: random.Random,
-                    jitter_span: int, jittered: bool, deadline: float | None
+                    jitter_span: int, deadline: float | None
                     ) -> tuple[Solution | None, int]:
-    """Schedule trains one at a time in entry order, interleaving each
-    train's route into the order built so far; (solution or None, applies)."""
+    """Schedule trains one at a time in jittered entry order, interleaving
+    each train's route into the order built so far; (solution or None,
+    applies)."""
     n = disp.n_trains
-
-    def entry_lb(i: int) -> int:
-        return instance.trains[i].operations[0].start_lb
-
-    if jittered:
-        jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
-        priority = sorted(range(n), key=lambda i: (entry_lb(i) + jolt[i], i))
-    else:
-        priority = sorted(range(n), key=lambda i: (entry_lb(i), i))
+    jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
+    priority = sorted(range(n), key=lambda i: (
+        instance.trains[i].operations[0].start_lb + jolt[i], i))
     applies = 0
     order: list[tuple[int, int]] = []
     for i in priority:
-        route = _pick_route(instance.trains[i], statics[i],
-                            rng if jittered else None, jitter_span)
+        route = _pick_route(instance.trains[i], statics[i], rng, jitter_span)
         merged, a = _merge_route(disp, order, i, route, deadline)
         applies += a
         if merged is None:
@@ -593,9 +570,11 @@ def _insertion_pass(instance: Instance, disp: _Dispatcher,
     return solution, applies
 
 
+_BACKTRACK_LIMIT = 256     # greedy backtracks per pass
+
+
 def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
-                    seed: int = 0, max_restarts: int | None = None,
-                    backtrack_limit: int = 256) -> SolveReport:
+                    seed: int = 0, max_restarts: int | None = None) -> SolveReport:
     """Greedy dispatch alternating with route insertion, under seeded restarts.
 
     Even passes run the greedy dispatcher: repeatedly start the most urgent
@@ -603,11 +582,12 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     the shortest remaining path; ties by start_lb, then train, then
     operation index), each train preferring the successor that minimizes the
     remaining min_duration sum; dead ends trigger chronological backtracking
-    with a per-pass budget. Odd passes schedule whole trains in entry order,
-    interleaving each train's route into the event order fixed so far, a
-    strategy immune to the head-on wedges that can trap greedy dispatch on
-    dense single-track traffic. Restarts re-jitter priorities and route
-    choices from the seed, keeping the best solution found. Deterministic
+    with a budget of _BACKTRACK_LIMIT per pass. Odd passes schedule whole
+    trains in entry order, interleaving each train's route into the event
+    order fixed so far, a strategy immune to the head-on wedges that can trap
+    greedy dispatch on dense single-track traffic. Restarts re-jitter
+    priorities and route choices from the seed (the first pass of each kind
+    runs with jitter span 0), keeping the best solution found. Deterministic
     for a fixed seed and restart budget. Never claims optimality.
     """
     start = _time.monotonic()
@@ -624,34 +604,25 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     jitter_span = max(1, horizon_scale // 8)
 
     best: Solution | None = None
-    best_z: int | None = None
     nodes = 0
     attempt = 0
     while True:
         rng = random.Random(seed * 1_000_003 + attempt)
+        span = jitter_span if attempt > 1 else 0
+        solution: Solution | None = None
         if attempt % 2:
             solution, applies = _insertion_pass(instance, disp, statics, rng,
-                                                jitter_span, attempt > 1,
-                                                deadline)
+                                                span, deadline)
             nodes += applies
-            if solution is not None and (best_z is None
-                                         or solution.objective_value < best_z):
-                best_z = solution.objective_value
-                best = solution
         else:
-            if attempt == 0:
-                slack_jitter = [0] * disp.n_trains
-            else:
-                slack_jitter = [rng.randint(-jitter_span, jitter_span)
-                                for _ in range(disp.n_trains)]
+            slack_jitter = [rng.randint(-span, span)
+                            for _ in range(disp.n_trains)]
             route_jitter: dict[tuple[int, int], int] = {}
 
             def _dj(i: int, o: int) -> int:
-                if attempt == 0:
-                    return 0
                 v = route_jitter.get((i, o))
                 if v is None:
-                    v = rng.randint(0, jitter_span)
+                    v = rng.randint(0, span)
                     route_jitter[(i, o)] = v
                 return v
 
@@ -683,7 +654,7 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                             chosen = (i, op, t)
                         break  # only the head candidate of each train competes
                 if chosen is None:
-                    if not frames or backtracks >= backtrack_limit:
+                    if not frames or backtracks >= _BACKTRACK_LIMIT:
                         failed = True
                         break
                     move, token = frames.pop()
@@ -698,25 +669,23 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                 frames.append(((i, op), token))
                 bans.append(set())
             if not failed and disp.done():
-                z = disp.z_partial
-                if best_z is None or z < best_z:
-                    best_z = z
-                    best = disp.to_solution()
+                solution = disp.to_solution()
             # rewind for the next pass
             while frames:
                 _, token = frames.pop()
                 disp.undo(token)
+        if solution is not None and (best is None or solution.objective_value
+                                     < best.objective_value):
+            best = solution
         attempt += 1
-        if best_z == 0:
+        if best is not None and best.objective_value == 0:
             break
         if max_restarts is not None and attempt > max_restarts:
             break
         if deadline is not None and _time.monotonic() > deadline:
             break
 
-    wall = _time.monotonic() - start
-    if best is None:
-        return SolveReport(status=SolveStatus.TIMEOUT_NO_SOLUTION, solution=None,
-                           nodes=nodes, wall_time=wall, bound=None)
-    return SolveReport(status=SolveStatus.FEASIBLE, solution=best,
-                       nodes=nodes, wall_time=wall, bound=None)
+    status = (SolveStatus.FEASIBLE if best is not None
+              else SolveStatus.TIMEOUT_NO_SOLUTION)
+    return SolveReport(status=status, solution=best, nodes=nodes,
+                       wall_time=_time.monotonic() - start)

@@ -213,6 +213,23 @@ class TestSolveCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "exact", "--node-limit", "-1"],
+        ["--mode", "heuristic", "--max-restarts", "-3"],
+        ["--time-limit", "-1"],
+        ["--time-limit", "nan"],
+    ])
+    def test_negative_budget_is_a_usage_error(self, junction_path, flags,
+                                              capsys):
+        assert cli.main(["solve", junction_path] + flags) == 2
+        assert f"{flags[-2]} must be non-negative" in capsys.readouterr().err
+
+    def test_zero_budgets_are_accepted(self, junction_path, capsys):
+        code = cli.main(["solve", "--mode", "heuristic", "--max-restarts", "0",
+                         "--time-limit", "0", junction_path])
+        assert code == 0
+        assert "Feasible: objective" in capsys.readouterr().err
+
 
 class TestEmitLp:
     def test_golden_lp_and_sidecar(self, junction_path, tmp_path, capsys):
@@ -302,6 +319,22 @@ class TestMapSolution:
         bogus = write_file(tmp_path, "bogus.json", '{"x": 1}')
         assignment = write_file(tmp_path, "empty.txt", "")
         code = cli.main(["map-solution", junction_path, bogus, assignment])
+        assert code == 2
+        assert "not a name map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("options", [1]),
+        ("options", {"reference_objective": "false"}),
+        ("variables", 5),
+    ])
+    def test_malformed_name_map(self, junction_path, tmp_path, capsys,
+                                key, value):
+        _, names = self.emit(junction_path, tmp_path)
+        sidecar = json.loads(names.read_text())
+        sidecar[key] = value
+        names.write_text(json.dumps(sidecar))
+        assignment = write_file(tmp_path, "empty.txt", "")
+        code = cli.main(["map-solution", junction_path, str(names), assignment])
         assert code == 2
         assert "not a name map" in capsys.readouterr().err
 

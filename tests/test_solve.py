@@ -8,16 +8,18 @@ import random
 import pytest
 
 import oracles
-from builders import random_instance
+from builders import random_instance, random_reduced_train, random_train
 from displib.core import (
     Instance,
     ObjectiveComponent,
     Operation,
     ResourceUsage,
     build_instance,
+    enumerate_routes,
 )
 from displib.solve import (
     SolveStatus,
+    _ExactSearch,
     earliest_times,
     order_objective,
     solve_exact,
@@ -175,6 +177,35 @@ class TestSolveExact:
 
     def test_deterministic(self, junction):
         assert solve_exact(junction).same_outcome(solve_exact(junction))
+
+    def test_bound_charges_exactly_the_unavoidable_operations(self):
+        """Below the root, the bound charges a component on operation k iff
+        k lies on every route through the train's last started operation."""
+        rng = random.Random(17)
+        trains = [random_train(rng, 8) for _ in range(60)]
+        trains += [random_reduced_train(rng, 8) for _ in range(60)]
+        charged = avoided = 0
+        for ops in trains:
+            routes = enumerate_routes(build_instance([ops]).trains[0]).routes
+            # Every prefix of a route, the empty one included.
+            prefixes = {route[:m] for route in routes
+                        for m in range(len(route))}
+            for prefix in sorted(prefixes):
+                through = [r for r in routes if r[:len(prefix)] == prefix]
+                first = prefix[-1] + 1 if prefix else 0
+                for k in range(first, len(ops)):
+                    comp = ObjectiveComponent(0, k, threshold=0, coeff=0,
+                                              increment=1)
+                    search = _ExactSearch(build_instance([ops], [comp]),
+                                          None, None)
+                    disp = search.disp
+                    for op in prefix:
+                        disp.apply(0, op, disp.probe(0, op)[1])
+                    unavoidable = all(k in r for r in through)
+                    assert search.bound() - disp.z_partial == int(unavoidable)
+                    charged += unavoidable
+                    avoided += not unavoidable
+        assert charged > 200 and avoided > 200
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
