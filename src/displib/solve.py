@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import Instance, Event, Solution, Train, is_route, predecessors
+from .core import (Instance, Event, ObjectiveComponent, Solution, Train,
+                   is_route, predecessors)
 from .verify import evaluate_objective
 
 _INF = float("inf")
@@ -80,7 +81,26 @@ class _ResourceState:
             self.stamp2 = stamp
 
 
+class _OpTable:
+    """Static per-operation data of one train for the exact search, indexed
+    by operation and built once per solve, so that the hot loops index
+    plain tuples instead of following Operation and ResourceUsage
+    attributes."""
+    __slots__ = ("preds", "dur", "start_lb", "keys", "far", "succ")
+
+    def __init__(self, train: Train):
+        ops = train.operations
+        self.preds = tuple(tuple(p) for p in predecessors(train))
+        self.dur = tuple(op.min_duration for op in ops)
+        self.start_lb = tuple(op.start_lb for op in ops)
+        self.keys = tuple(tuple(u.resource for u in op.resources) for op in ops)
+        # Largest successor (0 at the exit) and the successors in index order.
+        self.far = tuple(max(op.successors, default=0) for op in ops)
+        self.succ = tuple(tuple(sorted(op.successors)) for op in ops)
+
+
 _OK, _BLOCKED, _DEAD = 0, 1, 2
+_ENTRY = (0,)               # the only candidate of a train not yet started
 
 
 class _Dispatcher:
@@ -98,9 +118,12 @@ class _Dispatcher:
         self.events: list[tuple[int, int, int]] = []  # (time, train, op)
         self.res: dict[str, _ResourceState] = {}
         self.z_partial = 0
-        self.comps_by_op: dict[tuple[int, int], list] = {}
+        # comps[train][op]: that operation's objective components, in
+        # instance order.
+        self.comps: list[list[tuple[ObjectiveComponent, ...]]] = [
+            [()] * len(train.operations) for train in instance.trains]
         for comp in instance.objective:
-            self.comps_by_op.setdefault((comp.train, comp.operation), []).append(comp)
+            self.comps[comp.train][comp.operation] += (comp,)
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -163,7 +186,7 @@ class _Dispatcher:
             rs.holder = train
             rs.count += 1
         z_delta = 0
-        for comp in self.comps_by_op.get((train, op), ()):
+        for comp in self.comps[train][op]:
             z_delta += comp.cost(t)
         token = (train, self.last_op[train], self.last_time[train], self.floor,
                  snaps, z_delta, self.ended[train])
@@ -237,7 +260,7 @@ def order_objective(instance: Instance, order: Sequence[tuple[int, int]],
 class _TrainStatics:
     """Per-train route and urgency data of the heuristic, fixed per instance."""
 
-    def __init__(self, train: Train, comps: dict[tuple[int, int], list], index: int):
+    def __init__(self, train: Train, comps: Sequence[tuple[ObjectiveComponent, ...]]):
         n = len(train.operations)
         # Shortest remaining min_duration sum to the exit, and the successor
         # achieving it (route choice of the greedy dispatcher).
@@ -259,7 +282,7 @@ class _TrainStatics:
         self.static_slack: list[float] = [_INF] * n
         for k in range(n - 1, -1, -1):
             s = _INF
-            for comp in comps.get((index, k), ()):
+            for comp in comps[k]:
                 if comp.coeff or comp.increment:
                     s = min(s, comp.threshold)
             nxt = self.sp_next[k]
@@ -274,11 +297,10 @@ class _ExactSearch:
 
     def __init__(self, instance: Instance, node_limit: int | None,
                  deadline: float | None):
-        self.instance = instance
         self.disp = _Dispatcher(instance)
         self.node_limit = node_limit
         self.deadline = deadline
-        self.preds = [predecessors(train) for train in instance.trains]
+        self.tables = [_OpTable(train) for train in instance.trains]
         self.comp_trains = sorted({c.train for c in instance.objective})
         self.nodes = 0
         self.truncated = False
@@ -288,58 +310,62 @@ class _ExactSearch:
     # ---- lower bound ----------------------------------------------------
 
     def _train_bound(self, i: int) -> int:
-        """Cost lower bound of train i's unscheduled components: earliest
-        possible start ignoring other trains, counted only for operations
-        the train cannot avoid on its way to the exit.
+        """Cost lower bound of train i's unscheduled components: the earliest
+        possible start of each remaining operation, counted only for
+        operations the train cannot avoid on its way to the exit. The start
+        honours the release times other trains have already fixed on its
+        resources, and ignores their future claims.
 
         Operation indices are topological and every operation reaches the
         exit, so a remaining route avoids k exactly when an arc a->b out of
         a reachable a < k lands beyond k. One forward sweep finds both the
         reachable operations and `reach`, the farthest such arc head."""
         disp = self.disp
-        train = self.instance.trains[i]
-        preds = self.preds[i]
+        tab = self.tables[i]
+        preds, dur, start_lb, keys, far = (
+            tab.preds, tab.dur, tab.start_lb, tab.keys, tab.far)
+        comps = disp.comps[i]
+        res = disp.res
+        floor = disp.floor
+        # Earliest start of each reachable operation, the last started one
+        # at its actual start; -1 elsewhere (times are never negative).
+        earliest = [-1] * len(dur)
         last = disp.last_op[i]
         if last is None:
-            span, reach = range(len(train.operations)), 0
+            first = reach = 0
         else:
-            span = range(last + 1, len(train.operations))
-            reach = max(train.operations[last].successors)
-        earliest: dict[int, int] = {}
+            first, reach = last + 1, far[last]
+            earliest[last] = disp.last_time[i]
         lb = 0
-        for k in span:
-            op = train.operations[k]
-            t = max(op.start_lb, disp.floor)
-            best_pred: int | None = None
+        for k in range(first, len(dur)):
+            best = -1
             for p in preds[k]:
-                if p == last:
-                    cand = disp.last_time[i] + train.operations[p].min_duration
-                elif p in earliest:
-                    cand = earliest[p] + train.operations[p].min_duration
-                else:
-                    continue
-                if best_pred is None or cand < best_pred:
-                    best_pred = cand
-            if best_pred is None and k:
+                e = earliest[p]
+                if e >= 0:
+                    e += dur[p]
+                    if best < 0 or e < best:
+                        best = e
+            if best < 0 and k:
                 continue            # unreachable: only the entry has no preds
-            if best_pred is not None and best_pred > t:
-                t = best_pred
-            for usage in op.resources:
-                rs = disp.res.get(usage.resource)
+            t = start_lb[k]
+            if floor > t:
+                t = floor
+            if best > t:
+                t = best
+            for r in keys[k]:
+                rs = res.get(r)
                 if rs is not None:
                     s = rs.ready_for(i)
                     if s > t:
                         t = s
             earliest[k] = t
-            comps = disp.comps_by_op.get((i, k))
-            if comps and reach <= k:
+            if reach <= k:
                 # On every remaining route: its cost is unavoidable, and t is
                 # a lower bound on its eventual start.
-                for comp in comps:
+                for comp in comps[k]:
                     lb += comp.cost(t)
-            for s in op.successors:
-                if s > reach:
-                    reach = s
+            if far[k] > reach:
+                reach = far[k]
         return lb
 
     def bound(self) -> int:
@@ -366,8 +392,9 @@ class _ExactSearch:
         for i in range(disp.n_trains):
             if disp.ended[i]:
                 continue
+            last = disp.last_op[i]
             alive = False
-            for op in sorted(disp.candidates(i)):
+            for op in _ENTRY if last is None else self.tables[i].succ[last]:
                 status, t = disp.probe(i, op)
                 if status == _OK:
                     moves.append((i, op, t))
@@ -596,8 +623,8 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
         max_restarts = 16
     disp = _Dispatcher(instance)
     statics = [
-        _TrainStatics(train, disp.comps_by_op, i)
-        for i, train in enumerate(instance.trains)
+        _TrainStatics(train, comps)
+        for train, comps in zip(instance.trains, disp.comps)
     ]
     horizon_scale = max(
         (st.dist[0] for st in statics if st.dist), default=0)

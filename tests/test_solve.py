@@ -4,6 +4,7 @@ brute-force reference, and the greedy heuristic."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,9 @@ from displib.core import (
     build_instance,
     enumerate_routes,
 )
+from displib.generate import LineSpec, generate_line
 from displib.solve import (
+    _OK,
     SolveStatus,
     _ExactSearch,
     earliest_times,
@@ -52,6 +55,67 @@ def pinned_crossing() -> Instance:
                           resources=(ResourceUsage("A"),)),
                 Operation(0, ())]
     return build_instance([train(), train()])
+
+
+def startable(disp):
+    """Every move the dispatcher can make now: (train, op, start time)."""
+    moves = []
+    for i in range(disp.n_trains):
+        if disp.ended[i]:
+            continue
+        for op in disp.candidates(i):
+            status, t = disp.probe(i, op)
+            if status == _OK:
+                moves.append((i, op, t))
+    return moves
+
+
+def bound_from_events(instance, events, honour_stamps=True):
+    """The exact bound's remaining cost, recomputed from an event list alone.
+
+    Each unfinished train is timed forward along every route through its
+    scheduled prefix, from the latest event's time, its start_lb, its
+    previous start plus min_duration, and the release stamps of its
+    resources from other trains (unless honour_stamps is false): such a
+    train's next start plus the release time. A component counts at its
+    earliest start over the routes, and only on operations that every such
+    route visits."""
+    floor = events[-1][0] if events else 0
+    done: list[list[tuple[int, int]]] = [[] for _ in instance.trains]
+    for t, i, op in events:
+        done[i].append((t, op))
+    stamps: dict[str, list[tuple[int, int]]] = {}
+    for i, seq in enumerate(done):
+        for (_, op), (t_next, _) in zip(seq, seq[1:]):
+            for usage in instance.trains[i].operations[op].resources:
+                stamps.setdefault(usage.resource, []).append(
+                    (i, t_next + usage.release_time))
+    cost = 0
+    for i, train in enumerate(instance.trains):
+        ops = train.operations
+        prefix = tuple(op for _, op in done[i])
+        if prefix and not ops[prefix[-1]].successors:
+            continue
+        routes = [r[len(prefix):] for r in enumerate_routes(train).routes
+                  if r[:len(prefix)] == prefix]
+        starts: dict[int, int] = {}
+        for rest in routes:
+            prev = done[i][-1] if prefix else None
+            for k in rest:
+                t = max(floor, ops[k].start_lb)
+                if prev is not None:
+                    t = max(t, prev[0] + ops[prev[1]].min_duration)
+                if honour_stamps:
+                    t = max([t] + [s for usage in ops[k].resources
+                                   for j, s in stamps.get(usage.resource, ())
+                                   if j != i])
+                starts[k] = min(starts.get(k, t), t)
+                prev = (t, k)
+        unavoidable = set.intersection(*(set(rest) for rest in routes))
+        for comp in instance.objective:
+            if comp.train == i and comp.operation in unavoidable:
+                cost += comp.cost(starts[comp.operation])
+    return cost
 
 
 class TestEarliestTimes:
@@ -206,6 +270,63 @@ class TestSolveExact:
                     charged += unavoidable
                     avoided += not unavoidable
         assert charged > 200 and avoided > 200
+
+    def test_bound_never_falls_along_a_path(self):
+        """A truncated run reports the root's bound, which is valid because
+        the bound never falls from a node to its child: check that on random
+        walks of probe/apply."""
+        rng = random.Random(41)
+        instances = [random_instance(rng, max_trains=3, max_ops=6)
+                     for _ in range(150)]
+        instances += [generate_line(LineSpec(num_stations=s, num_trains=3,
+                                             seed=seed)).instance
+                      for s in (3, 4) for seed in range(3)]
+        steps = 0
+        for instance in instances:
+            for _ in range(4):
+                search = _ExactSearch(instance, None, None)
+                disp = search.disp
+                parent = search.bound()
+                moves = startable(disp)
+                while moves:
+                    disp.apply(*rng.choice(moves))
+                    child = search.bound()
+                    assert child >= parent
+                    parent = child
+                    steps += 1
+                    moves = startable(disp)
+        assert steps > 3000
+
+    def test_bound_starts_match_route_timing(self):
+        """With coeff=1, threshold=0 components the bound sums the earliest
+        starts of the unavoidable remaining operations, so a wrong start time
+        shows. Random multi-train prefixes leave release stamps behind, and
+        release times are scaled up so that stamps often outlast the latest
+        event."""
+        rng = random.Random(53)
+        stamped = 0
+        for _ in range(1000):
+            base = random_instance(rng, max_trains=3, max_ops=6)
+            trains = [[replace(op, resources=tuple(
+                           replace(u, release_time=10 * u.release_time)
+                           for u in op.resources))
+                       for op in train.operations] for train in base.trains]
+            comps = [ObjectiveComponent(i, k, threshold=0, coeff=1)
+                     for i, ops in enumerate(trains) for k in range(len(ops))
+                     if rng.random() < 0.5]
+            instance = build_instance(trains, comps)
+            search = _ExactSearch(instance, None, None)
+            disp = search.disp
+            for _ in range(rng.randint(0, 10)):
+                moves = startable(disp)
+                if not moves:
+                    break
+                disp.apply(*rng.choice(moves))
+            expected = bound_from_events(instance, disp.events)
+            assert search.bound() - disp.z_partial == expected
+            stamped += expected != bound_from_events(instance, disp.events,
+                                                     honour_stamps=False)
+        assert stamped > 40
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
