@@ -55,7 +55,6 @@ from .solve import (
 from .milp import (
     MappingError,
     MilpModel,
-    ModelOptions,
     Row,
     Variable,
     build_model,
@@ -93,7 +92,7 @@ __all__ = [
     "evaluate_objective", "verify",
     "SolveReport", "SolveStatus", "earliest_times", "order_objective",
     "solve_exact", "solve_heuristic",
-    "MappingError", "MilpModel", "ModelOptions", "Row", "Variable",
+    "MappingError", "MilpModel", "Row", "Variable",
     "build_model", "emit_lp", "map_solution", "name_map", "parse_assignment",
     "solution_assignment",
     "GeneratedLine", "LineSpec", "PatternConflict", "PerturbSpec",

@@ -231,9 +231,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
-    options = milp.ModelOptions(reference_objective=args.reference_objective,
-                                relaxed_bounds=args.relaxed_bounds)
-    model = milp.build_model(instance, options)
+    model = milp.build_model(instance)
     _write_text(args.output, milp.emit_lp(model))
     map_path = args.name_map
     if map_path is None and args.output != "-":
@@ -256,17 +254,20 @@ def _cmd_map_solution(args: argparse.Namespace) -> int:
     if not isinstance(sidecar, dict) \
             or sidecar.get("format") != "displib-lp-name-map":
         raise _Fail(EXIT_USAGE, f"{args.name_map} is not a name map file")
+    # Older sidecars record model options; only the all-false set, which is
+    # the one model emit-lp writes, still maps.
     raw_options = sidecar.get("options", {})
     recorded = sidecar.get("variables", {})
     if not isinstance(raw_options, dict) or not isinstance(recorded, dict) \
-            or not all(isinstance(raw_options.get(key, False), bool)
-                       for key in ("reference_objective", "relaxed_bounds")):
+            or not all(isinstance(v, bool) for v in raw_options.values()):
         raise _Fail(EXIT_USAGE, f"{args.name_map} is not a name map file "
                                 "(malformed options or variables)")
-    options = milp.ModelOptions(
-        reference_objective=raw_options.get("reference_objective", False),
-        relaxed_bounds=raw_options.get("relaxed_bounds", False))
-    model = milp.build_model(instance, options)
+    for key, value in raw_options.items():
+        if value:
+            raise _Fail(EXIT_USAGE, f"{args.name_map} was written with the "
+                                    f"removed model option {key}; re-run "
+                                    "emit-lp")
+    model = milp.build_model(instance)
     if set(recorded) != {v.name for v in model.variables}:
         raise _Fail(EXIT_USAGE,
                     "name map does not match this instance (was it emitted "
@@ -478,10 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name-map", default=None, metavar="PATH",
                    help="variable name map JSON (default: OUT.names.json "
                         "when writing to a file)")
-    p.add_argument("--reference-objective", action="store_true",
-                   help="classic ungated delay-cost rows")
-    p.add_argument("--relaxed-bounds", action="store_true",
-                   help="start upper bounds only bind selected operations")
     p.set_defaults(func=_cmd_emit_lp)
 
     p = sub.add_parser("map-solution",

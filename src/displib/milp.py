@@ -22,15 +22,16 @@ Variables (roles in parentheses):
   threshold. w{c} (cost): the component's cost; the objective minimizes the
   sum of all w.
 
-By default the cost rows are gated by x (off-route components cost nothing)
-and the threshold rows are strict, so that for integral times v is forced to
-1 exactly when t >= threshold, matching the verifier's cost. The
-reference_objective option instead emits the classic ungated rows
-(t - thr <= M v, w >= coeff*(t - thr) + increment*v) verbatim.
+The cost rows are gated by x (off-route components cost nothing) and the
+threshold rows are strict, so that for integral times v is forced to 1
+exactly when t >= threshold, matching the verifier's cost.
 
-Start windows apply to unselected operations as well (their t is still
-box-bounded); relaxed_bounds=True softens the upper bound to the horizon for
-unselected operations via t <= ub + (H - ub) * (1 - x).
+Start windows: an operation on every route of its train (mandatory) keeps
+its window as the box of t, clipped to H. Operation indices are
+topological, so an operation is mandatory exactly when no arc jumps over it.
+An optional operation's t has the box [0, H] and its window binds only when
+it is selected: lb rows t - start_lb x >= 0 and ub rows t + (H - ub) x <= H.
+So windows on any operation are exact.
 
 Route semantics: y is tied to x by the three pairwise inequalities, which
 read route membership of both endpoints as arc use. That is exact when the
@@ -42,7 +43,7 @@ and the search solvers have no such restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
@@ -87,12 +88,6 @@ class MappingError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelOptions:
-    reference_objective: bool = False
-    relaxed_bounds: bool = False
-
-
-@dataclass(frozen=True)
 class Variable:
     name: str
     kind: str
@@ -113,17 +108,11 @@ class Row:
 @dataclass
 class MilpModel:
     instance: Instance
-    options: ModelOptions
     variables: list[Variable]
     rows: list[Row]
     objective: list[tuple[str, int]]
     horizon: int
     order_big_m: int
-    by_name: dict[str, Variable] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.by_name:
-            self.by_name = {v.name: v for v in self.variables}
 
 
 def _t(i: int, a: int) -> str:
@@ -146,8 +135,7 @@ def _u(i: int, a: int) -> str:
     return f"u{i}_{a}"
 
 
-def build_model(instance: Instance,
-                options: ModelOptions = ModelOptions()) -> MilpModel:
+def build_model(instance: Instance) -> MilpModel:
     """Construct all variables and rows. Deterministic: iteration follows
     train/operation/arc/pair index order throughout."""
     horizon = time_horizon(instance)
@@ -155,17 +143,21 @@ def build_model(instance: Instance,
     order_m = n_ops + 1
     variables: list[Variable] = []
     rows: list[Row] = []
+    gated: list[tuple[int, int, int, int]] = []  # optional (i, a, lb, ub)
 
     for i, train in enumerate(instance.trains):
+        reach = 0   # largest successor of the operations before a
         for a, op in enumerate(train.operations):
             ub = horizon if op.start_ub is None else min(op.start_ub, horizon)
-            if options.relaxed_bounds and ub < horizon:
-                # Bound row added later; the box keeps only the horizon.
-                variables.append(Variable(_t(i, a), CONTINUOUS, op.start_lb,
-                                          horizon, ROLE_START, (i, a)))
-            else:
-                variables.append(Variable(_t(i, a), CONTINUOUS, op.start_lb, ub,
-                                          ROLE_START, (i, a)))
+            box = (op.start_lb, ub)
+            if reach > a:
+                # An arc jumps over a, so some route avoids it: its window
+                # becomes rows (added below) that bind only when a is selected.
+                box = (0, horizon)
+                if (op.start_lb, ub) != box:
+                    gated.append((i, a, op.start_lb, ub))
+            reach = max(reach, max(op.successors, default=0))
+            variables.append(Variable(_t(i, a), CONTINUOUS, *box, ROLE_START, (i, a)))
             variables.append(Variable(_x(i, a), BINARY, 0, 1, ROLE_SELECT_OP, (i, a)))
             variables.append(Variable(_u(i, a), INTEGER, 0, n_ops, ROLE_RANK, (i, a)))
     for i, train in enumerate(instance.trains):
@@ -221,11 +213,8 @@ def build_model(instance: Instance,
                 if op.min_duration:
                     terms.append((y, -op.min_duration))
                 rows.append(Row(f"dur{i}_{a}_{b}", tuple(terms), ">=", 0))
-    # Resource handovers.
+    # Resource handovers; resources are numbered by first appearance.
     resource_ids: dict[str, int] = {}
-    for p in pairs:
-        for resource, _ra, _rb in shared_resources(instance, p):
-            resource_ids.setdefault(resource, len(resource_ids))
     for p in pairs:
         i, a, j, b = p
         directions: list[str] = []
@@ -234,7 +223,7 @@ def build_model(instance: Instance,
         if _can_release(j, b):
             directions.append(_z(j, b, i, a))
         for resource, rel_a, rel_b in shared_resources(instance, p):
-            rid = resource_ids[resource]
+            rid = resource_ids.setdefault(resource, len(resource_ids))
             if _can_release(i, a):
                 z_ab = _z(i, a, j, b)
                 for abar in instance.trains[i].operations[a].successors:
@@ -283,39 +272,28 @@ def build_model(instance: Instance,
         t = _t(comp.train, comp.operation)
         x = _x(comp.train, comp.operation)
         v, w = f"v{c}", f"w{c}"
-        if options.reference_objective:
-            m_v = max(1, horizon - comp.threshold)
-            rows.append(Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold))
-            terms = [(w, 1), (v, -comp.increment)]
-            if comp.coeff:
-                terms.insert(1, (t, -comp.coeff))
-            rows.append(Row(f"cost{c}", tuple(terms), ">=",
-                            -comp.coeff * comp.threshold))
-        else:
-            # Strict threshold: for integral t, v is forced to 1 exactly when
-            # t >= threshold (the step cost fires at equality).
-            m_v = max(1, horizon - comp.threshold + 1)
-            rows.append(Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1))
-            gate = comp.coeff * max(0, horizon - comp.threshold) + comp.increment
-            terms = [(w, 1), (v, -comp.increment), (x, -gate)]
-            if comp.coeff:
-                terms.insert(1, (t, -comp.coeff))
-            rows.append(Row(f"cost{c}", tuple(terms), ">=",
-                            -comp.coeff * comp.threshold - gate))
-    # Softened start_ub for unselected operations.
-    if options.relaxed_bounds:
-        for i, train in enumerate(instance.trains):
-            for a, op in enumerate(train.operations):
-                if op.start_ub is None:
-                    continue
-                ub = min(op.start_ub, horizon)
-                if ub < horizon:
-                    rows.append(Row(f"ub{i}_{a}",
-                                    ((_t(i, a), 1), (_x(i, a), horizon - ub)),
-                                    "<=", horizon))
+        # Strict threshold: for integral t, v is forced to 1 exactly when
+        # t >= threshold (the step cost fires at equality).
+        m_v = max(1, horizon - comp.threshold + 1)
+        rows.append(Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1))
+        gate = comp.coeff * max(0, horizon - comp.threshold) + comp.increment
+        terms = [(w, 1), (v, -comp.increment), (x, -gate)]
+        if comp.coeff:
+            terms.insert(1, (t, -comp.coeff))
+        rows.append(Row(f"cost{c}", tuple(terms), ">=",
+                        -comp.coeff * comp.threshold - gate))
+    # Start windows of optional operations, gated by x.
+    for i, a, lb, ub in gated:
+        if lb > 0:
+            rows.append(Row(f"lb{i}_{a}", ((_t(i, a), 1), (_x(i, a), -lb)),
+                            ">=", 0))
+        if ub < horizon:
+            rows.append(Row(f"ub{i}_{a}",
+                            ((_t(i, a), 1), (_x(i, a), horizon - ub)),
+                            "<=", horizon))
 
     objective = [(f"w{c}", 1) for c in range(len(instance.objective))]
-    return MilpModel(instance=instance, options=options, variables=variables,
+    return MilpModel(instance=instance, variables=variables,
                      rows=rows, objective=objective, horizon=horizon,
                      order_big_m=order_m)
 
@@ -405,10 +383,6 @@ def name_map(model: MilpModel) -> dict:
     return {
         "format": "displib-lp-name-map",
         "version": 1,
-        "options": {
-            "reference_objective": model.options.reference_objective,
-            "relaxed_bounds": model.options.relaxed_bounds,
-        },
         "horizon": model.horizon,
         "variables": {
             v.name: {"role": v.role, "kind": v.kind, "indices": list(v.indices)}
@@ -492,11 +466,10 @@ def solution_assignment(model: MilpModel, instance: Instance,
                         solution: Solution) -> dict[str, float]:
     """Witness assignment for a feasible solution (warm starts, model checks).
 
-    Selected operations take their event times and event positions; times of
-    unselected operations are pushed up from their predecessors so running
-    rows hold, ranks likewise. The sum of the cost variables equals the
-    solution's objective in the default model (gated costs); with
-    reference_objective the off-route cost variables may exceed it.
+    Selected operations take their event times and event positions; an
+    unselected operation takes the latest time and rank of its predecessors,
+    so running rows hold (its window rows are gated off). The sum of the cost
+    variables equals the solution's objective.
     """
     on_route: dict[tuple[int, int], tuple[int, int]] = {}
     used_arcs: set[tuple[int, int, int]] = set()    # consecutive route pairs
@@ -517,8 +490,7 @@ def solution_assignment(model: MilpModel, instance: Instance,
             if sel:
                 t_vals[(i, a)], u_vals[(i, a)] = on_route[(i, a)]
             else:
-                t_vals[(i, a)] = max([op.start_lb]
-                                     + [t_vals[(i, p)] for p in preds[a]])
+                t_vals[(i, a)] = max([0] + [t_vals[(i, p)] for p in preds[a]])
                 u_vals[(i, a)] = max([0] + [u_vals[(i, p)] for p in preds[a]])
             values[_t(i, a)] = float(t_vals[(i, a)])
             values[_u(i, a)] = float(u_vals[(i, a)])
@@ -543,13 +515,7 @@ def solution_assignment(model: MilpModel, instance: Instance,
         t = t_vals[(comp.train, comp.operation)]
         late = 1.0 if t >= comp.threshold else 0.0
         values[f"v{c}"] = late
-        if (comp.train, comp.operation) in on_route:
-            cost = comp.cost(t)
-        elif model.options.reference_objective:
-            cost = max(0, comp.coeff * (t - comp.threshold)
-                       + (comp.increment if t >= comp.threshold else 0))
-        else:
-            cost = 0
-        values[f"w{c}"] = float(cost)
+        on = (comp.train, comp.operation) in on_route
+        values[f"w{c}"] = float(comp.cost(t) if on else 0)
     return values
 

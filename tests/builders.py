@@ -69,10 +69,10 @@ def random_instance(rng: random.Random, max_trains: int = 3,
 def random_reduced_train(rng: random.Random, max_ops: int) -> list[Operation]:
     """Train whose successor graph is a chain of stages, each a single
     operation or a two-way fork rejoining at the next stage. Such graphs are
-    transitively reduced, and start windows sit only on mandatory (non-fork)
-    operations: the class the route-selection and box-bound rows of the
-    mixed-integer model encode exactly (the schedule generators produce the
-    same shape: windows come from timetable pins, not routing alternatives)."""
+    transitively reduced, the class the route-selection rows of the
+    mixed-integer model encode exactly. Start windows sit only on mandatory
+    (non-fork) operations, as in the schedule generators, where windows come
+    from timetable pins; the model itself is exact for windows anywhere."""
     budget = rng.randint(1, max_ops)
     stages = [1]
     budget -= 1

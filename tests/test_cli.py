@@ -246,16 +246,6 @@ class TestEmitLp:
         assert cli.main(["emit-lp", junction_path]) == 0
         assert capsys.readouterr().out == data_text("junction.lp")
 
-    def test_reference_objective_changes_the_model(self, junction_path,
-                                                   tmp_path, capsys):
-        out = tmp_path / "ref.lp"
-        code = cli.main(["emit-lp", "--reference-objective", junction_path,
-                         "-o", str(out)])
-        assert code == 0
-        assert out.read_text() != data_text("junction.lp")
-        sidecar = json.loads((tmp_path / "ref.lp.names.json").read_text())
-        assert sidecar["options"]["reference_objective"] is True
-
 
 class TestMapSolution:
     def emit(self, junction_path, tmp_path):
@@ -321,6 +311,36 @@ class TestMapSolution:
         code = cli.main(["map-solution", junction_path, bogus, assignment])
         assert code == 2
         assert "not a name map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["reference_objective",
+                                        "relaxed_bounds"])
+    def test_name_map_with_a_removed_option(self, junction_path, tmp_path,
+                                            capsys, option):
+        _, names = self.emit(junction_path, tmp_path)
+        sidecar = json.loads(names.read_text())
+        sidecar["options"] = {"reference_objective": False,
+                              "relaxed_bounds": False, option: True}
+        names.write_text(json.dumps(sidecar))
+        assignment = write_file(tmp_path, "empty.txt", "")
+        code = cli.main(["map-solution", junction_path, str(names), assignment])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and "re-run emit-lp" in err
+
+    def test_name_map_with_all_false_options_still_maps(self, junction_path,
+                                                        tmp_path, capsys):
+        lp, names = self.emit(junction_path, tmp_path)
+        sidecar = json.loads(names.read_text())
+        sidecar["options"] = {"reference_objective": False,
+                              "relaxed_bounds": False}
+        names.write_text(json.dumps(sidecar))
+        status, _, values = solve_lp(lp.read_text())
+        assert status == "optimal"
+        assignment = write_file(tmp_path, "assignment.txt",
+                                assignment_text(values))
+        code = cli.main(["map-solution", junction_path, str(names), assignment])
+        assert code == 0
+        assert "mapped: objective 10" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("options", [1]),

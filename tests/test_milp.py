@@ -3,6 +3,7 @@ round-trips, and end-to-end agreement with the exact search."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -16,15 +17,14 @@ from displib.core import (
     ObjectiveComponent,
     Operation,
     ResourceUsage,
-    Solution,
     build_instance,
+    enumerate_routes,
 )
 from displib.milp import (
     FAILED_VERIFICATION,
     INCOMPLETE_ASSIGNMENT,
     NON_INTEGRAL_BINARY,
     MappingError,
-    ModelOptions,
     build_model,
     emit_lp,
     map_solution,
@@ -36,6 +36,36 @@ from displib.solve import SolveStatus, solve_exact
 from displib.verify import verify
 
 NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+
+def windows_on_forks(rng: random.Random, instance):
+    """Copy of instance with random start windows on operations that some
+    route avoids; the builders put windows on mandatory operations only."""
+    trains = []
+    for train in instance.trains:
+        routes = enumerate_routes(train).routes
+        ops = []
+        for k, op in enumerate(train.operations):
+            if all(k in route for route in routes) or rng.random() < 0.3:
+                ops.append(op)
+                continue
+            lb = rng.randint(0, 15) if rng.random() < 0.7 else 0
+            ub = lb + rng.randint(0, 15) if rng.random() < 0.5 else None
+            ops.append(dataclasses.replace(op, start_lb=lb, start_ub=ub))
+        trains.append(ops)
+    return build_instance(trains, instance.objective)
+
+
+def optional_start_lb_instance():
+    """0 -> {1, 2} -> 3 with a late start_lb on alternative 2, an upper
+    window on alternative 1 and windows on the mandatory entry and exit.
+    Route 0 -> 1 -> 3 at time 1 costs nothing."""
+    ops = [Operation(0, (1, 2), start_lb=1),
+           Operation(0, (3,), start_ub=50),
+           Operation(0, (3,), start_lb=100),
+           Operation(0, (), start_ub=300)]
+    comp = ObjectiveComponent(train=0, operation=3, threshold=5, coeff=1)
+    return build_instance([ops], [comp])
 
 
 def roles_count(model) -> dict[str, int]:
@@ -84,28 +114,6 @@ class TestJunctionModel:
         assert cost.terms == (("w0", 1), ("t1_2", -1), ("v0", 0), ("x1_2", -25))
         assert cost.sense == ">=" and cost.rhs == -25
 
-    def test_reference_objective_rows(self, junction):
-        model = build_model(junction, ModelOptions(reference_objective=True))
-        by_name = {row.name: row for row in model.rows}
-        thr = by_name["thr0"]
-        assert thr.terms == (("t1_2", 1), ("v0", -25))
-        assert thr.sense == "<=" and thr.rhs == 0
-        cost = by_name["cost0"]
-        assert cost.terms == (("w0", 1), ("t1_2", -1), ("v0", 0))
-        assert cost.sense == ">=" and cost.rhs == 0
-
-    def test_relaxed_bounds(self, junction):
-        model = build_model(junction, ModelOptions(relaxed_bounds=True))
-        t00 = model.by_name["t0_0"]
-        assert t00.ub == model.horizon
-        by_name = {row.name: row for row in model.rows}
-        ub = by_name["ub0_0"]
-        assert ub.terms == (("t0_0", 1), ("x0_0", 25))
-        assert ub.sense == "<=" and ub.rhs == 25
-        assert "ub1_0" in by_name
-        # Only pinned entries have finite windows in this instance.
-        assert sum(1 for name in by_name if name.startswith("ub")) == 2
-
     def test_golden_lp_text(self, junction):
         assert emit_lp(build_model(junction)) == data_text("junction.lp")
 
@@ -150,8 +158,30 @@ class TestModelShapes:
     def test_start_window_is_the_box_bound(self):
         ops = [Operation(1, (1,), start_ub=10 ** 6), Operation(0, ())]
         model = build_model(build_instance([ops]))
-        assert model.by_name["t0_0"].ub == 10 ** 6
+        variables = {v.name: v for v in model.variables}
+        assert variables["t0_0"].ub == 10 ** 6
         assert model.horizon >= 10 ** 6
+
+    def test_windows_of_optional_operations_are_gated_rows(self):
+        model = build_model(optional_start_lb_instance())
+        horizon = model.horizon
+        variables = {v.name: v for v in model.variables}
+        # Mandatory entry and exit keep their windows as the box.
+        assert (variables["t0_0"].lb, variables["t0_0"].ub) == (1, horizon)
+        assert (variables["t0_3"].lb, variables["t0_3"].ub) == (0, 300)
+        # The alternatives get the box [0, H] and rows gated by x.
+        for name in ("t0_1", "t0_2"):
+            assert (variables[name].lb, variables[name].ub) == (0, horizon)
+        by_name = {row.name: row for row in model.rows}
+        windows = sorted(name for name in by_name
+                         if re.fullmatch(r"(lb|ub)\d+_\d+", name))
+        assert windows == ["lb0_2", "ub0_1"]
+        lb = by_name["lb0_2"]
+        assert lb.terms == (("t0_2", 1), ("x0_2", -100))
+        assert lb.sense == ">=" and lb.rhs == 0
+        ub = by_name["ub0_1"]
+        assert ub.terms == (("t0_1", 1), ("x0_1", horizon - 50))
+        assert ub.sense == "<=" and ub.rhs == horizon
 
     def test_exit_holder_keeps_resource_forever(self):
         # Train 1's exit holds R, so only "train 0 hands over to train 1"
@@ -194,19 +224,12 @@ class TestNameMap:
         doc = name_map(model)
         assert doc["format"] == "displib-lp-name-map"
         assert doc["version"] == 1
-        assert doc["options"] == {"reference_objective": False,
-                                  "relaxed_bounds": False}
+        assert "options" not in doc
         assert doc["horizon"] == 25
         assert set(doc["variables"]) == {v.name for v in model.variables}
         entry = doc["variables"]["z0_0_1_1"]
         assert entry == {"role": "precede", "kind": "binary",
                          "indices": [0, 0, 1, 1]}
-
-    def test_options_round_trip(self, junction):
-        options = ModelOptions(reference_objective=True, relaxed_bounds=True)
-        doc = name_map(build_model(junction, options))
-        assert doc["options"] == {"reference_objective": True,
-                                  "relaxed_bounds": True}
 
 
 class TestParseAssignment:
@@ -250,12 +273,34 @@ class TestSolutionAssignment:
             report = solve_exact(instance, node_limit=100_000)
             if report.solution is None:
                 continue
-            for options in (ModelOptions(), ModelOptions(relaxed_bounds=True)):
-                model = build_model(instance, options)
-                values = solution_assignment(model, instance, report.solution)
-                assert oracles.violated_rows(model, values) == []
+            model = build_model(instance)
+            values = solution_assignment(model, instance, report.solution)
+            assert oracles.violated_rows(model, values) == []
             checked += 1
         assert checked > 12
+
+    def test_windows_on_forks_witness_is_exact(self):
+        # The witness of an unselected alternative follows its predecessors,
+        # not its (gated) window, so the running rows into the join hold.
+        rng, window_rng = random.Random(41), random.Random(43)
+        checked = 0
+        for _ in range(200):
+            instance = windows_on_forks(
+                window_rng, random_reduced_instance(rng, max_trains=3,
+                                                    max_ops=6))
+            report = solve_exact(instance, node_limit=100_000)
+            if report.solution is None:
+                continue
+            model = build_model(instance)
+            values = solution_assignment(model, instance, report.solution)
+            assert oracles.violated_rows(model, values) == []
+            for var in model.variables:
+                assert var.lb <= values[var.name]
+                assert var.ub is None or values[var.name] <= var.ub
+            mapped = map_solution(model, values, instance)
+            assert mapped.events == report.solution.events
+            checked += 1
+        assert checked > 150
 
 
 class TestMapSolution:
@@ -306,30 +351,53 @@ class TestExternalSolver:
         verdict = verify(junction, mapped)
         assert verdict.feasible and verdict.computed_objective == 10
 
-    def test_reference_objective_agrees(self, junction):
-        model = build_model(junction, ModelOptions(reference_objective=True))
+    def assert_lp_matches_exact(self, instance):
+        exact = solve_exact(instance)
+        assert exact.status is SolveStatus.OPTIMAL
+        model = build_model(instance)
         status, objective, assignment = solve_lp(emit_lp(model))
         assert status == "optimal"
-        assert round(objective) == 10
+        assert round(objective) == exact.solution.objective_value
+        mapped = map_solution(model, assignment, instance)
+        assert verify(instance, mapped).feasible
+        assert mapped.objective_value == exact.solution.objective_value
 
-    def test_windowed_alternative_needs_relaxed_bounds(self):
-        # A start window on a routing alternative: the running-time row
-        # pushes the unselected operation past its box, so the default model
-        # has no image of the (perfectly feasible) schedule around it. The
-        # relaxed_bounds option softens exactly that box.
+    def test_windowed_alternative_is_exact(self):
+        # The running row from the entry pushes the unselected alternative 1
+        # past its start_ub; its window binds only when it is selected.
         ops = [Operation(5, (1, 2), start_lb=5),
                Operation(0, (3,), start_ub=0),
                Operation(0, (3,)),
                Operation(0, ())]
-        instance = build_instance([ops])
-        assert solve_exact(instance).status is SolveStatus.OPTIMAL
-        status, _, _ = solve_lp(emit_lp(build_model(instance)))
-        assert status == "infeasible"
-        relaxed = build_model(instance, ModelOptions(relaxed_bounds=True))
-        status, objective, assignment = solve_lp(emit_lp(relaxed))
-        assert status == "optimal"
-        mapped = map_solution(relaxed, assignment, instance)
-        assert verify(instance, mapped).feasible
+        self.assert_lp_matches_exact(build_instance([ops]))
+
+    def test_optional_start_lb_does_not_delay_the_join(self):
+        # A box t >= 100 on the unselected alternative 2 would be chained
+        # into the exit by its running row and price the exit at 95.
+        instance = optional_start_lb_instance()
+        assert solve_exact(instance).solution.objective_value == 0
+        self.assert_lp_matches_exact(instance)
+
+    def test_windows_on_alternatives_match_exact_search(self):
+        rng, window_rng = random.Random(41), random.Random(43)
+        decided = 0
+        for _ in range(60):
+            instance = windows_on_forks(
+                window_rng, random_reduced_instance(rng, max_trains=3,
+                                                    max_ops=6))
+            exact = solve_exact(instance, node_limit=100_000)
+            if exact.status not in (SolveStatus.OPTIMAL,
+                                    SolveStatus.INFEASIBLE):
+                continue
+            status, objective, _ = solve_lp(emit_lp(build_model(instance)),
+                                            time_limit=30)
+            if exact.status is SolveStatus.INFEASIBLE:
+                assert status == "infeasible"
+            else:
+                assert status == "optimal"
+                assert round(objective) == exact.solution.objective_value
+            decided += 1
+        assert decided > 40
 
     def test_matches_exact_search(self):
         rng = random.Random(29)
