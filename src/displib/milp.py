@@ -484,7 +484,7 @@ def solution_assignment(model: MilpModel, instance: Instance,
     u_vals: dict[tuple[int, int], int] = {}
     for i, train in enumerate(instance.trains):
         preds = predecessors(train)
-        for a, op in enumerate(train.operations):
+        for a in range(len(train.operations)):
             sel = (i, a) in on_route
             values[_x(i, a)] = 1.0 if sel else 0.0
             if sel:
