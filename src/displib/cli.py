@@ -313,19 +313,45 @@ _LINE_FLAGS = ("num_stations", "tracks_per_station", "num_trains",
                "up_fraction", "headway", "cost_shape", "seed")
 
 
-def _spec_from_config(cls, obj: dict, where: str):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field_error(value, default) -> str | None:
+    """What a config value must be, if it does not fit the field whose
+    default is given; None if it fits."""
+    if isinstance(default, tuple):
+        if isinstance(value, list) and len(value) == 2 \
+                and all(_is_int(v) for v in value):
+            return None
+        return "a pair of integers"
+    if isinstance(default, float):
+        if _is_int(value) or isinstance(value, float):
+            return None
+        return "a number"
+    if isinstance(default, int):
+        return None if _is_int(value) else "an integer"
+    return None if isinstance(value, str) else "a string"
+
+
+def _spec_from_config(cls, obj, where: str, offset: int, overrides=None):
+    """The spec from a config object, with command-line overrides on top and
+    the batch offset added to its seed."""
     if not isinstance(obj, dict):
         raise _Fail(EXIT_USAGE, f"config: {where} must be an object")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    values = {}
-    for key, raw in obj.items():
-        if key not in fields:
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {**obj, **(overrides or {})}
+    for key, raw in values.items():
+        if key not in defaults:
             raise _Fail(EXIT_USAGE, f"config: unknown key {key!r} in {where}")
-        values[key] = tuple(raw) if isinstance(raw, list) else raw
-    try:
-        return cls(**values)
-    except TypeError as e:
-        raise _Fail(EXIT_USAGE, f"config: bad {where}: {e}") from e
+        wanted = _field_error(raw, defaults[key])
+        if wanted is not None:
+            raise _Fail(EXIT_USAGE, f"config: {where}.{key} must be {wanted}, "
+                                    f"got {json.dumps(raw)}")
+        if isinstance(raw, list):
+            values[key] = tuple(raw)
+    values["seed"] = values.get("seed", 0) + offset
+    return cls(**values)
 
 
 def _apply_pattern(line: generate.GeneratedLine, raw: dict,
@@ -344,7 +370,7 @@ def _apply_pattern(line: generate.GeneratedLine, raw: dict,
     if missing:
         raise _Fail(EXIT_USAGE, f"config: {where}: missing {', '.join(missing)}")
     values = [raw[key] for key in wanted]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not all(_is_int(v) for v in values):
         raise _Fail(EXIT_USAGE, f"config: {where}: all pattern fields are integers")
     if kind == "join":
         return generate.join_trains(line, *values)
@@ -355,21 +381,17 @@ def _apply_pattern(line: generate.GeneratedLine, raw: dict,
 
 def _generate_one(config: dict, args: argparse.Namespace,
                   offset: int) -> generate.GeneratedLine:
-    line_cfg = dict(config.get("line", {}))
-    for flag in _LINE_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            line_cfg[flag] = value
-    line_cfg["seed"] = line_cfg.get("seed", 0) + offset
-    spec = _spec_from_config(generate.LineSpec, line_cfg, "line")
+    flags = {flag: getattr(args, flag) for flag in _LINE_FLAGS
+             if getattr(args, flag) is not None}
+    spec = _spec_from_config(generate.LineSpec, config.get("line", {}), "line",
+                             offset, flags)
     try:
         line = generate.generate_line(spec)
         for index, raw in enumerate(config.get("patterns", ())):
             line = _apply_pattern(line, raw, index)
         if "perturb" in config:
-            perturb_cfg = dict(config["perturb"])
-            perturb_cfg["seed"] = perturb_cfg.get("seed", 0) + offset
-            pspec = _spec_from_config(generate.PerturbSpec, perturb_cfg, "perturb")
+            pspec = _spec_from_config(generate.PerturbSpec, config["perturb"],
+                                      "perturb", offset)
             line = generate.perturb(line, pspec)
     except (generate.SpecInfeasible, generate.PatternConflict) as e:
         raise _Fail(EXIT_USAGE, f"cannot generate: {e}") from e

@@ -43,6 +43,7 @@ and the search solvers have no such restriction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -73,6 +74,7 @@ ROLE_COST = "cost"
 
 INCOMPLETE_ASSIGNMENT = "IncompleteAssignment"
 NON_INTEGRAL_BINARY = "NonIntegralBinary"
+NON_FINITE_VALUE = "NonFiniteValue"
 FAILED_VERIFICATION = "FailedVerification"
 
 BINARY_TOLERANCE = 1e-6
@@ -397,7 +399,7 @@ def name_map(model: MilpModel) -> dict:
 
 def parse_assignment(text: str) -> dict[str, float]:
     """Parse `name value` lines ('#' comments and blank lines allowed),
-    the shape of the usual solver solution dumps."""
+    the shape of the usual solver solution dumps. Values must be finite."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -407,9 +409,13 @@ def parse_assignment(text: str) -> dict[str, float]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'name value', got {raw!r}")
         try:
-            values[parts[0]] = float(parts[1])
+            value = float(parts[1])
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad number {parts[1]!r}") from e
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: {parts[0]} = {parts[1]!r} is not "
+                             "a finite number")
+        values[parts[0]] = value
     return values
 
 
@@ -432,6 +438,10 @@ def map_solution(model: MilpModel, assignment: Mapping[str, float],
         if var.name not in assignment:
             raise MappingError(INCOMPLETE_ASSIGNMENT,
                                f"assignment is missing variable {var.name}")
+        if not math.isfinite(assignment[var.name]):
+            raise MappingError(NON_FINITE_VALUE,
+                               f"variable {var.name} = {assignment[var.name]} "
+                               f"is not finite")
     picked: list[tuple[int, int, int, int]] = []  # (t, u, train, op)
     for var in model.variables:
         if var.kind in (BINARY, INTEGER):

@@ -1,11 +1,17 @@
 """Schedulers: earliest-times evaluation, exact search, greedy heuristic.
 
-All three share the same incremental dispatch model. A partial schedule is a
-prefix of the event list; appending an operation fixes its start time as the
-maximum of the chronological floor (times never decrease along the list),
-its start_lb, the end of the train's previous operation, and the release
-stamps of its resources. Times of already appended events never change,
-because every constraint arc points forward in the event order.
+All three drive one incremental dispatcher, `_Dispatcher`. A partial
+schedule is a prefix of the event list; appending an operation fixes its
+start time as the maximum of the chronological floor (times never decrease
+along the list), its start_lb, the end of the train's previous operation,
+and the release stamps of its resources. Times of already appended events
+never change, because every constraint arc points forward in the event
+order. The dispatcher owns the per-train operation tables, the undo stack
+(`undo` takes back the latest event, `rewind(depth)` all events above a
+depth) and the count of its applies.
+
+A report's `nodes` is the exact search's count of moves tried, the one that
+hit `node_limit` included, and the heuristic's count of dispatcher applies.
 
 Resource bookkeeping per resource: who holds it now (claims of the holding
 train's latest operation are still open), and the two latest release stamps
@@ -37,6 +43,10 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve. `nodes` counts the exact search's moves tried,
+    including the one that hit node_limit (a capped run reports
+    node_limit + 1), or the heuristic's dispatcher applies over all passes,
+    including events later taken back."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -82,18 +92,21 @@ class _ResourceState:
 
 
 class _OpTable:
-    """Static per-operation data of one train for the exact search, indexed
-    by operation and built once per solve, so that the hot loops index
-    plain tuples instead of following Operation and ResourceUsage
-    attributes."""
-    __slots__ = ("preds", "dur", "start_lb", "keys", "far", "succ")
+    """Static per-operation data of one train, indexed by operation and
+    built once per dispatcher, so that the hot loops index plain tuples
+    instead of following Operation and ResourceUsage attributes."""
+    __slots__ = ("preds", "dur", "start_lb", "start_ub", "keys", "release",
+                 "far", "succ")
 
     def __init__(self, train: Train):
         ops = train.operations
         self.preds = tuple(tuple(p) for p in predecessors(train))
         self.dur = tuple(op.min_duration for op in ops)
         self.start_lb = tuple(op.start_lb for op in ops)
+        self.start_ub = tuple(op.start_ub for op in ops)
         self.keys = tuple(tuple(u.resource for u in op.resources) for op in ops)
+        self.release = tuple(tuple(u.release_time for u in op.resources)
+                             for op in ops)
         # Largest successor (0 at the exit) and the successors in index order.
         self.far = tuple(max(op.successors, default=0) for op in ops)
         self.succ = tuple(tuple(sorted(op.successors)) for op in ops)
@@ -104,20 +117,26 @@ _ENTRY = (0,)               # the only candidate of a train not yet started
 
 
 class _Dispatcher:
-    """Mutable partial schedule with O(1)-ish append and exact undo."""
+    """Mutable partial schedule with O(1)-ish append and exact undo. It owns
+    the operation tables, a stack of applied events that `undo` and `rewind`
+    take back, and the count of every apply made on it."""
 
     def __init__(self, instance: Instance):
-        self.instance = instance
-        self.trains = instance.trains
         self.n_trains = len(instance.trains)
+        self.tables = [_OpTable(train) for train in instance.trains]
         self.last_op: list[int | None] = [None] * self.n_trains
         self.last_time = [0] * self.n_trains
         self.ended = [False] * self.n_trains
         self.n_ended = 0
         self.floor = 0
         self.events: list[tuple[int, int, int]] = []  # (time, train, op)
-        self.res: dict[str, _ResourceState] = {}
+        self.res: dict[str, _ResourceState] = {
+            r: _ResourceState() for tab in self.tables
+            for keys in tab.keys for r in keys}
         self.z_partial = 0
+        self.applies = 0
+        # One undo record per event in `events`.
+        self._undo: list[tuple] = []
         # comps[train][op]: that operation's objective components, in
         # instance order.
         self.comps: list[list[tuple[ObjectiveComponent, ...]]] = [
@@ -129,80 +148,76 @@ class _Dispatcher:
         return self.n_ended == self.n_trains
 
     def candidates(self, train: int) -> tuple[int, ...]:
+        """Operations train may start next, in index order."""
         last = self.last_op[train]
-        if last is None:
-            return (0,)
-        return self.trains[train].operations[last].successors
+        return _ENTRY if last is None else self.tables[train].succ[last]
 
     def probe(self, train: int, op: int) -> tuple[int, int]:
         """(status, earliest start). BLOCKED may clear later; DEAD (start_ub
         exceeded) is permanent because every term of the time only grows."""
-        o = self.trains[train].operations[op]
+        tab = self.tables[train]
         t = self.floor
-        if o.start_lb > t:
-            t = o.start_lb
+        if tab.start_lb[op] > t:
+            t = tab.start_lb[op]
         last = self.last_op[train]
         if last is not None:
-            pt = self.last_time[train] + self.trains[train].operations[last].min_duration
+            pt = self.last_time[train] + tab.dur[last]
             if pt > t:
                 t = pt
-        for usage in o.resources:
-            rs = self.res.get(usage.resource)
-            if rs is None:
-                continue
+        res = self.res
+        for r in tab.keys[op]:
+            rs = res[r]
             if rs.count and rs.holder != train:
                 return _BLOCKED, 0
             s = rs.ready_for(train)
             if s > t:
                 t = s
-        if o.start_ub is not None and t > o.start_ub:
+        ub = tab.start_ub[op]
+        if ub is not None and t > ub:
             return _DEAD, t
         return _OK, t
 
-    def apply(self, train: int, op: int, t: int):
-        """Append the start of (train, op) at time t; returns an undo token."""
-        trains = self.trains
-        snaps: list[tuple[str, tuple]] = []
-        touched: set[str] = set()
+    def apply(self, train: int, op: int, t: int) -> None:
+        """Append the start of (train, op) at time t."""
+        tab = self.tables[train]
+        res = self.res
+        # Snapshot of each resource before each change to it; undo restores
+        # them newest first, so a resource changed twice ends at its first.
+        snaps: list[tuple[_ResourceState, tuple]] = []
         last = self.last_op[train]
         if last is not None:
-            for usage in trains[train].operations[last].resources:
-                rs = self.res[usage.resource]
-                if usage.resource not in touched:
-                    snaps.append((usage.resource, rs.snapshot()))
-                    touched.add(usage.resource)
+            for r, release in zip(tab.keys[last], tab.release[last]):
+                rs = res[r]
+                snaps.append((rs, rs.snapshot()))
                 rs.count -= 1
                 if rs.count == 0:
                     rs.holder = None
-                rs.add_stamp(t + usage.release_time, train)
-        o = trains[train].operations[op]
-        for usage in o.resources:
-            rs = self.res.get(usage.resource)
-            if rs is None:
-                rs = self.res[usage.resource] = _ResourceState()
-            if usage.resource not in touched:
-                snaps.append((usage.resource, rs.snapshot()))
-                touched.add(usage.resource)
+                rs.add_stamp(t + release, train)
+        for r in tab.keys[op]:
+            rs = res[r]
+            snaps.append((rs, rs.snapshot()))
             rs.holder = train
             rs.count += 1
         z_delta = 0
         for comp in self.comps[train][op]:
             z_delta += comp.cost(t)
-        token = (train, self.last_op[train], self.last_time[train], self.floor,
-                 snaps, z_delta, self.ended[train])
+        self._undo.append((train, last, self.last_time[train], self.floor,
+                           snaps, z_delta))
         self.last_op[train] = op
         self.last_time[train] = t
         self.floor = t
         self.events.append((t, train, op))
         self.z_partial += z_delta
-        if not o.successors:
+        if not tab.succ[op]:
             self.ended[train] = True
             self.n_ended += 1
-        return token
+        self.applies += 1
 
-    def undo(self, token) -> None:
-        train, prev_op, prev_time, prev_floor, snaps, z_delta, was_ended = token
-        if self.ended[train] and not was_ended:
+    def undo(self) -> None:
+        """Take back the latest event. An ended train takes no further
+        event, so an ended train here was ended by that event."""
+        train, prev_op, prev_time, prev_floor, snaps, z_delta = self._undo.pop()
+        if self.ended[train]:
             self.ended[train] = False
             self.n_ended -= 1
         self.z_partial -= z_delta
@@ -210,8 +225,13 @@ class _Dispatcher:
         self.floor = prev_floor
         self.last_op[train] = prev_op
         self.last_time[train] = prev_time
-        for resource, snap in snaps:
-            self.res[resource].restore(snap)
+        for rs, snap in reversed(snaps):
+            rs.restore(snap)
+
+    def rewind(self, depth: int) -> None:
+        """Take events back until `depth` remain."""
+        while len(self.events) > depth:
+            self.undo()
 
     def to_solution(self) -> Solution:
         events = tuple(Event(time=t, train=i, operation=o) for t, i, o in self.events)
@@ -246,7 +266,7 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
             raise ValueError(f"order does not schedule every operation of train {train}")
 
     disp = _Dispatcher(instance)
-    if _replay(disp, order) is None:
+    if not _replay(disp, order):
         return None
     return [t for t, _, _ in disp.events]
 
@@ -300,7 +320,6 @@ class _ExactSearch:
         self.disp = _Dispatcher(instance)
         self.node_limit = node_limit
         self.deadline = deadline
-        self.tables = [_OpTable(train) for train in instance.trains]
         self.comp_trains = sorted({c.train for c in instance.objective})
         self.nodes = 0
         self.truncated = False
@@ -321,7 +340,7 @@ class _ExactSearch:
         a reachable a < k lands beyond k. One forward sweep finds both the
         reachable operations and `reach`, the farthest such arc head."""
         disp = self.disp
-        tab = self.tables[i]
+        tab = disp.tables[i]
         preds, dur, start_lb, keys, far = (
             tab.preds, tab.dur, tab.start_lb, tab.keys, tab.far)
         comps = disp.comps[i]
@@ -353,11 +372,9 @@ class _ExactSearch:
             if best > t:
                 t = best
             for r in keys[k]:
-                rs = res.get(r)
-                if rs is not None:
-                    s = rs.ready_for(i)
-                    if s > t:
-                        t = s
+                s = res[r].ready_for(i)
+                if s > t:
+                    t = s
             earliest[k] = t
             if reach <= k:
                 # On every remaining route: its cost is unavoidable, and t is
@@ -392,9 +409,8 @@ class _ExactSearch:
         for i in range(disp.n_trains):
             if disp.ended[i]:
                 continue
-            last = disp.last_op[i]
             alive = False
-            for op in _ENTRY if last is None else self.tables[i].succ[last]:
+            for op in disp.candidates(i):
                 status, t = disp.probe(i, op)
                 if status == _OK:
                     moves.append((i, op, t))
@@ -412,9 +428,9 @@ class _ExactSearch:
                     and _time.monotonic() > self.deadline):
                 self.truncated = True
                 return
-            token = disp.apply(train, op, t)
+            disp.apply(train, op, t)
             self._dfs()
-            disp.undo(token)
+            disp.undo()
             if self.truncated:
                 return
 
@@ -469,23 +485,22 @@ def _pick_route(train: Train, st: _TrainStatics, rng: random.Random,
     return route
 
 
-def _replay(disp: _Dispatcher, order: Sequence[tuple[int, int]]) -> list | None:
-    """Apply a whole order through probes; undo tokens on success, None
-    (with everything undone again) if some event is not startable."""
-    tokens: list[tuple] = []
+def _replay(disp: _Dispatcher, order: Sequence[tuple[int, int]]) -> bool:
+    """Apply a whole order through probes; False (with the dispatcher
+    rewound to where it was) if some event is not startable."""
+    depth = len(disp.events)
     for train, op in order:
         status, t = disp.probe(train, op)
         if status != _OK:
-            while tokens:
-                disp.undo(tokens.pop())
-            return None
-        tokens.append(disp.apply(train, op, t))
-    return tokens
+            disp.rewind(depth)
+            return False
+        disp.apply(train, op, t)
+    return True
 
 
 def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
                  route: list[int], deadline: float | None
-                 ) -> tuple[list[tuple[int, int]] | None, int]:
+                 ) -> list[tuple[int, int]] | None:
     """Interleave one train's route into an already-dispatchable event order.
 
     Replays `fixed` (order kept, times re-probed) and places each route
@@ -493,23 +508,18 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
     fixed event. A fixed event blocked by a resource the new train holds is
     resolved by starting the train's next operation, which releases it;
     failing that, the train's latest placement retreats behind the blocked
-    event and the replay resumes. Returns (merged order, applies) with the
-    dispatcher rewound to empty; (None, applies) when no interleaving was
-    found. The dispatcher must be empty on entry.
+    event and the replay resumes. Returns the merged order, left applied on
+    the dispatcher; None, with the dispatcher empty again, when no
+    interleaving was found. The dispatcher must be empty on entry.
     """
-    applied: list[tuple[str, tuple]] = []
-    merged: list[tuple[int, int]] = []
     barrier: dict[int, int] = {}
     fp = rp = 0
-    applies = retreats = steps = 0
-    placed_route = 0
+    retreats = steps = 0
     max_retreats = 16 + 4 * len(route)
-    failed = False
     while fp < len(fixed) or rp < len(route):
         steps += 1
         if deadline is not None and steps % 256 == 0 \
                 and _time.monotonic() > deadline:
-            failed = True
             break
         st_r = t_r = None
         if rp < len(route) and fp >= barrier.get(rp, 0):
@@ -521,80 +531,59 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
         if st_r == _DEAD or st_f == _DEAD:
             # Probe times only grow as the prefix extends, so an overrun
             # window can never recover.
-            failed = True
             break
         if st_f == _BLOCKED and st_r != _OK:
             # Only the new train can block a fixed event (the fixed order is
             # feasible on its own); push its latest placement behind the
             # blocked position and resume.
-            if retreats >= max_retreats or not placed_route:
-                failed = True
+            if retreats >= max_retreats or not rp:
                 break
             blocked_at = fp
-            while applied[-1][0] == "f":
-                disp.undo(applied.pop()[1])
-                merged.pop()
+            while disp.events[-1][1] != train:
+                disp.undo()
                 fp -= 1
-            disp.undo(applied.pop()[1])
-            merged.pop()
+            disp.undo()
             rp -= 1
-            placed_route -= 1
             barrier[rp] = blocked_at + 1
             retreats += 1
             continue
         if st_r == _OK and (st_f != _OK or t_r < t_f):
-            applied.append(("r", disp.apply(train, route[rp], t_r)))
-            merged.append((train, route[rp]))
+            disp.apply(train, route[rp], t_r)
             rp += 1
-            placed_route += 1
         elif st_f == _OK:
-            applied.append(("f", disp.apply(f_train, f_op, t_f)))
-            merged.append((f_train, f_op))
+            disp.apply(f_train, f_op, t_f)
             fp += 1
         else:
-            failed = True
             break
-        applies += 1
-    while applied:
-        disp.undo(applied.pop()[1])
-    return (None if failed else merged), applies
+    if fp < len(fixed) or rp < len(route):
+        disp.rewind(0)
+        return None
+    return [(i, op) for _, i, op in disp.events]
 
 
 def _insertion_pass(instance: Instance, disp: _Dispatcher,
                     statics: Sequence[_TrainStatics], rng: random.Random,
                     jitter_span: int, deadline: float | None
-                    ) -> tuple[Solution | None, int]:
+                    ) -> Solution | None:
     """Schedule trains one at a time in jittered entry order, interleaving
-    each train's route into the order built so far; (solution or None,
-    applies)."""
+    each train's route into the order built so far. The final order stays
+    applied on the dispatcher; its solution, or None."""
     n = disp.n_trains
     jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
     priority = sorted(range(n), key=lambda i: (
         instance.trains[i].operations[0].start_lb + jolt[i], i))
-    applies = 0
     order: list[tuple[int, int]] = []
     for i in priority:
         route = _pick_route(instance.trains[i], statics[i], rng, jitter_span)
-        merged, a = _merge_route(disp, order, i, route, deadline)
-        applies += a
+        disp.rewind(0)
+        merged = _merge_route(disp, order, i, route, deadline)
         if merged is None:
             # Plain append sometimes works when interleaving does not.
             merged = order + [(i, op) for op in route]
-            tokens = _replay(disp, merged)
-            if tokens is None:
-                return None, applies
-            applies += len(merged)
-            while tokens:
-                disp.undo(tokens.pop())
+            if not _replay(disp, merged):
+                return None
         order = merged
-    tokens = _replay(disp, order)
-    if tokens is None:
-        return None, applies
-    applies += len(order)
-    solution = disp.to_solution()
-    while tokens:
-        disp.undo(tokens.pop())
-    return solution, applies
+    return disp.to_solution()
 
 
 _BACKTRACK_LIMIT = 256     # greedy backtracks per pass
@@ -631,16 +620,14 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     jitter_span = max(1, horizon_scale // 8)
 
     best: Solution | None = None
-    nodes = 0
     attempt = 0
     while True:
         rng = random.Random(seed * 1_000_003 + attempt)
         span = jitter_span if attempt > 1 else 0
         solution: Solution | None = None
         if attempt % 2:
-            solution, applies = _insertion_pass(instance, disp, statics, rng,
-                                                span, deadline)
-            nodes += applies
+            solution = _insertion_pass(instance, disp, statics, rng, span,
+                                       deadline)
         else:
             slack_jitter = [rng.randint(-span, span)
                             for _ in range(disp.n_trains)]
@@ -653,10 +640,9 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                     route_jitter[(i, o)] = v
                 return v
 
-            frames: list[tuple[tuple[int, int], tuple]] = []
+            # bans[k]: moves ruled out after the first k events.
             bans: list[set[tuple[int, int]]] = [set()]
             backtracks = 0
-            failed = False
             while not disp.done():
                 banned = bans[-1]
                 chosen: tuple[int, int, int] | None = None
@@ -675,32 +661,25 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                             continue
                         slack = st.static_slack[op]
                         urgency = slack - t + slack_jitter[i] if slack != _INF else _INF
-                        key = (urgency, instance.trains[i].operations[op].start_lb, i, op)
+                        key = (urgency, disp.tables[i].start_lb[op], i, op)
                         if chosen_key is None or key < chosen_key:
                             chosen_key = key
                             chosen = (i, op, t)
                         break  # only the head candidate of each train competes
                 if chosen is None:
-                    if not frames or backtracks >= _BACKTRACK_LIMIT:
-                        failed = True
+                    if not disp.events or backtracks >= _BACKTRACK_LIMIT:
                         break
-                    move, token = frames.pop()
-                    disp.undo(token)
+                    _, i, op = disp.events[-1]
+                    disp.undo()
                     bans.pop()
-                    bans[-1].add(move)
+                    bans[-1].add((i, op))
                     backtracks += 1
                     continue
-                i, op, t = chosen
-                token = disp.apply(i, op, t)
-                nodes += 1
-                frames.append(((i, op), token))
+                disp.apply(*chosen)
                 bans.append(set())
-            if not failed and disp.done():
+            if disp.done():
                 solution = disp.to_solution()
-            # rewind for the next pass
-            while frames:
-                _, token = frames.pop()
-                disp.undo(token)
+        disp.rewind(0)
         if solution is not None and (best is None or solution.objective_value
                                      < best.objective_value):
             best = solution
@@ -714,5 +693,5 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
 
     status = (SolveStatus.FEASIBLE if best is not None
               else SolveStatus.TIMEOUT_NO_SOLUTION)
-    return SolveReport(status=status, solution=best, nodes=nodes,
+    return SolveReport(status=status, solution=best, nodes=disp.applies,
                        wall_time=_time.monotonic() - start)

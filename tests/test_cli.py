@@ -305,6 +305,25 @@ class TestMapSolution:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value", [("x0_0", "nan"), ("x0_0", "inf"),
+                                            ("t0_0", "nan"), ("w0", "nan")])
+    def test_non_finite_value_is_a_bad_assignment(self, junction_path,
+                                                  tmp_path, capsys, name,
+                                                  value):
+        _, names = self.emit(junction_path, tmp_path)
+        instance, _ = parse_instance(data_text("junction_instance.json"))
+        golden, _ = parse_solution(data_text("junction_solution.json"))
+        model = milp.build_model(instance)
+        values = milp.solution_assignment(model, instance, golden)
+        lineno = list(values).index(name) + 1
+        text = assignment_text(values).replace(f"{name} {values[name]}\n",
+                                               f"{name} {value}\n")
+        assignment = write_file(tmp_path, "nonfinite.txt", text)
+        code = cli.main(["map-solution", junction_path, str(names), assignment])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad assignment" in err and f"line {lineno}:" in err
+
     def test_not_a_name_map(self, junction_path, tmp_path, capsys):
         bogus = write_file(tmp_path, "bogus.json", '{"x": 1}')
         assignment = write_file(tmp_path, "empty.txt", "")
@@ -446,6 +465,21 @@ class TestGenerateCommand:
         path = write_file(tmp_path, "config.json", config)
         assert cli.main(["generate", path]) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,key", [
+        ('{"line": {"num_stations": "5"}}', "line.num_stations"),
+        ('{"line": {"num_stations": 4.5}}', "line.num_stations"),
+        ('{"line": {"seed": "x"}}', "line.seed"),
+        ('{"line": {"dwell": 5}}', "line.dwell"),
+        ('{"line": {"segment_runtime": [1, "a"]}}', "line.segment_runtime"),
+        ('{"perturb": {"at_time": "3"}}', "perturb.at_time"),
+        ('{"line": []}', "line must be an object"),
+        ('{"perturb": []}', "perturb must be an object"),
+    ])
+    def test_mistyped_config_values(self, tmp_path, capsys, config, key):
+        path = write_file(tmp_path, "config.json", config)
+        assert cli.main(["generate", path]) == 2
+        assert key in capsys.readouterr().err
 
     def test_negative_count(self, capsys):
         assert cli.main(["generate", "--count", "-1", "--out-dir", "x"]) == 2

@@ -23,6 +23,7 @@ from displib.core import (
 from displib.milp import (
     FAILED_VERIFICATION,
     INCOMPLETE_ASSIGNMENT,
+    NON_FINITE_VALUE,
     NON_INTEGRAL_BINARY,
     MappingError,
     build_model,
@@ -245,6 +246,11 @@ class TestParseAssignment:
         with pytest.raises(ValueError, match="line 1"):
             parse_assignment("x0_0 one\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_number_reports_line(self, value):
+        with pytest.raises(ValueError, match="line 2: .* not a finite number"):
+            parse_assignment(f"x0_0 1\nt0_0 {value}\n")
+
 
 class TestSolutionAssignment:
     def test_golden_satisfies_every_row(self, junction, junction_solution):
@@ -319,6 +325,17 @@ class TestMapSolution:
         with pytest.raises(MappingError) as exc:
             map_solution(model, values, junction)
         assert exc.value.kind == NON_INTEGRAL_BINARY
+
+    @pytest.mark.parametrize("name,value", [
+        ("x0_0", float("nan")), ("x0_0", float("inf")),
+        ("t0_0", float("nan")), ("w0", float("-inf"))])
+    def test_non_finite_value(self, junction, junction_solution, name, value):
+        model = build_model(junction)
+        values = solution_assignment(model, junction, junction_solution)
+        values[name] = value
+        with pytest.raises(MappingError, match=name) as exc:
+            map_solution(model, values, junction)
+        assert exc.value.kind == NON_FINITE_VALUE
 
     def test_infeasible_assignment_carries_verdict(self, junction,
                                                    junction_solution):

@@ -22,6 +22,7 @@ from displib.generate import LineSpec, generate_line
 from displib.solve import (
     _OK,
     SolveStatus,
+    _Dispatcher,
     _ExactSearch,
     earliest_times,
     order_objective,
@@ -68,6 +69,14 @@ def startable(disp):
             if status == _OK:
                 moves.append((i, op, t))
     return moves
+
+
+def dispatcher_state(disp):
+    """Everything a dispatcher's schedule consists of, bar its apply count."""
+    return (list(disp.events), disp.floor, list(disp.last_op),
+            list(disp.last_time), list(disp.ended), disp.n_ended,
+            disp.z_partial,
+            {r: rs.snapshot() for r, rs in disp.res.items()})
 
 
 def bound_from_events(instance, events, honour_stamps=True):
@@ -187,6 +196,45 @@ class TestEarliestTimes:
                 assert not verify(instance, mutant).feasible
                 checked += 1
         assert checked > 50
+
+
+class TestDispatcher:
+    def test_rewind_restores_the_replayed_state(self):
+        """Walk forward by random moves, rewind to a random depth and walk on;
+        after each rewind the state equals a fresh dispatcher's that applied
+        the kept events. In the hand-built instance train 0 claims A on two
+        consecutive operations, so one apply changes A twice, and train 1
+        also runs on A."""
+        a = (ResourceUsage("A", 3),)
+        twice = [Operation(2, (1,), resources=a),
+                 Operation(2, (2,), resources=(ResourceUsage("A", 5),)),
+                 Operation(0, ())]
+        other = [Operation(1, (1,), resources=(ResourceUsage("A", 4),)),
+                 Operation(0, ())]
+        rng = random.Random(29)
+        instances = [build_instance([twice, other],
+                                    [ObjectiveComponent(1, 1, threshold=0,
+                                                        coeff=1)])] * 10
+        instances += [random_instance(rng, max_trains=3, max_ops=6)
+                      for _ in range(150)]
+        undone = 0
+        for instance in instances:
+            for _ in range(4):
+                disp = _Dispatcher(instance)
+                for _ in range(3):
+                    moves = startable(disp)
+                    while moves:
+                        disp.apply(*rng.choice(moves))
+                        moves = startable(disp)
+                    depth = rng.randint(0, len(disp.events))
+                    undone += len(disp.events) - depth
+                    kept = disp.events[:depth]
+                    disp.rewind(depth)
+                    fresh = _Dispatcher(instance)
+                    for t, i, op in kept:
+                        fresh.apply(i, op, t)
+                    assert dispatcher_state(disp) == dispatcher_state(fresh)
+        assert undone > 4000
 
 
 class TestSolveExact:
