@@ -8,10 +8,13 @@ and the release stamps of its resources. Times of already appended events
 never change, because every constraint arc points forward in the event
 order. The dispatcher owns the per-train operation tables, the undo stack
 (`undo` takes back the latest event, `rewind(depth)` all events above a
-depth) and the count of its applies.
+depth, `splice(depth)` the event at a depth alone when no later event
+depends on it) and the count of its applies.
 
 A report's `nodes` is the exact search's count of moves tried, the one that
 hit `node_limit` included, and the heuristic's count of dispatcher applies.
+Events that backtracking takes back were counted when applied; a retreat
+that splices takes back one event and re-applies nothing.
 
 Resource bookkeeping per resource: who holds it now (claims of the holding
 train's latest operation are still open), and the two latest release stamps
@@ -46,7 +49,8 @@ class SolveReport:
     """Outcome of one solve. `nodes` counts the exact search's moves tried,
     including the one that hit node_limit (a capped run reports
     node_limit + 1), or the heuristic's dispatcher applies over all passes,
-    including events later taken back."""
+    including events that backtracking took back. A retreat that splices
+    takes back one event and re-applies nothing."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -118,8 +122,8 @@ _ENTRY = (0,)               # the only candidate of a train not yet started
 
 class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
-    the operation tables, a stack of applied events that `undo` and `rewind`
-    take back, and the count of every apply made on it."""
+    the operation tables, a stack of applied events that `undo`, `rewind`
+    and `splice` take back, and the count of every apply made on it."""
 
     def __init__(self, instance: Instance):
         self.n_trains = len(instance.trains)
@@ -232,6 +236,35 @@ class _Dispatcher:
         """Take events back until `depth` remain."""
         while len(self.events) > depth:
             self.undo()
+
+    def splice(self, depth: int) -> bool:
+        """Take back the event at `depth` alone, leaving the events above it
+        applied; False, with nothing changed, unless every later event would
+        probe to the same start without it: none is of the same train,
+        none touches a resource the event claimed or released, and the next
+        one starts strictly later (so the floor the event set bound none).
+        The events above are lifted off, the event is undone, and they are
+        put back on the floor it leaves."""
+        events, records = self.events, self._undo
+        above, above_records = events[depth + 1:], records[depth + 1:]
+        if above:
+            t, train, _ = events[depth]
+            if above[0][0] <= t:
+                return False
+            touched = {rs for rs, _ in records[depth][4]}
+            for (_, i, _), record in zip(above, above_records):
+                if i == train or any(rs in touched for rs, _ in record[4]):
+                    return False
+            del events[depth + 1:], records[depth + 1:]
+        floor = self.floor
+        self.undo()
+        if above:
+            first = above_records[0]
+            above_records[0] = first[:3] + (self.floor,) + first[4:]
+            events += above
+            records += above_records
+            self.floor = floor
+        return True
 
     def to_solution(self) -> Solution:
         events = tuple(Event(time=t, train=i, operation=o) for t, i, o in self.events)
@@ -535,14 +568,18 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
         if st_f == _BLOCKED and st_r != _OK:
             # Only the new train can block a fixed event (the fixed order is
             # feasible on its own); push its latest placement behind the
-            # blocked position and resume.
+            # blocked position and resume. Splicing it out leaves the fixed
+            # events above it where a replay would put them again; when it
+            # cannot, they are taken back too and replayed.
             if retreats >= max_retreats or not rp:
                 break
             blocked_at = fp
-            while disp.events[-1][1] != train:
-                disp.undo()
-                fp -= 1
-            disp.undo()
+            depth = len(disp.events) - 1
+            while disp.events[depth][1] != train:
+                depth -= 1
+            if not disp.splice(depth):
+                fp -= len(disp.events) - 1 - depth
+                disp.rewind(depth)
             rp -= 1
             barrier[rp] = blocked_at + 1
             retreats += 1

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from builders import random_instance, random_reduced_train, random_train
+from displib import cli
 from displib.core import (
     Instance,
     ObjectiveComponent,
@@ -18,6 +19,7 @@ from displib.core import (
     build_instance,
     enumerate_routes,
 )
+from displib.fileformat import parse_instance
 from displib.generate import LineSpec, generate_line
 from displib.solve import (
     _OK,
@@ -235,6 +237,81 @@ class TestDispatcher:
                         fresh.apply(i, op, t)
                     assert dispatcher_state(disp) == dispatcher_state(fresh)
         assert undone > 4000
+
+    def test_splice_matches_replay(self):
+        """Walk forward by random moves and splice events out at random
+        depths. A splice that succeeds leaves the state of a fresh dispatcher
+        that probed every remaining event to the same time; one that refuses
+        changes nothing. Rewinding afterwards, to a random depth and to 0,
+        still restores the replayed state, so the undo records stay exact.
+        In the hand-built instance train 0 releases A to train 1, and the
+        three refusals are a later event of the same train, a later claim of
+        the resource the event released, and a next event at the same
+        time."""
+        first = [Operation(1, (1,), resources=(ResourceUsage("A", 3),)),
+                 Operation(2, (2,)), Operation(0, ())]
+        second = [Operation(1, (1,)),
+                  Operation(2, (2,), resources=(ResourceUsage("A", 4),)),
+                  Operation(0, ())]
+        hand_built = build_instance([first, second],
+                                    [ObjectiveComponent(1, 1, threshold=0,
+                                                        coeff=1)])
+
+        def replayed(instance, events):
+            fresh = _Dispatcher(instance)
+            for t, i, op in events:
+                assert fresh.probe(i, op) == (_OK, t)
+                fresh.apply(i, op, t)
+            return dispatcher_state(fresh)
+
+        refusals = (([(0, 0), (0, 1), (0, 2)], 1),          # same train
+                    ([(0, 0), (1, 0), (0, 1), (1, 1)], 2),  # released A
+                    ([(0, 0), (1, 0)], 0))                  # same time
+        for moves, depth in refusals:
+            disp = _Dispatcher(hand_built)
+            for i, op in moves:
+                status, t = disp.probe(i, op)
+                assert status == _OK
+                disp.apply(i, op, t)
+            before, records = dispatcher_state(disp), list(disp._undo)
+            assert not disp.splice(depth)
+            assert dispatcher_state(disp) == before
+            assert disp._undo == records
+
+        rng = random.Random(31)
+        instances = [hand_built] * 10
+        instances += [random_instance(rng, max_trains=3, max_ops=6)
+                      for _ in range(150)]
+        spliced = refused = 0
+        for instance in instances:
+            for _ in range(4):
+                disp = _Dispatcher(instance)
+                for _ in range(3):
+                    moves = startable(disp)
+                    while moves:
+                        disp.apply(*rng.choice(moves))
+                        moves = startable(disp)
+                    for _ in range(4):
+                        if not disp.events:
+                            break
+                        depth = rng.randrange(len(disp.events))
+                        kept = disp.events[:depth] + disp.events[depth + 1:]
+                        before, records = dispatcher_state(disp), list(disp._undo)
+                        if disp.splice(depth):
+                            assert dispatcher_state(disp) == replayed(instance, kept)
+                            spliced += 1
+                        else:
+                            assert dispatcher_state(disp) == before
+                            assert disp._undo == records
+                            refused += 1
+                    depth = rng.randint(0, len(disp.events))
+                    kept = disp.events[:depth]
+                    disp.rewind(depth)
+                    assert dispatcher_state(disp) == replayed(instance, kept)
+                disp.rewind(0)
+                assert dispatcher_state(disp) == dispatcher_state(
+                    _Dispatcher(instance))
+        assert spliced > 1000 and refused > 1000
 
 
 class TestSolveExact:
@@ -458,3 +535,21 @@ class TestSolveHeuristic:
         assert report.wall_time < 5.0
         assert report.status in (SolveStatus.FEASIBLE,
                                  SolveStatus.TIMEOUT_NO_SOLUTION)
+
+    @pytest.mark.parametrize("stations, trains, objective",
+                             [(10, 8, 10367), (20, 14, 56032)])
+    def test_ladder_corridor_objective(self, tmp_path, stations, trains,
+                                       objective):
+        """The benchmark's corridors, generated by the CLI at seed 7, keep
+        the objective the heuristic reached on them at 16 restarts."""
+        path = tmp_path / "line.json"
+        assert cli.main(["generate", "--num-stations", str(stations),
+                         "--num-trains", str(trains), "--seed", "7",
+                         "-o", str(path)]) == 0
+        instance, _ = parse_instance(path.read_text())
+        report = solve_heuristic(instance, max_restarts=16, seed=0)
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.solution.objective_value == objective
+        verdict = verify(instance, report.solution)
+        assert verdict.feasible
+        assert verdict.computed_objective == objective
