@@ -221,12 +221,11 @@ def build_instance(trains: Iterable[Sequence[Operation]],
     Raises InstanceError naming the first violated rule and where it was
     found. A returned Instance always re-validates cleanly.
     """
-    built = tuple(Train(operations=tuple(ops)) for ops in trains)
-    comps = tuple(objective)
-    for t, train in enumerate(built):
-        _check_train_graph(t, train)
-    _check_objective(built, comps)
-    return Instance(trains=built, objective=comps)
+    instance = Instance(
+        trains=tuple(Train(operations=tuple(ops)) for ops in trains),
+        objective=tuple(objective))
+    validate_instance(instance)
+    return instance
 
 
 def validate_instance(instance: Instance) -> None:

@@ -16,10 +16,12 @@ hit `node_limit` included, and the heuristic's count of dispatcher applies.
 Events that backtracking takes back were counted when applied; a retreat
 that splices takes back one event and re-applies nothing.
 
-Resource bookkeeping per resource: who holds it now (claims of the holding
-train's latest operation are still open), and the two latest release stamps
-from distinct trains (a train is never delayed by its own release times, so
-the binding stamp for train i is the best stamp owned by some other train).
+Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
+train1, stamp2). The holder is the one train whose latest operation claims
+it, or None. The stamps are the two best release stamps from distinct trains,
+stamp1 set by train1: a train is never delayed by its own release times, so
+train i waits for stamp2 if train1 is i, else for stamp1. The floor is the
+time of the latest event, or 0 with none.
 """
 
 from __future__ import annotations
@@ -63,36 +65,22 @@ class SolveReport:
                 and self.nodes == other.nodes and self.bound == other.bound)
 
 
-class _ResourceState:
-    """Holder plus the two best release stamps from distinct trains."""
-    __slots__ = ("holder", "count", "stamp1", "train1", "stamp2")
+_FREE = (None, 0, None, 0)          # (holder, stamp1, train1, stamp2)
 
-    def __init__(self) -> None:
-        self.holder: int | None = None
-        self.count = 0
-        self.stamp1 = 0          # best stamp
-        self.train1: int | None = None
-        self.stamp2 = 0          # best stamp from a train other than train1
 
-    def snapshot(self):
-        return (self.holder, self.count, self.stamp1, self.train1, self.stamp2)
-
-    def restore(self, snap) -> None:
-        self.holder, self.count, self.stamp1, self.train1, self.stamp2 = snap
-
-    def ready_for(self, train: int) -> int:
-        return self.stamp2 if self.train1 == train else self.stamp1
-
-    def add_stamp(self, stamp: int, train: int) -> None:
-        if train == self.train1:
-            if stamp > self.stamp1:
-                self.stamp1 = stamp
-        elif stamp >= self.stamp1:
-            if self.train1 is not None and self.stamp1 > self.stamp2:
-                self.stamp2 = self.stamp1
-            self.stamp1, self.train1 = stamp, train
-        elif stamp > self.stamp2:
-            self.stamp2 = stamp
+def _released(state: tuple, stamp: int, train: int) -> tuple:
+    """The state after train releases the resource with this stamp."""
+    _, stamp1, train1, stamp2 = state
+    if train == train1:
+        if stamp > stamp1:
+            stamp1 = stamp
+    elif stamp >= stamp1:
+        if train1 is not None and stamp1 > stamp2:
+            stamp2 = stamp1
+        stamp1, train1 = stamp, train
+    elif stamp > stamp2:
+        stamp2 = stamp
+    return None, stamp1, train1, stamp2
 
 
 class _OpTable:
@@ -122,8 +110,11 @@ _ENTRY = (0,)               # the only candidate of a train not yet started
 
 class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
-    the operation tables, a stack of applied events that `undo`, `rewind`
-    and `splice` take back, and the count of every apply made on it."""
+    the operation tables, each resource's state tuple, a stack of applied
+    events that `undo`, `rewind` and `splice` take back, and the count of
+    every apply made on it. An event's undo record holds what the event list
+    cannot give back: the train's previous operation and start, the
+    (resource, state) pairs the apply replaced, and the cost it added."""
 
     def __init__(self, instance: Instance):
         self.n_trains = len(instance.trains)
@@ -134,9 +125,8 @@ class _Dispatcher:
         self.n_ended = 0
         self.floor = 0
         self.events: list[tuple[int, int, int]] = []  # (time, train, op)
-        self.res: dict[str, _ResourceState] = {
-            r: _ResourceState() for tab in self.tables
-            for keys in tab.keys for r in keys}
+        self.res: dict[str, tuple] = {
+            r: _FREE for tab in self.tables for keys in tab.keys for r in keys}
         self.z_partial = 0
         self.applies = 0
         # One undo record per event in `events`.
@@ -170,10 +160,10 @@ class _Dispatcher:
                 t = pt
         res = self.res
         for r in tab.keys[op]:
-            rs = res[r]
-            if rs.count and rs.holder != train:
+            holder, stamp1, train1, stamp2 = res[r]
+            if holder is not None and holder != train:
                 return _BLOCKED, 0
-            s = rs.ready_for(train)
+            s = stamp2 if train1 == train else stamp1
             if s > t:
                 t = s
         ub = tab.start_ub[op]
@@ -185,28 +175,24 @@ class _Dispatcher:
         """Append the start of (train, op) at time t."""
         tab = self.tables[train]
         res = self.res
-        # Snapshot of each resource before each change to it; undo restores
-        # them newest first, so a resource changed twice ends at its first.
-        snaps: list[tuple[_ResourceState, tuple]] = []
+        # (resource, state) before each change; undo restores them newest
+        # first, so a resource changed twice ends at its first state.
+        old: list[tuple[str, tuple]] = []
         last = self.last_op[train]
         if last is not None:
             for r, release in zip(tab.keys[last], tab.release[last]):
-                rs = res[r]
-                snaps.append((rs, rs.snapshot()))
-                rs.count -= 1
-                if rs.count == 0:
-                    rs.holder = None
-                rs.add_stamp(t + release, train)
+                state = res[r]
+                old.append((r, state))
+                res[r] = _released(state, t + release, train)
         for r in tab.keys[op]:
-            rs = res[r]
-            snaps.append((rs, rs.snapshot()))
-            rs.holder = train
-            rs.count += 1
+            state = res[r]
+            old.append((r, state))
+            _, stamp1, train1, stamp2 = state
+            res[r] = (train, stamp1, train1, stamp2)
         z_delta = 0
         for comp in self.comps[train][op]:
             z_delta += comp.cost(t)
-        self._undo.append((train, last, self.last_time[train], self.floor,
-                           snaps, z_delta))
+        self._undo.append((last, self.last_time[train], old, z_delta))
         self.last_op[train] = op
         self.last_time[train] = t
         self.floor = t
@@ -220,17 +206,18 @@ class _Dispatcher:
     def undo(self) -> None:
         """Take back the latest event. An ended train takes no further
         event, so an ended train here was ended by that event."""
-        train, prev_op, prev_time, prev_floor, snaps, z_delta = self._undo.pop()
+        events = self.events
+        _, train, _ = events.pop()
+        prev_op, prev_time, old, z_delta = self._undo.pop()
         if self.ended[train]:
             self.ended[train] = False
             self.n_ended -= 1
         self.z_partial -= z_delta
-        self.events.pop()
-        self.floor = prev_floor
+        self.floor = events[-1][0] if events else 0
         self.last_op[train] = prev_op
         self.last_time[train] = prev_time
-        for rs, snap in reversed(snaps):
-            rs.restore(snap)
+        for r, state in reversed(old):
+            self.res[r] = state
 
     def rewind(self, depth: int) -> None:
         """Take events back until `depth` remain."""
@@ -244,26 +231,23 @@ class _Dispatcher:
         none touches a resource the event claimed or released, and the next
         one starts strictly later (so the floor the event set bound none).
         The events above are lifted off, the event is undone, and they are
-        put back on the floor it leaves."""
+        put back with their undo records unchanged."""
         events, records = self.events, self._undo
         above, above_records = events[depth + 1:], records[depth + 1:]
         if above:
             t, train, _ = events[depth]
             if above[0][0] <= t:
                 return False
-            touched = {rs for rs, _ in records[depth][4]}
+            touched = {r for r, _ in records[depth][2]}
             for (_, i, _), record in zip(above, above_records):
-                if i == train or any(rs in touched for rs, _ in record[4]):
+                if i == train or any(r in touched for r, _ in record[2]):
                     return False
             del events[depth + 1:], records[depth + 1:]
-        floor = self.floor
         self.undo()
         if above:
-            first = above_records[0]
-            above_records[0] = first[:3] + (self.floor,) + first[4:]
             events += above
             records += above_records
-            self.floor = floor
+            self.floor = above[-1][0]
         return True
 
     def to_solution(self) -> Solution:
@@ -405,7 +389,8 @@ class _ExactSearch:
             if best > t:
                 t = best
             for r in keys[k]:
-                s = res[r].ready_for(i)
+                _, stamp1, train1, stamp2 = res[r]
+                s = stamp2 if train1 == i else stamp1
                 if s > t:
                     t = s
             earliest[k] = t
@@ -427,17 +412,18 @@ class _ExactSearch:
 
     # ---- search ---------------------------------------------------------
 
-    def _dfs(self) -> None:
-        """Search every completion of the current partial schedule. Each
-        applied move is one node; the budgets are checked before it."""
+    def _expand(self) -> list[tuple[int, int, int]]:
+        """The moves to try from the current partial schedule, in search
+        order: none at a complete schedule (which may become the incumbent),
+        at a node the bound prunes, or at a dead end."""
         disp = self.disp
         if disp.done():
             if self.z is None or disp.z_partial < self.z:
                 self.z = disp.z_partial
                 self.solution = disp.to_solution()
-            return
+            return []
         if self.z is not None and self.bound() >= self.z:
-            return
+            return []
         moves: list[tuple[int, int, int]] = []
         for i in range(disp.n_trains):
             if disp.ended[i]:
@@ -453,19 +439,33 @@ class _ExactSearch:
             if not alive:
                 # Start windows of every remaining candidate are overrun,
                 # and they can only drift later: no completion exists.
-                return
-        for train, op, t in moves:
+                return []
+        return moves
+
+    def _dfs(self) -> None:
+        """Search every completion of the current partial schedule, with one
+        iterator of moves per level on a stack instead of recursion. Each
+        applied move is one node; the budgets are checked before it. A
+        truncated search rewinds to where it began."""
+        disp = self.disp
+        root = len(disp.events)
+        levels = [iter(self._expand())]
+        while levels:
+            move = next(levels[-1], None)
+            if move is None:
+                levels.pop()
+                if levels:
+                    disp.undo()
+                continue
             self.nodes += 1
             if (self.node_limit is not None and self.nodes > self.node_limit
                     or self.deadline is not None and self.nodes % 256 == 0
                     and _time.monotonic() > self.deadline):
                 self.truncated = True
+                disp.rewind(root)
                 return
-            disp.apply(train, op, t)
-            self._dfs()
-            disp.undo()
-            if self.truncated:
-                return
+            disp.apply(*move)
+            levels.append(iter(self._expand()))
 
 
 def solve_exact(instance: Instance, *, node_limit: int | None = None,

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from builders import random_instance, random_reduced_train, random_train
+from conftest import data_text
 from displib import cli
 from displib.core import (
     Instance,
@@ -77,8 +78,18 @@ def dispatcher_state(disp):
     """Everything a dispatcher's schedule consists of, bar its apply count."""
     return (list(disp.events), disp.floor, list(disp.last_op),
             list(disp.last_time), list(disp.ended), disp.n_ended,
-            disp.z_partial,
-            {r: rs.snapshot() for r, rs in disp.res.items()})
+            disp.z_partial, dict(disp.res))
+
+
+def check_invariants(disp):
+    """The facts the dispatcher does not store twice: the floor is the
+    latest event's time (0 with none), and a resource is held exactly when
+    the latest operation of its holder lists it."""
+    assert disp.floor == (disp.events[-1][0] if disp.events else 0)
+    held = {r: state[0] for r, state in disp.res.items()
+            if state[0] is not None}
+    assert held == {r: i for i, last in enumerate(disp.last_op)
+                    if last is not None for r in disp.tables[i].keys[last]}
 
 
 def bound_from_events(instance, events, honour_stamps=True):
@@ -227,11 +238,16 @@ class TestDispatcher:
                     moves = startable(disp)
                     while moves:
                         disp.apply(*rng.choice(moves))
+                        check_invariants(disp)
                         moves = startable(disp)
                     depth = rng.randint(0, len(disp.events))
                     undone += len(disp.events) - depth
                     kept = disp.events[:depth]
+                    if len(disp.events) > depth:
+                        disp.undo()
+                        check_invariants(disp)
                     disp.rewind(depth)
+                    check_invariants(disp)
                     fresh = _Dispatcher(instance)
                     for t, i, op in kept:
                         fresh.apply(i, op, t)
@@ -290,6 +306,7 @@ class TestDispatcher:
                     moves = startable(disp)
                     while moves:
                         disp.apply(*rng.choice(moves))
+                        check_invariants(disp)
                         moves = startable(disp)
                     for _ in range(4):
                         if not disp.events:
@@ -297,7 +314,9 @@ class TestDispatcher:
                         depth = rng.randrange(len(disp.events))
                         kept = disp.events[:depth] + disp.events[depth + 1:]
                         before, records = dispatcher_state(disp), list(disp._undo)
-                        if disp.splice(depth):
+                        spliced_out = disp.splice(depth)
+                        check_invariants(disp)
+                        if spliced_out:
                             assert dispatcher_state(disp) == replayed(instance, kept)
                             spliced += 1
                         else:
@@ -306,9 +325,14 @@ class TestDispatcher:
                             refused += 1
                     depth = rng.randint(0, len(disp.events))
                     kept = disp.events[:depth]
+                    if len(disp.events) > depth:
+                        disp.undo()
+                        check_invariants(disp)
                     disp.rewind(depth)
+                    check_invariants(disp)
                     assert dispatcher_state(disp) == replayed(instance, kept)
                 disp.rewind(0)
+                check_invariants(disp)
                 assert dispatcher_state(disp) == dispatcher_state(
                     _Dispatcher(instance))
         assert spliced > 1000 and refused > 1000
@@ -363,6 +387,20 @@ class TestSolveExact:
                     assert report.bound <= full.solution.objective_value
                 capped += 1
         assert capped > 100
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        """A full schedule of the 30x20 corridor has 1,200 events, more
+        than Python's default recursion limit; the search keeps its levels
+        on an explicit stack and returns a solution the verifier accepts."""
+        line = generate_line(LineSpec(num_stations=30, num_trains=20, seed=7))
+        report = solve_exact(line.instance, node_limit=2000)
+        assert report.status is SolveStatus.FEASIBLE
+        assert (report.nodes, report.bound) == (2001, 0)
+        assert len(report.solution.events) == 1200
+        assert report.solution.objective_value == 1_487_265
+        verdict = verify(line.instance, report.solution)
+        assert verdict.feasible
+        assert verdict.computed_objective == 1_487_265
 
     def test_deterministic(self, junction):
         assert solve_exact(junction).same_outcome(solve_exact(junction))
@@ -535,6 +573,21 @@ class TestSolveHeuristic:
         assert report.wall_time < 5.0
         assert report.status in (SolveStatus.FEASIBLE,
                                  SolveStatus.TIMEOUT_NO_SOLUTION)
+
+    def test_plain_append_rescues_a_failed_merge(self, monkeypatch):
+        """On this instance (5 trains, 17 operations) only the insertion
+        pass's plain-append fallback, which replays the fixed order with the
+        whole route appended, finds a schedule at two restarts."""
+        instance, _ = parse_instance(data_text("insertion_fallback.json"))
+        report = solve_heuristic(instance, max_restarts=2)
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.solution.objective_value == 19
+        verdict = verify(instance, report.solution)
+        assert verdict.feasible
+        assert verdict.computed_objective == 19
+        monkeypatch.setattr("displib.solve._replay", lambda disp, order: False)
+        report = solve_heuristic(instance, max_restarts=2)
+        assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
 
     @pytest.mark.parametrize("stations, trains, objective",
                              [(10, 8, 10367), (20, 14, 56032)])
