@@ -19,6 +19,7 @@ import sys
 from . import fileformat, generate, milp, solve
 from .core import (
     Instance,
+    Solution,
     conflict_pairs,
     time_horizon,
     total_operations,
@@ -63,6 +64,22 @@ def _write_text(path: str, text: str) -> None:
 def _emit_json(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
+
+
+def _write_solution(args: argparse.Namespace, solution: Solution,
+                    payload: dict, note: str) -> int:
+    """Write the solution to -o. With --json, print the payload plus the
+    solution document instead, and still write -o unless it is stdout;
+    without it, print the note to stderr."""
+    text = fileformat.write_solution(solution)
+    if args.json:
+        _emit_json(dict(payload, solution=json.loads(text)))
+        if args.output != "-":
+            _write_text(args.output, text)
+    else:
+        _write_text(args.output, text)
+        print(note, file=sys.stderr)
+    return EXIT_OK
 
 
 def _load_instance(path: str, strict: bool = False
@@ -214,18 +231,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         return EXIT_NEGATIVE
     payload["objective"] = report.solution.objective_value
-    text = fileformat.write_solution(report.solution)
-    if args.json:
-        payload["solution"] = json.loads(text)
-        _emit_json(payload)
-        if args.output != "-":
-            _write_text(args.output, text)
-    else:
-        _write_text(args.output, text)
-        print(f"{report.status.value}: objective {report.solution.objective_value} "
-              f"({mode}, {report.nodes} nodes, {report.wall_time:.2f}s)",
-              file=sys.stderr)
-    return EXIT_OK
+    return _write_solution(args, report.solution, payload,
+                           f"{report.status.value}: objective "
+                           f"{report.solution.objective_value} ({mode}, "
+                           f"{report.nodes} nodes, {report.wall_time:.2f}s)")
 
 
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
@@ -290,17 +299,9 @@ def _cmd_map_solution(args: argparse.Namespace) -> int:
         else:
             print(f"mapping failed ({e.kind}): {e}", file=sys.stderr)
         return code
-    text = fileformat.write_solution(solution)
-    if args.json:
-        _emit_json({"mapped": True,
-                    "objective": solution.objective_value,
-                    "solution": json.loads(text)})
-        if args.output != "-":
-            _write_text(args.output, text)
-    else:
-        _write_text(args.output, text)
-        print(f"mapped: objective {solution.objective_value}", file=sys.stderr)
-    return EXIT_OK
+    return _write_solution(args, solution,
+                           {"mapped": True, "objective": solution.objective_value},
+                           f"mapped: objective {solution.objective_value}")
 
 
 _PATTERN_KEYS = {

@@ -11,7 +11,7 @@ holding operation ends before another train may claim the resource.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Rules reported by build_instance / validate_instance.
 CYCLIC_GRAPH = "CyclicGraph"
@@ -60,12 +60,6 @@ class Operation:
 @dataclass(frozen=True)
 class Train:
     operations: tuple[Operation, ...]
-
-    def __len__(self) -> int:
-        return len(self.operations)
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.operations)
 
     @property
     def exit_op(self) -> int:

@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .core import (
     Instance,
     ObjectiveComponent,
     Operation,
     ResourceUsage,
-    Train,
     build_instance,
 )
 
@@ -100,10 +98,12 @@ class GeneratedLine:
     """A generated instance plus the placement data patterns operate on."""
     instance: Instance
     placements: tuple[TrainPlacement, ...]
-    timetable: tuple[tuple[int, ...], ...]
-    num_stations: int
-    tracks_per_station: int
-    spec: LineSpec
+
+    @property
+    def timetable(self) -> tuple[tuple[int, ...], ...]:
+        """Each train's resource-free earliest start times."""
+        return tuple(_earliest_unconstrained(train.operations)
+                     for train in self.instance.trains)
 
 
 def _check_range(name: str, value: tuple[int, int], low_min: int = 0) -> None:
@@ -172,7 +172,6 @@ def generate_line(spec: LineSpec) -> GeneratedLine:
     trains: list[list[Operation]] = []
     placements: list[TrainPlacement] = []
     components: list[ObjectiveComponent] = []
-    timetables: list[tuple[int, ...]] = []
     per_direction = {"up": 0, "down": 0}
     for i in range(spec.num_trains):
         direction = "up" if i < up_count else "down"
@@ -216,18 +215,14 @@ def generate_line(spec: LineSpec) -> GeneratedLine:
         ops.append(Operation(min_duration=0, successors=()))
         nominal.append(exit_idx)
         trains.append(ops)
-        times = _earliest_unconstrained(tuple(ops))
-        timetables.append(times)
-        components.extend(_delay_components(i, exit_idx, times[exit_idx],
+        earliest_exit = _earliest_unconstrained(tuple(ops))[exit_idx]
+        components.extend(_delay_components(i, exit_idx, earliest_exit,
                                             spec.cost_shape))
         placements.append(TrainPlacement(
             direction=direction, stations=stations, entry_track=entry_track,
             track_ops=tuple(track_ops), segment_ops=tuple(segment_ops),
             exit_op=exit_idx, nominal_route=tuple(nominal)))
-    instance = build_instance(trains, components)
-    return GeneratedLine(instance=instance, placements=tuple(placements),
-                         timetable=tuple(timetables), num_stations=s_count,
-                         tracks_per_station=k_count, spec=spec)
+    return GeneratedLine(build_instance(trains, components), tuple(placements))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +326,7 @@ def perturb(line: GeneratedLine, spec: PerturbSpec) -> GeneratedLine:
     new_trains: list[list[Operation]] = []
     new_placements: list[TrainPlacement] = []
     train_remap: dict[int, tuple[int, dict[int, int]]] = {}
-    for i, train in enumerate(line.instance.trains):
-        times = line.timetable[i]
+    for i, (train, times) in enumerate(zip(line.instance.trains, line.timetable)):
         pl = line.placements[i]
         if at >= times[pl.exit_op]:
             continue                       # already gone
@@ -360,23 +354,12 @@ def perturb(line: GeneratedLine, spec: PerturbSpec) -> GeneratedLine:
         components.append(replace(comp, train=new_train,
                                   operation=remap[comp.operation],
                                   threshold=max(0, comp.threshold - at)))
-    return _rebuild(line, new_trains, components, new_placements)
+    return GeneratedLine(build_instance(new_trains, components),
+                         tuple(new_placements))
 
 
 # ---------------------------------------------------------------------------
 # Patterns
-
-
-def _rebuild(line: GeneratedLine, trains: Sequence[Sequence[Operation]],
-             components: list[ObjectiveComponent],
-             placements: list[TrainPlacement]) -> GeneratedLine:
-    instance = build_instance(trains, components)
-    timetables = tuple(_earliest_unconstrained(t.operations)
-                       for t in instance.trains)
-    return GeneratedLine(instance=instance, placements=tuple(placements),
-                         timetable=timetables, num_stations=line.num_stations,
-                         tracks_per_station=line.tracks_per_station,
-                         spec=line.spec)
 
 
 def _check_train_index(line: GeneratedLine, train: int, label: str) -> None:
@@ -440,7 +423,7 @@ def join_trains(line: GeneratedLine, first: int, second: int) -> GeneratedLine:
     for comp in line.instance.objective:
         op = comp.operation + offset if comp.train == second else comp.operation
         components.append(replace(comp, train=new_index[comp.train], operation=op))
-    return _rebuild(line, trains, components, placements)
+    return GeneratedLine(build_instance(trains, components), tuple(placements))
 
 
 def add_cancellation(line: GeneratedLine, train: int, station: int,
@@ -484,7 +467,7 @@ def add_cancellation(line: GeneratedLine, train: int, station: int,
         pl, exit_op=new_exit,
         nominal_route=tuple(o if o < old_exit else o + 1
                             for o in pl.nominal_route))
-    return _rebuild(line, trains, components, placements)
+    return GeneratedLine(build_instance(trains, components), tuple(placements))
 
 
 def add_correspondence(line: GeneratedLine, feeder: int, connecting: int,
@@ -536,5 +519,5 @@ def add_correspondence(line: GeneratedLine, feeder: int, connecting: int,
     trains = [t.operations for t in line.instance.trains]
     trains[feeder] = tuple(feeder_ops)
     trains[connecting] = tuple(connecting_ops)
-    return _rebuild(line, trains, list(line.instance.objective),
-                    list(line.placements))
+    return GeneratedLine(build_instance(trains, line.instance.objective),
+                         line.placements)

@@ -39,6 +39,10 @@ successor graph is transitively reduced (no arc a->b alongside a longer
 a->..->b path), the shape every physical layout here produces; a route
 visiting both ends of an unused skip arc has no model image. The verifier
 and the search solvers have no such restriction.
+
+Rows come in sections, each in train/operation/arc/pair/component order:
+flow, arcs (ya, yb, yf, dur), handovers (rel, zxa, zxb, zf), ranks (ord),
+pair ranks (ordz), costs (thr, cost), then the gated windows (lb, ub).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
-    ConflictPair,
     Instance,
     Event,
     Solution,
@@ -143,161 +146,127 @@ def build_model(instance: Instance) -> MilpModel:
     horizon = time_horizon(instance)
     n_ops = total_operations(instance)
     order_m = n_ops + 1
-    variables: list[Variable] = []
-    rows: list[Row] = []
-    gated: list[tuple[int, int, int, int]] = []  # optional (i, a, lb, ub)
+    op_vars: list[Variable] = []
+    arc_vars: list[Variable] = []
+    z_vars: list[Variable] = []
+    cost_vars: list[Variable] = []
+    flow: list[Row] = []
+    arcs: list[Row] = []
+    handovers: list[Row] = []
+    ranks: list[Row] = []
+    pair_ranks: list[Row] = []
+    costs: list[Row] = []
+    windows: list[Row] = []
 
-    for i, train in enumerate(instance.trains):
-        reach = 0   # largest successor of the operations before a
-        for a, op in enumerate(train.operations):
-            ub = horizon if op.start_ub is None else min(op.start_ub, horizon)
-            box = (op.start_lb, ub)
-            if reach > a:
-                # An arc jumps over a, so some route avoids it: its window
-                # becomes rows (added below) that bind only when a is selected.
-                box = (0, horizon)
-                if (op.start_lb, ub) != box:
-                    gated.append((i, a, op.start_lb, ub))
-            reach = max(reach, max(op.successors, default=0))
-            variables.append(Variable(_t(i, a), CONTINUOUS, *box, ROLE_START, (i, a)))
-            variables.append(Variable(_x(i, a), BINARY, 0, 1, ROLE_SELECT_OP, (i, a)))
-            variables.append(Variable(_u(i, a), INTEGER, 0, n_ops, ROLE_RANK, (i, a)))
-    for i, train in enumerate(instance.trains):
-        for a, op in enumerate(train.operations):
-            for b in op.successors:
-                variables.append(Variable(_y(i, a, b), BINARY, 0, 1,
-                                          ROLE_SELECT_ARC, (i, a, b)))
-    pairs = conflict_pairs(instance)
-
-    def _can_release(i: int, a: int) -> bool:
-        return bool(instance.trains[i].operations[a].successors)
-
-    for p in pairs:
-        if _can_release(p.train_a, p.op_a):
-            variables.append(Variable(_z(p.train_a, p.op_a, p.train_b, p.op_b),
-                                      BINARY, 0, 1, ROLE_PRECEDE,
-                                      (p.train_a, p.op_a, p.train_b, p.op_b)))
-        if _can_release(p.train_b, p.op_b):
-            variables.append(Variable(_z(p.train_b, p.op_b, p.train_a, p.op_a),
-                                      BINARY, 0, 1, ROLE_PRECEDE,
-                                      (p.train_b, p.op_b, p.train_a, p.op_a)))
-    for c, _comp in enumerate(instance.objective):
-        variables.append(Variable(f"v{c}", BINARY, 0, 1, ROLE_LATE_FLAG, (c,)))
-        variables.append(Variable(f"w{c}", CONTINUOUS, 0, None, ROLE_COST, (c,)))
-
-    # Route selection: one unit of flow entry -> exit.
     for i, train in enumerate(instance.trains):
         n = len(train.operations)
         preds = predecessors(train)
-        if n == 1:
-            rows.append(Row(f"flow{i}_0", ((_x(i, 0), 1),), "=", 1))
-            continue
+        reach = 0   # largest successor of the operations before a
         for a, op in enumerate(train.operations):
-            in_terms = [(_y(i, p, a), 1) for p in preds[a]]
-            out_terms = [(_y(i, a, b), 1) for b in op.successors]
-            if a == 0:
-                rows.append(Row(f"flow{i}_0", tuple(out_terms), "=", 1))
-            elif a == n - 1:
-                rows.append(Row(f"flow{i}_{a}", tuple(in_terms), "=", 1))
+            t, x, u = _t(i, a), _x(i, a), _u(i, a)
+            lb = op.start_lb
+            ub = horizon if op.start_ub is None else min(op.start_ub, horizon)
+            if reach > a:
+                # An arc jumps over a, so some route avoids it: its window
+                # binds through rows gated by x, and t gets the box [0, H].
+                op_vars.append(Variable(t, CONTINUOUS, 0, horizon, ROLE_START, (i, a)))
+                if lb > 0:
+                    windows.append(Row(f"lb{i}_{a}", ((t, 1), (x, -lb)), ">=", 0))
+                if ub < horizon:
+                    windows.append(Row(f"ub{i}_{a}", ((t, 1), (x, horizon - ub)),
+                                       "<=", horizon))
             else:
-                terms = in_terms + [(name, -coef) for name, coef in out_terms]
-                rows.append(Row(f"flow{i}_{a}", tuple(terms), "=", 0))
-    # Arcs tie x to y and carry the running time.
-    for i, train in enumerate(instance.trains):
-        for a, op in enumerate(train.operations):
+                op_vars.append(Variable(t, CONTINUOUS, lb, ub, ROLE_START, (i, a)))
+            reach = max(reach, max(op.successors, default=0))
+            op_vars.append(Variable(x, BINARY, 0, 1, ROLE_SELECT_OP, (i, a)))
+            op_vars.append(Variable(u, INTEGER, 0, n_ops, ROLE_RANK, (i, a)))
+            # Route selection: one unit of flow entry -> exit.
+            ins = [(_y(i, p, a), 1) for p in preds[a]]
+            outs = [(_y(i, a, b), 1) for b in op.successors]
+            if n == 1:
+                flow.append(Row(f"flow{i}_0", ((x, 1),), "=", 1))
+            elif a == 0:
+                flow.append(Row(f"flow{i}_0", tuple(outs), "=", 1))
+            elif a == n - 1:
+                flow.append(Row(f"flow{i}_{a}", tuple(ins), "=", 1))
+            else:
+                flow.append(Row(f"flow{i}_{a}",
+                                tuple(ins + [(y, -1) for y, _ in outs]), "=", 0))
+            # Arcs tie x to y, carry the running time and order the ranks.
             for b in op.successors:
                 y = _y(i, a, b)
-                rows.append(Row(f"ya{i}_{a}_{b}", ((y, 1), (_x(i, a), -1)), "<=", 0))
-                rows.append(Row(f"yb{i}_{a}_{b}", ((y, 1), (_x(i, b), -1)), "<=", 0))
-                rows.append(Row(f"yf{i}_{a}_{b}",
-                                ((_x(i, a), 1), (_x(i, b), 1), (y, -1)), "<=", 1))
-                terms = [(_t(i, b), 1), (_t(i, a), -1)]
+                arc_vars.append(Variable(y, BINARY, 0, 1, ROLE_SELECT_ARC, (i, a, b)))
+                arcs.append(Row(f"ya{i}_{a}_{b}", ((y, 1), (x, -1)), "<=", 0))
+                arcs.append(Row(f"yb{i}_{a}_{b}", ((y, 1), (_x(i, b), -1)), "<=", 0))
+                arcs.append(Row(f"yf{i}_{a}_{b}", ((x, 1), (_x(i, b), 1), (y, -1)),
+                                "<=", 1))
+                terms = [(_t(i, b), 1), (t, -1)]
                 if op.min_duration:
                     terms.append((y, -op.min_duration))
-                rows.append(Row(f"dur{i}_{a}_{b}", tuple(terms), ">=", 0))
+                arcs.append(Row(f"dur{i}_{a}_{b}", tuple(terms), ">=", 0))
+                ranks.append(Row(f"ord{i}_{a}_{b}", ((u, 1), (_u(i, b), -1), (y, order_m)),
+                                 "<=", order_m - 1))
+
     # Resource handovers; resources are numbered by first appearance.
     resource_ids: dict[str, int] = {}
-    for p in pairs:
+    for p in conflict_pairs(instance):
         i, a, j, b = p
-        directions: list[str] = []
-        if _can_release(i, a):
-            directions.append(_z(i, a, j, b))
-        if _can_release(j, b):
-            directions.append(_z(j, b, i, a))
-        for resource, rel_a, rel_b in shared_resources(instance, p):
+        # Each side (k, c) may hand over to the other (m, d); a side without
+        # successors never releases anything, so it gets no z and no rows.
+        sides = []
+        for k, c, m, d in ((i, a, j, b), (j, b, i, a)):
+            successors = instance.trains[k].operations[c].successors
+            z = _z(k, c, m, d)
+            if successors:
+                z_vars.append(Variable(z, BINARY, 0, 1, ROLE_PRECEDE, (k, c, m, d)))
+            sides.append((k, c, m, d, successors, z))
+        for resource, *releases in shared_resources(instance, p):
             rid = resource_ids.setdefault(resource, len(resource_ids))
-            if _can_release(i, a):
-                z_ab = _z(i, a, j, b)
-                for abar in instance.trains[i].operations[a].successors:
-                    rows.append(Row(
-                        f"rel{i}_{a}_{abar}_{j}_{b}_r{rid}",
-                        ((_t(i, abar), 1), (_t(j, b), -1), (z_ab, horizon + rel_a)),
+            for (k, c, m, d, successors, z), release in zip(sides, releases):
+                for cbar in successors:
+                    handovers.append(Row(
+                        f"rel{k}_{c}_{cbar}_{m}_{d}_r{rid}",
+                        ((_t(k, cbar), 1), (_t(m, d), -1), (z, horizon + release)),
                         "<=", horizon))
-            if _can_release(j, b):
-                z_ba = _z(j, b, i, a)
-                for bbar in instance.trains[j].operations[b].successors:
-                    rows.append(Row(
-                        f"rel{j}_{b}_{bbar}_{i}_{a}_r{rid}",
-                        ((_t(j, bbar), 1), (_t(i, a), -1), (z_ba, horizon + rel_b)),
-                        "<=", horizon))
-        if directions:
-            z_terms = [(name, 1) for name in directions]
-            rows.append(Row(f"zxa{i}_{a}_{j}_{b}",
-                            tuple(z_terms + [(_x(i, a), -1)]), "<=", 0))
-            rows.append(Row(f"zxb{i}_{a}_{j}_{b}",
-                            tuple(z_terms + [(_x(j, b), -1)]), "<=", 0))
-        rows.append(Row(f"zf{i}_{a}_{j}_{b}",
-                        tuple([(_x(i, a), 1), (_x(j, b), 1)]
-                              + [(name, -1) for name in directions]),
-                        "<=", 1))
-    # Event ranks follow selected arcs and handovers.
-    for i, train in enumerate(instance.trains):
-        for a, op in enumerate(train.operations):
-            for b in op.successors:
-                rows.append(Row(f"ord{i}_{a}_{b}",
-                                ((_u(i, a), 1), (_u(i, b), -1), (_y(i, a, b), order_m)),
-                                "<=", order_m - 1))
-    for p in pairs:
-        i, a, j, b = p
-        z_ab = _z(i, a, j, b)
-        z_ba = _z(j, b, i, a)
-        for abar in instance.trains[i].operations[a].successors:
-            rows.append(Row(f"ordz{i}_{a}_{abar}_{j}_{b}",
-                            ((_u(i, abar), 1), (_u(j, b), -1), (z_ab, order_m)),
-                            "<=", order_m - 1))
-        for bbar in instance.trains[j].operations[b].successors:
-            rows.append(Row(f"ordz{j}_{b}_{bbar}_{i}_{a}",
-                            ((_u(j, bbar), 1), (_u(i, a), -1), (z_ba, order_m)),
-                            "<=", order_m - 1))
+        z_terms = [(z, 1) for *_, successors, z in sides if successors]
+        if z_terms:
+            handovers.append(Row(f"zxa{i}_{a}_{j}_{b}",
+                                 tuple(z_terms + [(_x(i, a), -1)]), "<=", 0))
+            handovers.append(Row(f"zxb{i}_{a}_{j}_{b}",
+                                 tuple(z_terms + [(_x(j, b), -1)]), "<=", 0))
+        handovers.append(Row(f"zf{i}_{a}_{j}_{b}",
+                             tuple([(_x(i, a), 1), (_x(j, b), 1)]
+                                   + [(z, -1) for z, _ in z_terms]),
+                             "<=", 1))
+        for k, c, m, d, successors, z in sides:
+            for cbar in successors:
+                pair_ranks.append(Row(f"ordz{k}_{c}_{cbar}_{m}_{d}",
+                                      ((_u(k, cbar), 1), (_u(m, d), -1), (z, order_m)),
+                                      "<=", order_m - 1))
+
     # Delay costs.
     for c, comp in enumerate(instance.objective):
         t = _t(comp.train, comp.operation)
         x = _x(comp.train, comp.operation)
         v, w = f"v{c}", f"w{c}"
+        cost_vars.append(Variable(v, BINARY, 0, 1, ROLE_LATE_FLAG, (c,)))
+        cost_vars.append(Variable(w, CONTINUOUS, 0, None, ROLE_COST, (c,)))
         # Strict threshold: for integral t, v is forced to 1 exactly when
         # t >= threshold (the step cost fires at equality).
         m_v = max(1, horizon - comp.threshold + 1)
-        rows.append(Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1))
+        costs.append(Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1))
         gate = comp.coeff * max(0, horizon - comp.threshold) + comp.increment
         terms = [(w, 1), (v, -comp.increment), (x, -gate)]
         if comp.coeff:
             terms.insert(1, (t, -comp.coeff))
-        rows.append(Row(f"cost{c}", tuple(terms), ">=",
-                        -comp.coeff * comp.threshold - gate))
-    # Start windows of optional operations, gated by x.
-    for i, a, lb, ub in gated:
-        if lb > 0:
-            rows.append(Row(f"lb{i}_{a}", ((_t(i, a), 1), (_x(i, a), -lb)),
-                            ">=", 0))
-        if ub < horizon:
-            rows.append(Row(f"ub{i}_{a}",
-                            ((_t(i, a), 1), (_x(i, a), horizon - ub)),
-                            "<=", horizon))
+        costs.append(Row(f"cost{c}", tuple(terms), ">=",
+                         -comp.coeff * comp.threshold - gate))
 
     objective = [(f"w{c}", 1) for c in range(len(instance.objective))]
-    return MilpModel(instance=instance, variables=variables,
-                     rows=rows, objective=objective, horizon=horizon,
-                     order_big_m=order_m)
+    return MilpModel(instance=instance,
+                     variables=op_vars + arc_vars + z_vars + cost_vars,
+                     rows=flow + arcs + handovers + ranks + pair_ranks + costs + windows,
+                     objective=objective, horizon=horizon, order_big_m=order_m)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +321,11 @@ def emit_lp(model: MilpModel) -> str:
     for var in model.variables:
         if var.kind == BINARY:
             continue
-        if var.kind == INTEGER:
-            if var.lb != 0:
-                lines.append(f" {var.lb} <= {var.name} <= {var.ub}")
-            else:
-                lines.append(f" {var.name} <= {var.ub}")
-            continue
-        # continuous
-        if var.ub is None:
-            if var.lb != 0:
-                lines.append(f" {var.name} >= {var.lb}")
-            continue
-        if var.lb != 0:
-            lines.append(f" {var.lb} <= {var.name} <= {var.ub}")
-        else:
-            lines.append(f" {var.name} <= {var.ub}")
+        if var.ub is not None:
+            lines.append(f" {var.lb} <= {var.name} <= {var.ub}" if var.lb
+                         else f" {var.name} <= {var.ub}")
+        elif var.lb:
+            lines.append(f" {var.name} >= {var.lb}")
     generals = [v.name for v in model.variables if v.kind == INTEGER]
     if generals:
         lines.append("Generals")
@@ -479,53 +438,45 @@ def solution_assignment(model: MilpModel, instance: Instance,
     Selected operations take their event times and event positions; an
     unselected operation takes the latest time and rank of its predecessors,
     so running rows hold (its window rows are gated off). The sum of the cost
-    variables equals the solution's objective.
+    variables equals the solution's objective. Keys follow model.variables.
     """
-    on_route: dict[tuple[int, int], tuple[int, int]] = {}
+    placed: dict[tuple[int, int], tuple[int, int]] = {}   # (time, position)
     used_arcs: set[tuple[int, int, int]] = set()    # consecutive route pairs
     prev_op: dict[int, int] = {}
     for pos, ev in enumerate(solution.events):
-        on_route[(ev.train, ev.operation)] = (ev.time, pos)
+        placed[(ev.train, ev.operation)] = (ev.time, pos)
         if ev.train in prev_op:
             used_arcs.add((ev.train, prev_op[ev.train], ev.operation))
         prev_op[ev.train] = ev.operation
-    values: dict[str, float] = {}
-    t_vals: dict[tuple[int, int], int] = {}
-    u_vals: dict[tuple[int, int], int] = {}
+    time_rank = dict(placed)
     for i, train in enumerate(instance.trains):
-        preds = predecessors(train)
-        for a in range(len(train.operations)):
-            sel = (i, a) in on_route
-            values[_x(i, a)] = 1.0 if sel else 0.0
-            if sel:
-                t_vals[(i, a)], u_vals[(i, a)] = on_route[(i, a)]
-            else:
-                t_vals[(i, a)] = max([0] + [t_vals[(i, p)] for p in preds[a]])
-                u_vals[(i, a)] = max([0] + [u_vals[(i, p)] for p in preds[a]])
-            values[_t(i, a)] = float(t_vals[(i, a)])
-            values[_u(i, a)] = float(u_vals[(i, a)])
-        for a, op in enumerate(train.operations):
-            for b in op.successors:
-                values[_y(i, a, b)] = 1.0 if (i, a, b) in used_arcs else 0.0
-    for p in conflict_pairs(instance):
-        i, a, j, b = p
-        z_ab = z_ba = 0.0
-        if (i, a) in on_route and (j, b) in on_route:
-            if on_route[(i, a)][1] < on_route[(j, b)][1]:
-                z_ab = 1.0
-            else:
-                z_ba = 1.0
-        # A direction without successors has no z variable; a feasible
-        # solution never claims in that order anyway.
-        if instance.trains[i].operations[a].successors:
-            values[_z(i, a, j, b)] = z_ab
-        if instance.trains[j].operations[b].successors:
-            values[_z(j, b, i, a)] = z_ba
-    for c, comp in enumerate(instance.objective):
-        t = t_vals[(comp.train, comp.operation)]
-        late = 1.0 if t >= comp.threshold else 0.0
-        values[f"v{c}"] = late
-        on = (comp.train, comp.operation) in on_route
-        values[f"w{c}"] = float(comp.cost(t) if on else 0)
-    return values
+        for a, preds in enumerate(predecessors(train)):
+            if (i, a) not in placed:
+                time_rank[(i, a)] = (max([0] + [time_rank[(i, p)][0] for p in preds]),
+                                     max([0] + [time_rank[(i, p)][1] for p in preds]))
 
+    values: dict[str, float] = {}
+    for var in model.variables:
+        k = var.indices
+        if var.role == ROLE_START:
+            value = time_rank[k][0]
+        elif var.role == ROLE_RANK:
+            value = time_rank[k][1]
+        elif var.role == ROLE_SELECT_OP:
+            value = k in placed
+        elif var.role == ROLE_SELECT_ARC:
+            value = k in used_arcs
+        elif var.role == ROLE_PRECEDE:
+            first, second = k[:2], k[2:]
+            value = (first in placed and second in placed
+                     and placed[first][1] < placed[second][1])
+        else:
+            comp = instance.objective[k[0]]
+            op = (comp.train, comp.operation)
+            t = time_rank[op][0]
+            if var.role == ROLE_LATE_FLAG:
+                value = t >= comp.threshold
+            else:
+                value = comp.cost(t) if op in placed else 0
+        values[var.name] = float(value)
+    return values

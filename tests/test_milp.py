@@ -4,6 +4,8 @@ round-trips, and end-to-end agreement with the exact search."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 import re
 
@@ -13,6 +15,14 @@ import oracles
 from builders import random_reduced_instance
 from conftest import data_text
 from lp_reader import read_lp, solve_lp
+from displib.generate import (
+    LineSpec,
+    PerturbSpec,
+    add_cancellation,
+    add_correspondence,
+    generate_line,
+    perturb,
+)
 from displib.core import (
     ObjectiveComponent,
     Operation,
@@ -67,6 +77,25 @@ def optional_start_lb_instance():
            Operation(0, (), start_ub=300)]
     comp = ObjectiveComponent(train=0, operation=3, threshold=5, coeff=1)
     return build_instance([ops], [comp])
+
+
+def disrupted_corridor():
+    """The 10x8 seed-7 corridor with a cancellation and a correspondence,
+    perturbed at time 400: 1,804 rel rows."""
+    line = generate_line(LineSpec(num_stations=10, num_trains=8, seed=7))
+    line = add_correspondence(add_cancellation(line, 0, 1, 50), 0, 7, 2)
+    return perturb(line, PerturbSpec(at_time=400, delayed_fraction=0.5,
+                                     seed=3)).instance
+
+
+def gated_windows_draw():
+    """The second windows_on_forks draw from seeds 41 and 43, the first one
+    with both lb and ub rows (the corridors have no gated windows)."""
+    rng, window_rng = random.Random(41), random.Random(43)
+    for _ in range(2):
+        instance = windows_on_forks(
+            window_rng, random_reduced_instance(rng, max_trains=3, max_ops=6))
+    return instance
 
 
 def roles_count(model) -> dict[str, int]:
@@ -129,6 +158,32 @@ class TestJunctionModel:
             assert NAME_RE.match(v.name) and len(v.name) <= 255
         for row in model.rows:
             assert NAME_RE.match(row.name) and len(row.name) <= 255
+
+
+class TestPinnedModels:
+    """Digests of the LP text and of the name map, whose insertion order
+    pins the variable order, for models larger than the junction."""
+
+    @pytest.mark.parametrize("make, lp_digest, map_digest", [
+        (lambda: generate_line(LineSpec(num_stations=5, num_trains=4,
+                                        seed=42)).instance,
+         "4df55aa5b58c784b608c7ac8315db65dbf0fa7db4b73eec9238d17640fb05e53",
+         "cefe9dd752b93eb128bf4980a1cb9ce67d3d2446a8488a9f614d39ed1389a31d"),
+        (disrupted_corridor,
+         "6bda022b56f3abe070ff3c697f181dbe69ced31e5f999c57f6af077d5c96066a",
+         "405ef755ee750e1bdd823ca1520f51891e5b123c1320f8fefe99752ec960da89"),
+        (gated_windows_draw,
+         "a5e69a0cce5de07946a370f9057d1b73c082b51f9933c9a4855383ff4b13a451",
+         "3f77c1ee33dc38bcec854631f8d7244b73aca024d181326cfca300adbc9f3225"),
+    ], ids=["corridor-5x4-s42", "disrupted-10x8-s7", "gated-windows"])
+    def test_lp_and_name_map_digests(self, make, lp_digest, map_digest):
+        model = build_model(make())
+        if make is gated_windows_draw:
+            assert {"lb", "ub"} <= set(row_prefix_count(model))
+        text = emit_lp(model)
+        names = json.dumps(name_map(model))
+        assert hashlib.sha256(text.encode()).hexdigest() == lp_digest
+        assert hashlib.sha256(names.encode()).hexdigest() == map_digest
 
 
 class TestModelShapes:
