@@ -246,38 +246,45 @@ def _cmd_emit_lp(args: argparse.Namespace) -> int:
     if map_path is None and args.output != "-":
         map_path = args.output + ".names.json"
     if map_path is not None:
-        _write_text(map_path, json.dumps(milp.name_map(model), indent=2) + "\n")
+        _write_text(map_path, json.dumps(milp.name_map(model)) + "\n")
     print(f"model: {len(model.variables)} variables, {len(model.rows)} rows, "
           f"horizon {model.horizon}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_map_solution(args: argparse.Namespace) -> int:
-    instance, diags = _load_instance(args.instance)
-    if not args.json:
-        _print_warnings(diags)
+def _read_name_map(path: str) -> set[str]:
+    """The variable names an emit-lp sidecar records. Only the names are
+    kept, so the parsed document is freed before the model is built."""
     try:
-        sidecar = json.loads(_read_text(args.name_map))
+        sidecar = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise _Fail(EXIT_USAGE, f"name map is not valid JSON: {e}") from e
     if not isinstance(sidecar, dict) \
             or sidecar.get("format") != "displib-lp-name-map":
-        raise _Fail(EXIT_USAGE, f"{args.name_map} is not a name map file")
+        raise _Fail(EXIT_USAGE, f"{path} is not a name map file")
     # Older sidecars record model options; only the all-false set, which is
     # the one model emit-lp writes, still maps.
     raw_options = sidecar.get("options", {})
     recorded = sidecar.get("variables", {})
     if not isinstance(raw_options, dict) or not isinstance(recorded, dict) \
             or not all(isinstance(v, bool) for v in raw_options.values()):
-        raise _Fail(EXIT_USAGE, f"{args.name_map} is not a name map file "
+        raise _Fail(EXIT_USAGE, f"{path} is not a name map file "
                                 "(malformed options or variables)")
     for key, value in raw_options.items():
         if value:
-            raise _Fail(EXIT_USAGE, f"{args.name_map} was written with the "
+            raise _Fail(EXIT_USAGE, f"{path} was written with the "
                                     f"removed model option {key}; re-run "
                                     "emit-lp")
+    return set(recorded)
+
+
+def _cmd_map_solution(args: argparse.Namespace) -> int:
+    instance, diags = _load_instance(args.instance)
+    if not args.json:
+        _print_warnings(diags)
+    recorded = _read_name_map(args.name_map)
     model = milp.build_model(instance)
-    if set(recorded) != {v.name for v in model.variables}:
+    if recorded != {v.name for v in model.variables}:
         raise _Fail(EXIT_USAGE,
                     "name map does not match this instance (was it emitted "
                     "for a different file?)")

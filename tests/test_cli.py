@@ -246,6 +246,14 @@ class TestEmitLp:
         assert cli.main(["emit-lp", junction_path]) == 0
         assert capsys.readouterr().out == data_text("junction.lp")
 
+    def test_sidecar_is_the_name_map(self, tmp_path):
+        line = generate_line(LineSpec(num_stations=5, num_trains=4, seed=42))
+        path = write_file(tmp_path, "line.json", write_instance(line.instance))
+        out = tmp_path / "line.lp"
+        assert cli.main(["emit-lp", path, "-o", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "line.lp.names.json").read_text())
+        assert sidecar == milp.name_map(milp.build_model(line.instance))
+
 
 class TestMapSolution:
     def emit(self, junction_path, tmp_path):
@@ -360,6 +368,26 @@ class TestMapSolution:
         code = cli.main(["map-solution", junction_path, str(names), assignment])
         assert code == 0
         assert "mapped: objective 10" in capsys.readouterr().err
+
+    def test_pretty_printed_name_map_still_maps(self, junction_path,
+                                                tmp_path, capsys):
+        # Sidecars from earlier versions were written with indent=2.
+        _, names = self.emit(junction_path, tmp_path)
+        names.write_text(json.dumps(json.loads(names.read_text()), indent=2)
+                         + "\n")
+        instance, _ = parse_instance(data_text("junction_instance.json"))
+        golden, _ = parse_solution(data_text("junction_solution.json"))
+        values = milp.solution_assignment(milp.build_model(instance),
+                                          instance, golden)
+        assignment = write_file(tmp_path, "witness.txt",
+                                assignment_text(values))
+        sol = tmp_path / "mapped.json"
+        code = cli.main(["map-solution", junction_path, str(names), assignment,
+                         "-o", str(sol)])
+        assert code == 0
+        assert "mapped: objective 10" in capsys.readouterr().err
+        mapped, _ = parse_solution(sol.read_text())
+        assert mapped == golden
 
     @pytest.mark.parametrize("key,value", [
         ("options", [1]),

@@ -12,7 +12,7 @@ import re
 import pytest
 
 import oracles
-from builders import random_reduced_instance
+from builders import random_instance, random_reduced_instance
 from conftest import data_text
 from lp_reader import read_lp, solve_lp
 from displib.generate import (
@@ -36,6 +36,8 @@ from displib.milp import (
     NON_FINITE_VALUE,
     NON_INTEGRAL_BINARY,
     MappingError,
+    Row,
+    Variable,
     build_model,
     emit_lp,
     map_solution,
@@ -96,6 +98,20 @@ def gated_windows_draw():
         instance = windows_on_forks(
             window_rng, random_reduced_instance(rng, max_trains=3, max_ops=6))
     return instance
+
+
+def random_models():
+    """Models of 150 random_instance and 150 random_reduced_instance draws
+    and of 200 windows_on_forks draws."""
+    rng = random.Random(17)
+    for _ in range(150):
+        yield build_model(random_instance(rng, max_trains=3, max_ops=6))
+    for _ in range(150):
+        yield build_model(random_reduced_instance(rng, max_trains=3, max_ops=6))
+    rng, window_rng = random.Random(41), random.Random(43)
+    for _ in range(200):
+        yield build_model(windows_on_forks(
+            window_rng, random_reduced_instance(rng, max_trains=3, max_ops=6)))
 
 
 def roles_count(model) -> dict[str, int]:
@@ -184,6 +200,46 @@ class TestPinnedModels:
         names = json.dumps(name_map(model))
         assert hashlib.sha256(text.encode()).hexdigest() == lp_digest
         assert hashlib.sha256(names.encode()).hexdigest() == map_digest
+
+
+class TestModelInvariants:
+    """Every row refers to the variables by the names the model declares,
+    and the model's rows and variables are immutable values."""
+
+    def test_terms_name_declared_unique_variables(self):
+        for model in random_models():
+            names = [v.name for v in model.variables]
+            declared = set(names)
+            assert len(declared) == len(names)
+            assert len({row.name for row in model.rows}) == len(model.rows)
+            for row in model.rows:
+                assert {name for name, _ in row.terms} <= declared, row
+            assert {name for name, _ in model.objective} <= declared
+
+    def test_rows_and_variables_are_immutable(self):
+        fields = {Row: ("name", "terms", "sense", "rhs"),
+                  Variable: ("name", "kind", "lb", "ub", "role", "indices")}
+        for model in random_models():
+            for value in model.rows + model.variables:
+                for field in fields[type(value)]:
+                    with pytest.raises(AttributeError):
+                        setattr(value, field, getattr(value, field))
+
+    def test_reprs_name_every_field(self, junction):
+        model = build_model(junction)
+        assert repr(model.variables[0]) == (
+            "Variable(name='t0_0', kind='continuous', lb=0, ub=0, "
+            "role='start', indices=(0, 0))")
+        assert repr(model.variables[-1]) == (
+            "Variable(name='w0', kind='continuous', lb=0, ub=None, "
+            "role='cost', indices=(0,))")
+        assert repr(model.rows[0]) == (
+            "Row(name='flow0_0', terms=(('y0_0_1', 1), ('y0_0_2', 1)), "
+            "sense='=', rhs=1)")
+        assert model.rows[0] == Row("flow0_0", (("y0_0_1", 1), ("y0_0_2", 1)),
+                                    "=", 1)
+        assert model.variables[-1] == Variable("w0", "continuous", 0, None,
+                                               "cost", (0,))
 
 
 class TestModelShapes:
