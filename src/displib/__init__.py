@@ -48,7 +48,6 @@ from .solve import (
     SolveReport,
     SolveStatus,
     earliest_times,
-    order_objective,
     solve_exact,
     solve_heuristic,
 )
@@ -90,8 +89,8 @@ __all__ = [
     "write_instance", "write_solution",
     "Verdict", "Violation", "check_resources", "check_routes",
     "evaluate_objective", "verify",
-    "SolveReport", "SolveStatus", "earliest_times", "order_objective",
-    "solve_exact", "solve_heuristic",
+    "SolveReport", "SolveStatus", "earliest_times", "solve_exact",
+    "solve_heuristic",
     "MappingError", "MilpModel", "Row", "Variable",
     "build_model", "emit_lp", "map_solution", "name_map", "parse_assignment",
     "solution_assignment",

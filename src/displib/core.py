@@ -20,6 +20,7 @@ MULTIPLE_EXITS = "MultipleExits"
 INDEX_OUT_OF_RANGE = "IndexOutOfRange"
 NEGATIVE_VALUE = "NegativeValue"
 DUPLICATE_RESOURCE = "DuplicateResourceInOperation"
+DUPLICATE_SUCCESSOR = "DuplicateSuccessor"
 EMPTY_TRAIN = "EmptyTrain"
 
 
@@ -151,8 +152,8 @@ def _check_operation_values(t: int, k: int, op: Operation) -> None:
 
 
 def _check_train_graph(t: int, train: Train) -> None:
-    """Increasing successors, a single entry and a single exit. Together
-    they put every operation on some entry-to-exit path."""
+    """Increasing successors, each listed once, a single entry and a single
+    exit. Together they put every operation on some entry-to-exit path."""
     n = len(train.operations)
     if n == 0:
         raise InstanceError(EMPTY_TRAIN, f"train {t} has no operations", train=t)
@@ -173,6 +174,11 @@ def _check_train_graph(t: int, train: Train) -> None:
                                     f"increase the topological order",
                                     train=t, operation=k)
             has_pred[s] = True
+        if len(set(op.successors)) < len(op.successors):
+            raise InstanceError(DUPLICATE_SUCCESSOR,
+                                f"train {t} operation {k}: a successor is listed "
+                                f"more than once in {list(op.successors)}",
+                                train=t, operation=k)
     for k in range(1, n):
         if not has_pred[k]:
             raise InstanceError(MULTIPLE_ENTRIES,

@@ -1,15 +1,18 @@
 """Schedulers: earliest-times evaluation, exact search, greedy heuristic.
 
-All three drive one incremental dispatcher, `_Dispatcher`. A partial
+All three drive one incremental dispatcher, `_Dispatcher`, and read the
+instance only through its per-train `_OpTable`s: predecessors, successors,
+durations, start windows, resources, objective components, and the shortest
+remaining duration and tightest cost threshold along it. A partial
 schedule is a prefix of the event list; appending an operation fixes its
 start time as the maximum of the chronological floor (times never decrease
 along the list), its start_lb, the end of the train's previous operation,
 and the release stamps of its resources. Times of already appended events
 never change, because every constraint arc points forward in the event
-order. The dispatcher owns the per-train operation tables, the undo stack
-(`undo` takes back the latest event, `rewind(depth)` all events above a
-depth, `splice(depth)` the event at a depth alone when no later event
-depends on it) and the count of its applies.
+order. The dispatcher owns the tables, the undo stack (`undo` takes back
+the latest event, `rewind(depth)` all events above a depth, `splice(depth)`
+the event at a depth alone when no later event depends on it) and the count
+of its applies.
 
 A report's `nodes` is the exact search's count of moves tried, the one that
 hit `node_limit` included, and the heuristic's count of dispatcher applies.
@@ -34,7 +37,6 @@ from typing import Sequence
 
 from .core import (Instance, Event, ObjectiveComponent, Solution, Train,
                    is_route, predecessors)
-from .verify import evaluate_objective
 
 _INF = float("inf")
 
@@ -86,11 +88,17 @@ def _released(state: tuple, stamp: int, train: int) -> tuple:
 class _OpTable:
     """Static per-operation data of one train, indexed by operation and
     built once per dispatcher, so that the hot loops index plain tuples
-    instead of following Operation and ResourceUsage attributes."""
+    instead of following Operation and ResourceUsage attributes. `comps`
+    holds each operation's objective components in instance order; `dist`
+    the shortest remaining min_duration sum to the exit, and `slack` the
+    tightest cost threshold along that shortest path, shifted so that an
+    operation started at t has slack[op] - t left (inf with none). Ties
+    between shortest successors go to the lowest index."""
     __slots__ = ("preds", "dur", "start_lb", "start_ub", "keys", "release",
-                 "far", "succ")
+                 "far", "succ", "comps", "dist", "slack")
 
-    def __init__(self, train: Train):
+    def __init__(self, train: Train,
+                 comps: Sequence[tuple[ObjectiveComponent, ...]]):
         ops = train.operations
         self.preds = tuple(tuple(p) for p in predecessors(train))
         self.dur = tuple(op.min_duration for op in ops)
@@ -102,6 +110,19 @@ class _OpTable:
         # Largest successor (0 at the exit) and the successors in index order.
         self.far = tuple(max(op.successors, default=0) for op in ops)
         self.succ = tuple(tuple(sorted(op.successors)) for op in ops)
+        self.comps = tuple(comps)
+        dist = [0] * len(ops)
+        slack: list[float] = [_INF] * len(ops)
+        for k in range(len(ops) - 1, -1, -1):
+            s = min((c.threshold for c in comps[k] if c.coeff or c.increment),
+                    default=_INF)
+            if self.succ[k]:
+                nxt = min(self.succ[k], key=dist.__getitem__)
+                dist[k] = self.dur[k] + dist[nxt]
+                s = min(s, slack[nxt] - self.dur[k])
+            slack[k] = s
+        self.dist = tuple(dist)
+        self.slack = tuple(slack)
 
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
@@ -118,7 +139,12 @@ class _Dispatcher:
 
     def __init__(self, instance: Instance):
         self.n_trains = len(instance.trains)
-        self.tables = [_OpTable(train) for train in instance.trains]
+        comps: list[list[tuple[ObjectiveComponent, ...]]] = [
+            [()] * len(train.operations) for train in instance.trains]
+        for comp in instance.objective:
+            comps[comp.train][comp.operation] += (comp,)
+        self.tables = [_OpTable(train, c)
+                       for train, c in zip(instance.trains, comps)]
         self.last_op: list[int | None] = [None] * self.n_trains
         self.last_time = [0] * self.n_trains
         self.ended = [False] * self.n_trains
@@ -131,12 +157,6 @@ class _Dispatcher:
         self.applies = 0
         # One undo record per event in `events`.
         self._undo: list[tuple] = []
-        # comps[train][op]: that operation's objective components, in
-        # instance order.
-        self.comps: list[list[tuple[ObjectiveComponent, ...]]] = [
-            [()] * len(train.operations) for train in instance.trains]
-        for comp in instance.objective:
-            self.comps[comp.train][comp.operation] += (comp,)
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -190,7 +210,7 @@ class _Dispatcher:
             _, stamp1, train1, stamp2 = state
             res[r] = (train, stamp1, train1, stamp2)
         z_delta = 0
-        for comp in self.comps[train][op]:
+        for comp in tab.comps[op]:
             z_delta += comp.cost(t)
         self._undo.append((last, self.last_time[train], old, z_delta))
         self.last_op[train] = op
@@ -288,46 +308,6 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
     return [t for t, _, _ in disp.events]
 
 
-def order_objective(instance: Instance, order: Sequence[tuple[int, int]],
-                    times: Sequence[int]) -> int:
-    """Objective value of a scheduled order (helper for enumeration)."""
-    return evaluate_objective(instance, {key: t for key, t in zip(order, times)})
-
-
-class _TrainStatics:
-    """Per-train route and urgency data of the heuristic, fixed per instance."""
-
-    def __init__(self, train: Train, comps: Sequence[tuple[ObjectiveComponent, ...]]):
-        n = len(train.operations)
-        # Shortest remaining min_duration sum to the exit, and the successor
-        # achieving it (route choice of the greedy dispatcher).
-        self.dist = [0] * n
-        self.sp_next = [-1] * n
-        for k in range(n - 1, -1, -1):
-            op = train.operations[k]
-            if not op.successors:
-                self.dist[k] = 0
-                continue
-            best, best_s = None, -1
-            for s in sorted(op.successors):
-                if best is None or self.dist[s] < best:
-                    best, best_s = self.dist[s], s
-            self.dist[k] = op.min_duration + best
-            self.sp_next[k] = best_s
-        # Tightest threshold along the shortest path, normalized so that
-        # slack(op at time t) = static_slack[op] - t.
-        self.static_slack: list[float] = [_INF] * n
-        for k in range(n - 1, -1, -1):
-            s = _INF
-            for comp in comps[k]:
-                if comp.coeff or comp.increment:
-                    s = min(s, comp.threshold)
-            nxt = self.sp_next[k]
-            if nxt >= 0:
-                s = min(s, self.static_slack[nxt] - train.operations[k].min_duration)
-            self.static_slack[k] = s
-
-
 class _ExactSearch:
     """Depth-first branch and bound over one dispatcher: the incumbent, the
     node count and whether a budget cut the search short."""
@@ -337,7 +317,8 @@ class _ExactSearch:
         self.disp = _Dispatcher(instance)
         self.node_limit = node_limit
         self.deadline = deadline
-        self.comp_trains = sorted({c.train for c in instance.objective})
+        self.comp_trains = [i for i, tab in enumerate(self.disp.tables)
+                            if any(tab.comps)]
         self.nodes = 0
         self.truncated = False
         self.z: int | None = None
@@ -358,9 +339,8 @@ class _ExactSearch:
         reachable operations and `reach`, the farthest such arc head."""
         disp = self.disp
         tab = disp.tables[i]
-        preds, dur, start_lb, keys, far = (
-            tab.preds, tab.dur, tab.start_lb, tab.keys, tab.far)
-        comps = disp.comps[i]
+        preds, dur, start_lb, keys, far, comps = (
+            tab.preds, tab.dur, tab.start_lb, tab.keys, tab.far, tab.comps)
         res = disp.res
         floor = disp.floor
         # Earliest start of each reachable operation, the last started one
@@ -501,19 +481,19 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
                        bound=bound)
 
 
-def _pick_route(train: Train, st: _TrainStatics, rng: random.Random,
+def _pick_route(tab: _OpTable, rng: random.Random,
                 jitter_span: int) -> list[int]:
     """Entry-to-exit path following the shortest remaining duration, fork
     choices jittered by up to jitter_span to diversify restarts."""
-    ops = train.operations
+    succ, dist = tab.succ, tab.dist
     route = [0]
     k = 0
-    while ops[k].successors:
-        if len(ops[k].successors) > 1:
-            k = min(sorted(ops[k].successors),
-                    key=lambda s: (st.dist[s] + rng.randint(0, jitter_span), s))
+    while succ[k]:
+        if len(succ[k]) > 1:
+            k = min(succ[k],
+                    key=lambda s: (dist[s] + rng.randint(0, jitter_span), s))
         else:
-            k = st.sp_next[k]
+            k = succ[k][0]
         route.append(k)
     return route
 
@@ -598,20 +578,21 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
     return [(i, op) for _, i, op in disp.events]
 
 
-def _insertion_pass(instance: Instance, disp: _Dispatcher,
-                    statics: Sequence[_TrainStatics], rng: random.Random,
+def _insertion_pass(disp: _Dispatcher, rng: random.Random,
                     jitter_span: int, deadline: float | None
                     ) -> Solution | None:
     """Schedule trains one at a time in jittered entry order, interleaving
-    each train's route into the order built so far. The final order stays
-    applied on the dispatcher; its solution, or None."""
+    each train's route into the order built so far, a strategy immune to the
+    head-on wedges that can trap greedy dispatch on dense single-track
+    traffic. The final order stays applied on the dispatcher; its solution,
+    or None."""
     n = disp.n_trains
     jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
     priority = sorted(range(n), key=lambda i: (
-        instance.trains[i].operations[0].start_lb + jolt[i], i))
+        disp.tables[i].start_lb[0] + jolt[i], i))
     order: list[tuple[int, int]] = []
     for i in priority:
-        route = _pick_route(instance.trains[i], statics[i], rng, jitter_span)
+        route = _pick_route(disp.tables[i], rng, jitter_span)
         disp.rewind(0)
         merged = _merge_route(disp, order, i, route, deadline)
         if merged is None:
@@ -626,19 +607,70 @@ def _insertion_pass(instance: Instance, disp: _Dispatcher,
 _BACKTRACK_LIMIT = 256     # greedy backtracks per pass
 
 
+def _greedy_pass(disp: _Dispatcher, rng: random.Random,
+                 jitter_span: int) -> Solution | None:
+    """Repeatedly start the most urgent startable operation: the smallest
+    slack to the nearest cost threshold along the shortest remaining path,
+    jittered per train; ties by start_lb, then train, then operation index.
+    Each train offers only its head candidate, the successor with the
+    smallest jittered remaining min_duration sum that is not banned and
+    probes startable. A dead end takes back the latest event and bans it at
+    that depth, up to _BACKTRACK_LIMIT times per pass. The schedule stays
+    applied on the dispatcher; its solution, or None."""
+    slack_jitter = [rng.randint(-jitter_span, jitter_span)
+                    for _ in range(disp.n_trains)]
+    route_jitter: dict[tuple[int, int], int] = {}
+
+    def _dj(i: int, o: int) -> int:
+        v = route_jitter.get((i, o))
+        if v is None:
+            v = rng.randint(0, jitter_span)
+            route_jitter[(i, o)] = v
+        return v
+
+    # bans[k]: moves ruled out after the first k events.
+    bans: list[set[tuple[int, int]]] = [set()]
+    backtracks = 0
+    while not disp.done():
+        banned = bans[-1]
+        chosen: tuple[int, int, int] | None = None
+        chosen_key = None
+        for i in range(disp.n_trains):
+            if disp.ended[i]:
+                continue
+            tab = disp.tables[i]
+            cands = sorted(disp.candidates(i),
+                           key=lambda o: (tab.dist[o] + _dj(i, o), o))
+            for op in cands:
+                if (i, op) in banned:
+                    continue
+                status, t = disp.probe(i, op)
+                if status != _OK:
+                    continue
+                key = (tab.slack[op] - t + slack_jitter[i], tab.start_lb[op],
+                       i, op)
+                if chosen_key is None or key < chosen_key:
+                    chosen_key = key
+                    chosen = (i, op, t)
+                break  # only the head candidate of each train competes
+        if chosen is None:
+            if not disp.events or backtracks >= _BACKTRACK_LIMIT:
+                return None
+            _, i, op = disp.events[-1]
+            disp.undo()
+            bans.pop()
+            bans[-1].add((i, op))
+            backtracks += 1
+            continue
+        disp.apply(*chosen)
+        bans.append(set())
+    return disp.to_solution()
+
+
 def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                     seed: int = 0, max_restarts: int | None = None) -> SolveReport:
-    """Greedy dispatch alternating with route insertion, under seeded restarts.
-
-    Even passes run the greedy dispatcher: repeatedly start the most urgent
-    startable operation (smallest slack to the nearest cost threshold along
-    the shortest remaining path; ties by start_lb, then train, then
-    operation index), each train preferring the successor that minimizes the
-    remaining min_duration sum; dead ends trigger chronological backtracking
-    with a budget of _BACKTRACK_LIMIT per pass. Odd passes schedule whole
-    trains in entry order, interleaving each train's route into the event
-    order fixed so far, a strategy immune to the head-on wedges that can trap
-    greedy dispatch on dense single-track traffic. Restarts re-jitter
+    """Seeded restarts of two passes over one dispatcher: even passes run
+    `_greedy_pass`, odd passes `_insertion_pass`. Restarts re-jitter
     priorities and route choices from the seed (the first pass of each kind
     runs with jitter span 0), keeping the best solution found. Deterministic
     for a fixed seed and restart budget. Never claims optimality.
@@ -648,12 +680,7 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     if max_restarts is None and time_limit is None:
         max_restarts = 16
     disp = _Dispatcher(instance)
-    statics = [
-        _TrainStatics(train, comps)
-        for train, comps in zip(instance.trains, disp.comps)
-    ]
-    horizon_scale = max(
-        (st.dist[0] for st in statics if st.dist), default=0)
+    horizon_scale = max((tab.dist[0] for tab in disp.tables), default=0)
     jitter_span = max(1, horizon_scale // 8)
 
     best: Solution | None = None
@@ -661,61 +688,10 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     while True:
         rng = random.Random(seed * 1_000_003 + attempt)
         span = jitter_span if attempt > 1 else 0
-        solution: Solution | None = None
         if attempt % 2:
-            solution = _insertion_pass(instance, disp, statics, rng, span,
-                                       deadline)
+            solution = _insertion_pass(disp, rng, span, deadline)
         else:
-            slack_jitter = [rng.randint(-span, span)
-                            for _ in range(disp.n_trains)]
-            route_jitter: dict[tuple[int, int], int] = {}
-
-            def _dj(i: int, o: int) -> int:
-                v = route_jitter.get((i, o))
-                if v is None:
-                    v = rng.randint(0, span)
-                    route_jitter[(i, o)] = v
-                return v
-
-            # bans[k]: moves ruled out after the first k events.
-            bans: list[set[tuple[int, int]]] = [set()]
-            backtracks = 0
-            while not disp.done():
-                banned = bans[-1]
-                chosen: tuple[int, int, int] | None = None
-                chosen_key = None
-                for i in range(disp.n_trains):
-                    if disp.ended[i]:
-                        continue
-                    st = statics[i]
-                    cands = sorted(disp.candidates(i),
-                                   key=lambda o: (st.dist[o] + _dj(i, o), o))
-                    for op in cands:
-                        if (i, op) in banned:
-                            continue
-                        status, t = disp.probe(i, op)
-                        if status != _OK:
-                            continue
-                        slack = st.static_slack[op]
-                        urgency = slack - t + slack_jitter[i] if slack != _INF else _INF
-                        key = (urgency, disp.tables[i].start_lb[op], i, op)
-                        if chosen_key is None or key < chosen_key:
-                            chosen_key = key
-                            chosen = (i, op, t)
-                        break  # only the head candidate of each train competes
-                if chosen is None:
-                    if not disp.events or backtracks >= _BACKTRACK_LIMIT:
-                        break
-                    _, i, op = disp.events[-1]
-                    disp.undo()
-                    bans.pop()
-                    bans[-1].add((i, op))
-                    backtracks += 1
-                    continue
-                disp.apply(*chosen)
-                bans.append(set())
-            if disp.done():
-                solution = disp.to_solution()
+            solution = _greedy_pass(disp, rng, span)
         disp.rewind(0)
         if solution is not None and (best is None or solution.objective_value
                                      < best.objective_value):

@@ -86,6 +86,15 @@ class TestValidate:
         assert cli.main(["validate", path]) == 2
         assert "CyclicGraph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "emit-lp"])
+    def test_repeated_successor_is_a_parse_error(self, tmp_path, capsys,
+                                                 command):
+        doc = ('{"trains": [[{"min_duration": 1, "successors": [1, 1]}, '
+               '{"min_duration": 0, "successors": []}]], "objective": []}')
+        path = write_file(tmp_path, "twice.json", doc)
+        assert cli.main([command, path]) == 2
+        assert "DuplicateSuccessor" in capsys.readouterr().err
+
     def test_unknown_key_warns_unless_strict(self, tmp_path, capsys):
         doc = json.loads(data_text("junction_instance.json"))
         doc["frobnicate"] = 1

@@ -11,6 +11,7 @@ import oracles
 from displib.core import (
     CYCLIC_GRAPH,
     DUPLICATE_RESOURCE,
+    DUPLICATE_SUCCESSOR,
     EMPTY_TRAIN,
     INDEX_OUT_OF_RANGE,
     MULTIPLE_ENTRIES,
@@ -74,6 +75,15 @@ class TestBuildInstance:
         with pytest.raises(InstanceError) as err:
             build_instance([ops])
         assert err.value.rule == CYCLIC_GRAPH
+
+    def test_repeated_successor_rejected(self):
+        # Listed twice, one arc would count twice in every arc-based
+        # consumer: route moves, flow rows, arc variables.
+        ops = [Operation(1, (1, 2)), Operation(1, (2, 2)), Operation(0, ())]
+        with pytest.raises(InstanceError) as err:
+            build_instance([[Operation(0, ())], ops])
+        assert err.value.rule == DUPLICATE_SUCCESSOR
+        assert err.value.train == 1 and err.value.operation == 1
 
     def test_successor_out_of_range(self):
         with pytest.raises(InstanceError) as err:

@@ -14,6 +14,7 @@ from conftest import data_text
 from builders import mutate_document, random_instance
 from displib import fileformat
 from displib.core import (
+    DUPLICATE_SUCCESSOR,
     Event,
     ObjectiveComponent,
     Operation,
@@ -112,6 +113,9 @@ class TestParseInstance:
         ('{"trains": [[{"min_duration": 0, "successors": []}]], '
          '"objective": [{"type": "total_delay", "train": 0, "operation": 0}]}',
          UNKNOWN_OBJECTIVE_TYPE, "/objective/0/type"),
+        ('{"trains": [[{"min_duration": 0, "successors": [1, 1]}, '
+         '{"min_duration": 0, "successors": []}]], "objective": []}',
+         DUPLICATE_SUCCESSOR, "/trains/0/0"),
     ])
     def test_error_kinds_and_paths(self, text, kind, path):
         with pytest.raises(FormatError) as err:

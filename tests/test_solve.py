@@ -28,11 +28,10 @@ from displib.solve import (
     _Dispatcher,
     _ExactSearch,
     earliest_times,
-    order_objective,
     solve_exact,
     solve_heuristic,
 )
-from displib.verify import verify
+from displib.verify import evaluate_objective, verify
 
 GOLDEN_ROUTES = [[0, 2, 3], [0, 1, 2]]
 GOLDEN_ORDER = [(0, 0), (1, 0), (0, 2), (1, 1), (1, 2), (0, 3)]
@@ -144,7 +143,7 @@ class TestEarliestTimes:
     def test_golden_order(self, junction):
         times = earliest_times(junction, GOLDEN_ROUTES, GOLDEN_ORDER)
         assert times == [0, 0, 5, 5, 10, 10]
-        assert order_objective(junction, GOLDEN_ORDER, times) == 10
+        assert evaluate_objective(junction, dict(zip(GOLDEN_ORDER, times))) == 10
 
     def test_blocked_order_returns_none(self, junction):
         # Train 1 tries to enter L while train 0 still holds it.
@@ -161,7 +160,7 @@ class TestEarliestTimes:
         order = [(1, 0), (0, 0), (0, 2), (1, 1), (0, 3), (1, 2)]
         times = earliest_times(junction, GOLDEN_ROUTES, order)
         assert times == [0, 0, 5, 5, 10, 10]
-        assert order_objective(junction, order, times) == 10
+        assert evaluate_objective(junction, dict(zip(order, times))) == 10
 
     def test_single_chain(self):
         instance = build_instance([chain(5, 5, 0)])
@@ -336,6 +335,43 @@ class TestDispatcher:
                 assert dispatcher_state(disp) == dispatcher_state(
                     _Dispatcher(instance))
         assert spliced > 1000 and refused > 1000
+
+    def test_tables_follow_the_shortest_remaining_path(self):
+        """`dist` is the least min_duration sum from an operation to the exit
+        over the suffixes of its routes, and `slack` the tightest threshold
+        of a costly component along the first such suffix in index order,
+        less the durations before that component's operation."""
+        rng = random.Random(23)
+        checked = tied = 0
+        for _ in range(200):
+            instance = random_instance(rng, max_trains=3, max_ops=8)
+            extra = tuple(
+                ObjectiveComponent(i, k, threshold=rng.randint(0, 40),
+                                   coeff=rng.randint(0, 1),
+                                   increment=rng.randint(0, 1))
+                for i, train in enumerate(instance.trains)
+                for k in range(len(train.operations)) if rng.random() < 0.4)
+            instance = replace(instance, objective=instance.objective + extra)
+            disp = _Dispatcher(instance)
+            for i, (train, tab) in enumerate(zip(instance.trains, disp.tables)):
+                dur = [op.min_duration for op in train.operations]
+                routes = enumerate_routes(train).routes
+                for k in range(len(dur)):
+                    suffixes = sorted({r[r.index(k):] for r in routes if k in r})
+                    lengths = [sum(dur[o] for o in s[:-1]) for s in suffixes]
+                    shortest = suffixes[lengths.index(min(lengths))]
+                    tied += lengths.count(min(lengths)) > 1
+                    slack, elapsed = float("inf"), 0
+                    for o in shortest:
+                        for c in instance.objective:
+                            if (c.train, c.operation) == (i, o) and (
+                                    c.coeff or c.increment):
+                                slack = min(slack, c.threshold - elapsed)
+                        elapsed += dur[o]
+                    assert tab.dist[k] == min(lengths)
+                    assert tab.slack[k] == slack
+                    checked += 1
+        assert checked > 1000 and tied > 50
 
 
 class TestSolveExact:
@@ -586,6 +622,19 @@ class TestSolveHeuristic:
         assert verdict.feasible
         assert verdict.computed_objective == 19
         monkeypatch.setattr("displib.solve._replay", lambda disp, order: False)
+        report = solve_heuristic(instance, max_restarts=2)
+        assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
+
+    def test_greedy_backtracking_finds_the_schedule(self, monkeypatch):
+        """On this instance (2 trains, 6 operations) only the greedy pass's
+        backtracking finds a schedule at two restarts."""
+        instance, _ = parse_instance(data_text("greedy_backtrack.json"))
+        report = solve_heuristic(instance, max_restarts=2)
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.solution.objective_value == 0
+        assert report.nodes == 12
+        assert verify(instance, report.solution).feasible
+        monkeypatch.setattr("displib.solve._BACKTRACK_LIMIT", 0)
         report = solve_heuristic(instance, max_restarts=2)
         assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
 
