@@ -307,6 +307,7 @@ def conflict_pairs(instance: Instance) -> list[ConflictPair]:
         for k, op in enumerate(train.operations):
             for usage in op.resources:
                 by_resource.setdefault(usage.resource, []).append((t, k))
+    # Users are appended in (train, operation) order, so a precedes b.
     pairs: set[ConflictPair] = set()
     for users in by_resource.values():
         for i in range(len(users)):
@@ -314,8 +315,6 @@ def conflict_pairs(instance: Instance) -> list[ConflictPair]:
                 a, b = users[i], users[j]
                 if a[0] == b[0]:
                     continue
-                if b < a:
-                    a, b = b, a
                 pairs.add(ConflictPair(a[0], a[1], b[0], b[1]))
     return sorted(pairs)
 

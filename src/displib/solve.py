@@ -9,15 +9,18 @@ start time as the maximum of the chronological floor (times never decrease
 along the list), its start_lb, the end of the train's previous operation,
 and the release stamps of its resources. Times of already appended events
 never change, because every constraint arc points forward in the event
-order. The dispatcher owns the tables, the undo stack (`undo` takes back
-the latest event, `rewind(depth)` all events above a depth, `splice(depth)`
-the event at a depth alone when no later event depends on it) and the count
-of its applies.
+order. The dispatcher owns the tables, the undo stack (`undo(depth)` takes
+back one event, the latest by default; `rewind(depth)` all events above a
+depth; `splice(depth)` the event at a depth when no later event depends on
+it), the count of its applies, and the clock.
 
-A report's `nodes` is the exact search's count of moves tried, the one that
-hit `node_limit` included, and the heuristic's count of dispatcher applies.
-Events that backtracking takes back were counted when applied; a retreat
-that splices takes back one event and re-applies nothing.
+One budget rule: the dispatcher reads the clock once every 256 applies and
+sets `expired` past the deadline. The exact search, the greedy pass and each
+merge of the insertion pass read it, so they stop within 256 applies of the
+deadline; the restart loop reads the clock between passes. A report's
+`nodes` is the dispatcher's count of applies, plus one when a budget stopped
+the exact search. Events that backtracking takes back were counted when
+applied; a retreat that splices takes back one event and re-applies nothing.
 
 Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
@@ -50,11 +53,11 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve. `nodes` counts the exact search's moves tried,
-    including the one that hit node_limit (a capped run reports
-    node_limit + 1), or the heuristic's dispatcher applies over all passes,
-    including events that backtracking took back. A retreat that splices
-    takes back one event and re-applies nothing."""
+    """Outcome of one solve. `nodes` counts the dispatcher's applies,
+    including events that backtracking took back, plus one when a budget
+    stopped the exact search (a capped run reports node_limit + 1). A retreat
+    that splices takes back one event and re-applies nothing. The exact search
+    and every greedy pass or merge stop within 256 applies of the deadline."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -126,18 +129,19 @@ class _OpTable:
 
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
+_CLOCK_PERIOD = 256         # dispatcher applies between two reads of the clock
 _ENTRY = (0,)               # the only candidate of a train not yet started
 
 
 class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
     the operation tables, each resource's state tuple, a stack of applied
-    events that `undo`, `rewind` and `splice` take back, and the count of
-    every apply made on it. An event's undo record holds what the event list
+    events that `undo`, `rewind` and `splice` take back, the count of its
+    applies, and `expired`. An event's undo record holds what the event list
     cannot give back: the train's previous operation and start, the
     (resource, state) pairs the apply replaced, and the cost it added."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, deadline: float | None = None):
         self.n_trains = len(instance.trains)
         comps: list[list[tuple[ObjectiveComponent, ...]]] = [
             [()] * len(train.operations) for train in instance.trains]
@@ -155,6 +159,8 @@ class _Dispatcher:
             r: _FREE for tab in self.tables for keys in tab.keys for r in keys}
         self.z_partial = 0
         self.applies = 0
+        self.deadline = deadline
+        self.expired = False
         # One undo record per event in `events`.
         self._undo: list[tuple] = []
 
@@ -222,13 +228,16 @@ class _Dispatcher:
             self.ended[train] = True
             self.n_ended += 1
         self.applies += 1
+        if self.deadline is not None and not self.applies % _CLOCK_PERIOD:
+            self.expired = _time.monotonic() > self.deadline
 
-    def undo(self) -> None:
-        """Take back the latest event. An ended train takes no further
-        event, so an ended train here was ended by that event."""
+    def undo(self, depth: int = -1) -> None:
+        """Take back the event at `depth`, the latest by default (an earlier
+        one only as `splice` allows). An ended train takes no further event,
+        so an ended train here was ended by that event."""
         events = self.events
-        _, train, _ = events.pop()
-        prev_op, prev_time, old, z_delta = self._undo.pop()
+        _, train, _ = events.pop(depth)
+        prev_op, prev_time, old, z_delta = self._undo.pop(depth)
         if self.ended[train]:
             self.ended[train] = False
             self.n_ended -= 1
@@ -250,24 +259,18 @@ class _Dispatcher:
         probe to the same start without it: none is of the same train,
         none touches a resource the event claimed or released, and the next
         one starts strictly later (so the floor the event set bound none).
-        The events above are lifted off, the event is undone, and they are
-        put back with their undo records unchanged."""
+        The undo records of the events above stay exact."""
         events, records = self.events, self._undo
-        above, above_records = events[depth + 1:], records[depth + 1:]
-        if above:
+        if depth + 1 < len(events):
             t, train, _ = events[depth]
-            if above[0][0] <= t:
+            if events[depth + 1][0] <= t:
                 return False
             touched = {r for r, _ in records[depth][2]}
-            for (_, i, _), record in zip(above, above_records):
-                if i == train or any(r in touched for r, _ in record[2]):
+            for k in range(depth + 1, len(events)):
+                if events[k][1] == train or any(
+                        r in touched for r, _ in records[k][2]):
                     return False
-            del events[depth + 1:], records[depth + 1:]
-        self.undo()
-        if above:
-            events += above
-            records += above_records
-            self.floor = above[-1][0]
+        self.undo(depth)
         return True
 
     def to_solution(self) -> Solution:
@@ -309,17 +312,15 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
 
 
 class _ExactSearch:
-    """Depth-first branch and bound over one dispatcher: the incumbent, the
-    node count and whether a budget cut the search short."""
+    """Depth-first branch and bound over one dispatcher: the incumbent and
+    whether a budget cut the search short."""
 
     def __init__(self, instance: Instance, node_limit: int | None,
                  deadline: float | None):
-        self.disp = _Dispatcher(instance)
+        self.disp = _Dispatcher(instance, deadline)
         self.node_limit = node_limit
-        self.deadline = deadline
         self.comp_trains = [i for i, tab in enumerate(self.disp.tables)
                             if any(tab.comps)]
-        self.nodes = 0
         self.truncated = False
         self.z: int | None = None
         self.solution: Solution | None = None
@@ -423,12 +424,11 @@ class _ExactSearch:
         return moves
 
     def _dfs(self) -> None:
-        """Search every completion of the current partial schedule, with one
-        iterator of moves per level on a stack instead of recursion. Each
-        applied move is one node; the budgets are checked before it. A
-        truncated search rewinds to where it began."""
+        """Search every completion of the empty schedule, with one iterator
+        of moves per level on a stack instead of recursion. Each applied move
+        is one node; the budgets are checked before it. A truncated search
+        rewinds to the empty schedule."""
         disp = self.disp
-        root = len(disp.events)
         levels = [iter(self._expand())]
         while levels:
             move = next(levels[-1], None)
@@ -437,12 +437,10 @@ class _ExactSearch:
                 if levels:
                     disp.undo()
                 continue
-            self.nodes += 1
-            if (self.node_limit is not None and self.nodes > self.node_limit
-                    or self.deadline is not None and self.nodes % 256 == 0
-                    and _time.monotonic() > self.deadline):
+            if disp.expired or (self.node_limit is not None
+                                and disp.applies >= self.node_limit):
                 self.truncated = True
-                disp.rewind(root)
+                disp.rewind(0)
                 return
             disp.apply(*move)
             levels.append(iter(self._expand()))
@@ -477,7 +475,8 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     else:
         bound, status = None, SolveStatus.INFEASIBLE
     return SolveReport(status=status, solution=search.solution,
-                       nodes=search.nodes, wall_time=_time.monotonic() - start,
+                       nodes=search.disp.applies + search.truncated,
+                       wall_time=_time.monotonic() - start,
                        bound=bound)
 
 
@@ -512,8 +511,7 @@ def _replay(disp: _Dispatcher, order: Sequence[tuple[int, int]]) -> bool:
 
 
 def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
-                 route: list[int], deadline: float | None
-                 ) -> list[tuple[int, int]] | None:
+                 route: list[int]) -> list[tuple[int, int]] | None:
     """Interleave one train's route into an already-dispatchable event order.
 
     Replays `fixed` (order kept, times re-probed) and places each route
@@ -523,16 +521,14 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
     failing that, the train's latest placement retreats behind the blocked
     event and the replay resumes. Returns the merged order, left applied on
     the dispatcher; None, with the dispatcher empty again, when no
-    interleaving was found. The dispatcher must be empty on entry.
+    interleaving was found or the dispatcher expired. The dispatcher must
+    be empty on entry.
     """
     barrier: dict[int, int] = {}
-    fp = rp = 0
-    retreats = steps = 0
+    fp = rp = retreats = 0
     max_retreats = 16 + 4 * len(route)
     while fp < len(fixed) or rp < len(route):
-        steps += 1
-        if deadline is not None and steps % 256 == 0 \
-                and _time.monotonic() > deadline:
+        if disp.expired:
             break
         st_r = t_r = None
         if rp < len(route) and fp >= barrier.get(rp, 0):
@@ -579,8 +575,7 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
 
 
 def _insertion_pass(disp: _Dispatcher, rng: random.Random,
-                    jitter_span: int, deadline: float | None
-                    ) -> Solution | None:
+                    jitter_span: int) -> Solution | None:
     """Schedule trains one at a time in jittered entry order, interleaving
     each train's route into the order built so far, a strategy immune to the
     head-on wedges that can trap greedy dispatch on dense single-track
@@ -594,7 +589,7 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
     for i in priority:
         route = _pick_route(disp.tables[i], rng, jitter_span)
         disp.rewind(0)
-        merged = _merge_route(disp, order, i, route, deadline)
+        merged = _merge_route(disp, order, i, route)
         if merged is None:
             # Plain append sometimes works when interleaving does not.
             merged = order + [(i, op) for op in route]
@@ -616,7 +611,7 @@ def _greedy_pass(disp: _Dispatcher, rng: random.Random,
     smallest jittered remaining min_duration sum that is not banned and
     probes startable. A dead end takes back the latest event and bans it at
     that depth, up to _BACKTRACK_LIMIT times per pass. The schedule stays
-    applied on the dispatcher; its solution, or None."""
+    applied on the dispatcher; its solution, or None, also on expiry."""
     slack_jitter = [rng.randint(-jitter_span, jitter_span)
                     for _ in range(disp.n_trains)]
     route_jitter: dict[tuple[int, int], int] = {}
@@ -632,6 +627,8 @@ def _greedy_pass(disp: _Dispatcher, rng: random.Random,
     bans: list[set[tuple[int, int]]] = [set()]
     backtracks = 0
     while not disp.done():
+        if disp.expired:
+            return None
         banned = bans[-1]
         chosen: tuple[int, int, int] | None = None
         chosen_key = None
@@ -679,7 +676,7 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     deadline = start + time_limit if time_limit is not None else None
     if max_restarts is None and time_limit is None:
         max_restarts = 16
-    disp = _Dispatcher(instance)
+    disp = _Dispatcher(instance, deadline)
     horizon_scale = max((tab.dist[0] for tab in disp.tables), default=0)
     jitter_span = max(1, horizon_scale // 8)
 
@@ -689,7 +686,7 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
         rng = random.Random(seed * 1_000_003 + attempt)
         span = jitter_span if attempt > 1 else 0
         if attempt % 2:
-            solution = _insertion_pass(disp, rng, span, deadline)
+            solution = _insertion_pass(disp, rng, span)
         else:
             solution = _greedy_pass(disp, rng, span)
         disp.rewind(0)

@@ -239,6 +239,14 @@ class TestSolveCommand:
         assert code == 0
         assert "Feasible: objective" in capsys.readouterr().err
 
+    def test_spent_budget_on_a_long_corridor(self, tmp_path, capsys):
+        line = generate_line(LineSpec(num_stations=60, num_trains=40, seed=7))
+        path = write_file(tmp_path, "line.json", write_instance(line.instance))
+        code = cli.main(["solve", "--mode", "heuristic", "--time-limit", "0",
+                         path])
+        assert code == 1
+        assert "TimeoutNoSolution" in capsys.readouterr().err
+
 
 class TestEmitLp:
     def test_golden_lp_and_sidecar(self, junction_path, tmp_path, capsys):
@@ -298,6 +306,34 @@ class TestMapSolution:
         code = cli.main(["map-solution", junction_path, str(names), assignment])
         assert code == 1
         assert "FailedVerification" in capsys.readouterr().err
+
+    def test_failures_as_json(self, junction_path, tmp_path, capsys):
+        """--json reports a failed mapping as a document: a witness that
+        fails verification lists its violations (exit 1), an assignment
+        that names no variable is incomplete and has none (exit 2)."""
+        _, names = self.emit(junction_path, tmp_path)
+        capsys.readouterr()
+        instance, _ = parse_instance(data_text("junction_instance.json"))
+        swapped, _ = parse_solution(data_text("junction_solution_swapped.json"))
+        model = milp.build_model(instance)
+        values = milp.solution_assignment(model, instance, swapped)
+        assignment = write_file(tmp_path, "bad.txt", assignment_text(values))
+        code = cli.main(["map-solution", "--json", junction_path, str(names),
+                         assignment])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mapped"] is False
+        assert doc["kind"] == "FailedVerification"
+        assert doc["violations"]
+        assert all({"kind", "detail"} <= set(v) for v in doc["violations"])
+        empty = write_file(tmp_path, "empty.txt", "")
+        code = cli.main(["map-solution", "--json", junction_path, str(names),
+                         empty])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mapped"] is False
+        assert doc["kind"] == "IncompleteAssignment"
+        assert "violations" not in doc
 
     def test_truncated_assignment(self, junction_path, tmp_path, capsys):
         lp, names = self.emit(junction_path, tmp_path)

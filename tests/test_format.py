@@ -15,6 +15,8 @@ from builders import mutate_document, random_instance
 from displib import fileformat
 from displib.core import (
     DUPLICATE_SUCCESSOR,
+    EMPTY_TRAIN,
+    INDEX_OUT_OF_RANGE,
     Event,
     ObjectiveComponent,
     Operation,
@@ -116,6 +118,10 @@ class TestParseInstance:
         ('{"trains": [[{"min_duration": 0, "successors": [1, 1]}, '
          '{"min_duration": 0, "successors": []}]], "objective": []}',
          DUPLICATE_SUCCESSOR, "/trains/0/0"),
+        ('{"trains": [[{"min_duration": 0, "successors": []}]], '
+         '"objective": [{"type": "op_delay", "train": 1, "operation": 0}]}',
+         INDEX_OUT_OF_RANGE, "/objective/0"),
+        ('{"trains": [[]], "objective": []}', EMPTY_TRAIN, "/trains/0"),
     ])
     def test_error_kinds_and_paths(self, text, kind, path):
         with pytest.raises(FormatError) as err:

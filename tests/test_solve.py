@@ -4,6 +4,7 @@ brute-force reference, and the greedy heuristic."""
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -23,10 +24,12 @@ from displib.core import (
 from displib.fileformat import parse_instance
 from displib.generate import LineSpec, generate_line
 from displib.solve import (
+    _FREE,
     _OK,
     SolveStatus,
     _Dispatcher,
     _ExactSearch,
+    _released,
     earliest_times,
     solve_exact,
     solve_heuristic,
@@ -335,6 +338,40 @@ class TestDispatcher:
                 assert dispatcher_state(disp) == dispatcher_state(
                     _Dispatcher(instance))
         assert spliced > 1000 and refused > 1000
+
+    def test_released_waits_for_the_best_stamp_of_another_train(self):
+        """Fold random (train, stamp) releases into one resource state. After
+        each, every train waits for the largest stamp any other train
+        released (0 with none), whichever branch of `_released` ran; the one
+        that keeps stamp1 and raises only stamp2 runs too."""
+        rng = random.Random(37)
+        middle = 0
+        for _ in range(2000):
+            state = _FREE
+            best: dict[int, int] = {}
+            for _ in range(rng.randint(1, 10)):
+                train, stamp = rng.randrange(4), rng.randint(0, 20)
+                _, stamp1, train1, stamp2 = state
+                middle += train != train1 and stamp2 < stamp < stamp1
+                state = _released(state, stamp, train)
+                best[train] = max(best.get(train, 0), stamp)
+                _, stamp1, train1, stamp2 = state
+                for j in range(5):
+                    wait = stamp2 if train1 == j else stamp1
+                    assert wait == max((s for i, s in best.items() if i != j),
+                                       default=0)
+        assert middle > 500
+
+    def test_clock_is_read_every_256_applies(self):
+        """Past its deadline, the dispatcher expires at the 256th apply, not
+        before; without one it never does."""
+        instance = build_instance([chain(*[1] * 600)])
+        for deadline, expiry in ((None, None), (time.monotonic() - 1, 256)):
+            disp = _Dispatcher(instance, deadline)
+            for k in range(600):
+                _, t = disp.probe(0, k)
+                disp.apply(0, k, t)
+                assert disp.expired == (expiry is not None and k + 1 >= expiry)
 
     def test_tables_follow_the_shortest_remaining_path(self):
         """`dist` is the least min_duration sum from an operation to the exit
@@ -655,3 +692,26 @@ class TestSolveHeuristic:
         verdict = verify(instance, report.solution)
         assert verdict.feasible
         assert verdict.computed_objective == objective
+
+
+@pytest.fixture(scope="module")
+def corridor_60x40():
+    return generate_line(LineSpec(num_stations=60, num_trains=40,
+                                  seed=7)).instance
+
+
+class TestDeadline:
+    """A spent budget stops the solve within 256 dispatcher applies, even on
+    a corridor whose first greedy pass takes 2,387 applies to fail."""
+
+    def test_heuristic_stops_within_256_applies(self, corridor_60x40):
+        report = solve_heuristic(corridor_60x40, time_limit=0)
+        assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
+        assert report.solution is None
+        assert report.nodes <= 256
+
+    def test_exact_stops_within_257_nodes(self, corridor_60x40):
+        report = solve_exact(corridor_60x40, time_limit=0)
+        assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
+        assert report.bound is not None
+        assert report.nodes <= 257
