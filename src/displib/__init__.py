@@ -70,6 +70,7 @@ from .generate import (
     PerturbSpec,
     SpecInfeasible,
     TrainPlacement,
+    Visit,
     add_cancellation,
     add_correspondence,
     generate_line,
@@ -95,6 +96,6 @@ __all__ = [
     "build_model", "emit_lp", "map_solution", "name_map", "parse_assignment",
     "solution_assignment",
     "GeneratedLine", "LineSpec", "PatternConflict", "PerturbSpec",
-    "SpecInfeasible", "TrainPlacement", "add_cancellation",
+    "SpecInfeasible", "TrainPlacement", "Visit", "add_cancellation",
     "add_correspondence", "generate_line", "join_trains", "perturb",
 ]

@@ -22,6 +22,12 @@ On top of a generated line:
 - add_correspondence() couples two trains at a station with a shared
   resource, so one train's approach and the other's departing segment
   exclude each other and one must fully precede the other.
+
+Each train's placement records its visits in running order (the station,
+its track-choice operations and the operation that departs it), its exit
+operation and its nominal route. A snapshot lists only the visits still
+ahead. A joined train passes stations twice; a pattern naming such a
+station uses the first visit.
 """
 
 from __future__ import annotations
@@ -75,22 +81,40 @@ class PerturbSpec:
 
 
 @dataclass(frozen=True)
+class Visit:
+    """One stop of a train: the station, its parallel track-choice operations
+    (none where the train enters or already stands), and the operation that
+    departs it (None at the last stop)."""
+    station: int
+    tracks: tuple[int, ...]
+    departure: int | None
+
+
+@dataclass(frozen=True)
 class TrainPlacement:
     """Where a train's operations sit on the line.
 
-    stations lists the visits still ahead (including the station the train
-    stands at, if any). track_ops maps a visited station to its parallel
-    track-choice operations; the standing station has no choice and is not
-    listed. segment_ops maps segment index (min of its two stations) to the
-    operation that runs it. nominal_route is the undisturbed reference path.
+    visits lists the stops still ahead in running order, including the one
+    the train stands at, if any; a joined train visits a station once per
+    pass. nominal_route is the undisturbed reference path.
     """
-    direction: str
-    stations: tuple[int, ...]
-    entry_track: int | None
-    track_ops: tuple[tuple[int, tuple[int, ...]], ...]
-    segment_ops: tuple[tuple[int, int], ...]
+    visits: tuple[Visit, ...]
     exit_op: int
     nominal_route: tuple[int, ...]
+
+    @property
+    def stations(self) -> tuple[int, ...]:
+        return tuple(v.station for v in self.visits)
+
+    def first_visit(self, station: int) -> Visit | None:
+        return next((v for v in self.visits if v.station == station), None)
+
+
+def _renumber(visits: tuple[Visit, ...], to) -> tuple[Visit, ...]:
+    """The visits with each operation index o replaced by to(o)."""
+    return tuple(Visit(v.station, tuple(to(o) for o in v.tracks),
+                       None if v.departure is None else to(v.departure))
+                 for v in visits)
 
 
 @dataclass(frozen=True)
@@ -182,10 +206,9 @@ def generate_line(spec: LineSpec) -> GeneratedLine:
         entry_track = rank % k_count
         exit_idx = 1 + (s_count - 1) * (k_count + 1)
         ops: list[Operation] = []
-        track_ops: list[tuple[int, tuple[int, ...]]] = []
-        segment_ops: list[tuple[int, int]] = []
-        nominal: list[int] = [0]
         origin = stations[0]
+        visits = [Visit(origin, (), 1)]
+        nominal: list[int] = [0]
         ops.append(Operation(
             min_duration=rng.randint(*spec.dwell),
             successors=(1,),
@@ -201,7 +224,6 @@ def generate_line(spec: LineSpec) -> GeneratedLine:
                 min_duration=rng.randint(*spec.segment_runtime),
                 successors=tracks,
                 resources=(ResourceUsage(f"SEG{segment}", release[f"SEG{segment}"]),)))
-            segment_ops.append((segment, seg_idx))
             dwell = rng.randint(*spec.dwell)
             following = seg_idx + k_count + 1
             for k in range(k_count):
@@ -210,7 +232,8 @@ def generate_line(spec: LineSpec) -> GeneratedLine:
                     successors=(following,),
                     resources=(ResourceUsage(f"S{station}T{k}",
                                              release[f"S{station}T{k}"]),)))
-            track_ops.append((station, tracks))
+            visits.append(Visit(station, tracks,
+                                following if v < s_count - 1 else None))
             nominal.extend((seg_idx, tracks[entry_track % k_count]))
         ops.append(Operation(min_duration=0, successors=()))
         nominal.append(exit_idx)
@@ -218,10 +241,7 @@ def generate_line(spec: LineSpec) -> GeneratedLine:
         earliest_exit = _earliest_unconstrained(tuple(ops))[exit_idx]
         components.extend(_delay_components(i, exit_idx, earliest_exit,
                                             spec.cost_shape))
-        placements.append(TrainPlacement(
-            direction=direction, stations=stations, entry_track=entry_track,
-            track_ops=tuple(track_ops), segment_ops=tuple(segment_ops),
-            exit_op=exit_idx, nominal_route=tuple(nominal)))
+        placements.append(TrainPlacement(tuple(visits), exit_idx, tuple(nominal)))
     return GeneratedLine(build_instance(trains, components), tuple(placements))
 
 
@@ -287,35 +307,17 @@ def _reroot_train(operations: tuple[Operation, ...], times: tuple[int, ...],
 
 def _remap_placement(pl: TrainPlacement, remap: dict[int, int],
                      current: int) -> TrainPlacement:
-    track_ops = tuple((st, tuple(remap[o] for o in ops))
-                      for st, ops in pl.track_ops
-                      if all(o in remap for o in ops))
-    segment_ops = tuple((seg, remap[o]) for seg, o in pl.segment_ops
-                        if o in remap)
+    """The visits still ahead of a train re-rooted at `current`: a train
+    running a segment keeps the visits past its last departure; a train
+    standing at a stop keeps that stop too, without its track choice."""
     position = pl.nominal_route.index(current)
-    nominal = tuple(remap[o] for o in pl.nominal_route[position:])
-    standing_station: int | None = None
-    if current == 0:
-        standing_station = pl.stations[0]
-        entry_track = pl.entry_track
-    else:
-        entry_track = None
-        for st, ops in pl.track_ops:
-            if current in ops:
-                standing_station = st
-                entry_track = ops.index(current)
-                break
-    if standing_station is not None:
-        stations = pl.stations[pl.stations.index(standing_station):]
-    else:
-        # Standing on a segment: the first station ahead is the one whose
-        # track choices are still reachable.
-        ahead = {st for st, _ops in track_ops}
-        stations = tuple(st for st in pl.stations if st in ahead)
-    return TrainPlacement(direction=pl.direction, stations=stations,
-                          entry_track=entry_track, track_ops=track_ops,
-                          segment_ops=segment_ops, exit_op=remap[pl.exit_op],
-                          nominal_route=nominal)
+    departures = [v.departure for v in pl.visits]
+    passed = sum(o in departures for o in pl.nominal_route[:position + 1])
+    ahead = pl.visits[passed:]
+    if current not in departures:
+        ahead = (replace(ahead[0], tracks=()),) + ahead[1:]
+    return TrainPlacement(_renumber(ahead, remap.__getitem__), remap[pl.exit_op],
+                          tuple(remap[o] for o in pl.nominal_route[position:]))
 
 
 def perturb(line: GeneratedLine, spec: PerturbSpec) -> GeneratedLine:
@@ -399,23 +401,19 @@ def join_trains(line: GeneratedLine, first: int, second: int) -> GeneratedLine:
     for i, train in enumerate(line.instance.trains):
         if i == second:
             continue
+        new_index[i] = len(trains)
         if i == first:
-            new_index[i] = len(trains)
             trains.append(tuple(merged))
+            # The turnaround is one stop: the first service's arrival
+            # tracks, the second service's departure.
+            visits_b = _renumber(pl_b.visits, lambda o: o + offset)
             placements.append(TrainPlacement(
-                direction=pl_a.direction,
-                stations=pl_a.stations + pl_b.stations[1:],
-                entry_track=pl_a.entry_track,
-                track_ops=pl_a.track_ops + tuple(
-                    (st, tuple(o + offset for o in ops))
-                    for st, ops in pl_b.track_ops),
-                segment_ops=pl_a.segment_ops + tuple(
-                    (seg, o + offset) for seg, o in pl_b.segment_ops),
-                exit_op=pl_b.exit_op + offset,
-                nominal_route=pl_a.nominal_route + tuple(
-                    o + offset for o in pl_b.nominal_route)))
+                pl_a.visits[:-1]
+                + (replace(pl_a.visits[-1], departure=visits_b[0].departure),)
+                + visits_b[1:],
+                pl_b.exit_op + offset,
+                pl_a.nominal_route + tuple(o + offset for o in pl_b.nominal_route)))
         else:
-            new_index[i] = len(trains)
             trains.append(train.operations)
             placements.append(line.placements[i])
     new_index[second] = new_index[first]
@@ -436,20 +434,23 @@ def add_cancellation(line: GeneratedLine, train: int, station: int,
     if penalty < 0:
         raise PatternConflict(f"penalty {penalty} is negative")
     pl = line.placements[train]
-    tracks = dict(pl.track_ops).get(station)
-    if tracks is None:
+    visit = pl.first_visit(station)
+    if visit is None or not visit.tracks:
         raise PatternConflict(f"train {train} has no track choice at station "
                               f"{station}")
-    if station == pl.stations[-1]:
+    if visit.departure is None:
         raise PatternConflict(f"station {station} is the train's destination; "
                               f"there is nothing to cancel")
     old_exit = pl.exit_op
     shortcut = old_exit                    # takes the old exit's index
     new_exit = old_exit + 1
+
+    def renumbered(o: int) -> int:
+        return o if o < old_exit else o + 1
     rebuilt: list[Operation] = []
     for k, op in enumerate(line.instance.trains[train].operations[:-1]):
-        succ = tuple(s if s < old_exit else s + 1 for s in op.successors)
-        if k in tracks:
+        succ = tuple(renumbered(s) for s in op.successors)
+        if k in visit.tracks:
             succ = succ + (shortcut,)
         rebuilt.append(replace(op, successors=succ))
     rebuilt.append(Operation(min_duration=0, successors=(new_exit,)))
@@ -457,16 +458,15 @@ def add_cancellation(line: GeneratedLine, train: int, station: int,
 
     trains = [t.operations for t in line.instance.trains]
     trains[train] = tuple(rebuilt)
-    components = [comp if comp.train != train or comp.operation < old_exit
-                  else replace(comp, operation=comp.operation + 1)
+    components = [comp if comp.train != train
+                  else replace(comp, operation=renumbered(comp.operation))
                   for comp in line.instance.objective]
     components.append(ObjectiveComponent(train=train, operation=shortcut,
                                          threshold=0, increment=penalty))
     placements = list(line.placements)
-    placements[train] = replace(
-        pl, exit_op=new_exit,
-        nominal_route=tuple(o if o < old_exit else o + 1
-                            for o in pl.nominal_route))
+    placements[train] = TrainPlacement(
+        _renumber(pl.visits, renumbered), new_exit,
+        tuple(renumbered(o) for o in pl.nominal_route))
     return GeneratedLine(build_instance(trains, components), tuple(placements))
 
 
@@ -483,24 +483,17 @@ def add_correspondence(line: GeneratedLine, feeder: int, connecting: int,
     _check_train_index(line, connecting, "connecting train")
     if feeder == connecting:
         raise PatternConflict("a train cannot connect to itself")
-    pl_f = line.placements[feeder]
-    arrival_tracks = dict(pl_f.track_ops).get(station)
-    if arrival_tracks is None:
+    arrival = line.placements[feeder].first_visit(station)
+    if arrival is None or not arrival.tracks:
         raise PatternConflict(f"feeder {feeder} does not arrive at station "
                               f"{station} with a track choice")
-    pl_c = line.placements[connecting]
-    if station not in pl_c.stations:
+    stop = line.placements[connecting].first_visit(station)
+    if stop is None:
         raise PatternConflict(f"connecting train {connecting} does not visit "
                               f"station {station}")
-    if station == pl_c.stations[-1]:
+    if stop.departure is None:
         raise PatternConflict(f"station {station} is the connecting train's "
                               f"destination; it has no departing segment")
-    position = pl_c.stations.index(station)
-    segment = min(station, pl_c.stations[position + 1])
-    departing = dict(pl_c.segment_ops).get(segment)
-    if departing is None:
-        raise PatternConflict(f"connecting train {connecting} has no "
-                              f"operation for segment {segment}")
     existing = {usage.resource
                 for t in line.instance.trains for op in t.operations
                 for usage in op.resources}
@@ -509,11 +502,11 @@ def add_correspondence(line: GeneratedLine, feeder: int, connecting: int,
         n += 1
     resource = ResourceUsage(f"CORR{n}", 0)
 
-    approach_end = min(arrival_tracks)     # first arrival track operation
+    approach_end = min(arrival.tracks)     # first arrival track operation
     feeder_ops = [op if k >= approach_end
                   else replace(op, resources=op.resources + (resource,))
                   for k, op in enumerate(line.instance.trains[feeder].operations)]
-    connecting_ops = [op if k != departing
+    connecting_ops = [op if k != stop.departure
                       else replace(op, resources=op.resources + (resource,))
                       for k, op in enumerate(line.instance.trains[connecting].operations)]
     trains = [t.operations for t in line.instance.trains]

@@ -15,7 +15,9 @@ from displib.generate import (
     LineSpec,
     PerturbSpec,
     add_cancellation,
+    add_correspondence,
     generate_line,
+    join_trains,
     perturb,
 )
 from displib.verify import verify
@@ -482,6 +484,25 @@ class TestGenerateCommand:
                                        seed=2))
         assert out.read_text() == write_instance(expected.instance)
 
+    def test_config_pipeline_with_join_and_correspondence(self, tmp_path):
+        # After the join, train 0 runs 0-1-2-1-0; the connection at station 1
+        # claims its first departure from there (op 4), not the second.
+        line = {"num_stations": 3, "num_trains": 3, "up_fraction": 0.34,
+                "seed": 1, "headway": 0}
+        patterns = [{"type": "join", "first": 0, "second": 1},
+                    {"type": "correspondence", "feeder": 1, "connecting": 0,
+                     "station": 1}]
+        path = write_file(tmp_path, "config.json",
+                          json.dumps({"line": line, "patterns": patterns}))
+        out = tmp_path / "made.json"
+        assert cli.main(["generate", path, "-o", str(out)]) == 0
+        expected = add_correspondence(
+            join_trains(generate_line(LineSpec(**line)), 0, 1), 1, 0, 1)
+        assert out.read_text() == write_instance(expected.instance)
+        made, _ = parse_instance(out.read_text())
+        assert [k for k, op in enumerate(made.trains[0].operations)
+                if any(u.resource == "CORR0" for u in op.resources)] == [4]
+
     def test_config_from_stdin(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"line": {"seed": 4}}'))
         out = tmp_path / "line.json"
@@ -531,6 +552,11 @@ class TestGenerateCommand:
         ('{"patterns": [{"type": "join", "first": 0, "second": 0}]}',
          "cannot generate"),
         ('{"patterns": {}}', "patterns must be an array"),
+        ('{"patterns": [{"first": 0, "second": 1}]}', 'needs a "type" key'),
+        ('{"patterns": [{"type": "join", "first": 0, "second": 1, "third": 2}]}',
+         "unknown key 'third'"),
+        ('{"patterns": [{"type": "join", "first": 0, "second": "1"}]}',
+         "all pattern fields are integers"),
         ('[]', "must be a JSON object"),
         ('{', "not valid JSON"),
     ])
@@ -546,6 +572,8 @@ class TestGenerateCommand:
         ('{"line": {"dwell": 5}}', "line.dwell"),
         ('{"line": {"segment_runtime": [1, "a"]}}', "line.segment_runtime"),
         ('{"perturb": {"at_time": "3"}}', "perturb.at_time"),
+        ('{"line": {"up_fraction": "half"}}', "line.up_fraction"),
+        ('{"line": {"cost_shape": 3}}', "line.cost_shape"),
         ('{"line": []}', "line must be an object"),
         ('{"perturb": []}', "perturb must be an object"),
     ])

@@ -19,6 +19,7 @@ from displib.generate import (
     PatternConflict,
     PerturbSpec,
     SpecInfeasible,
+    Visit,
     add_cancellation,
     add_correspondence,
     generate_line,
@@ -37,6 +38,18 @@ def schedule_solution(instance, order, times):
         objective_value=evaluate_objective(instance, placed),
         events=tuple(Event(time=t, train=i, operation=op)
                      for t, (i, op) in zip(times, order)))
+
+
+def claims(line, train, resource):
+    """Operations of `train` that use `resource`."""
+    return [k for k, op in enumerate(line.instance.trains[train].operations)
+            if any(u.resource == resource for u in op.resources)]
+
+
+# One up train and two down trains. Joining 0 and 1 gives the round trip
+# (0, 1, 2, 1, 0), which passes station 1 twice, and leaves down train 2.
+ROUND_TRIP = LineSpec(num_stations=3, num_trains=3, up_fraction=0.34,
+                      seed=1, headway=0)
 
 FLAT = LineSpec(num_stations=3, tracks_per_station=2, num_trains=2,
                 up_fraction=0.5, segment_runtime=(100, 100), dwell=(10, 10),
@@ -83,10 +96,8 @@ class TestLineLayout:
 
     def test_direction_split_and_entry_staggering(self):
         line = flat_line(num_trains=5, up_fraction=0.6, headway=120)
-        directions = [pl.direction for pl in line.placements]
-        assert directions == ["up", "up", "up", "down", "down"]
-        assert [pl.stations for pl in line.placements[:3]] == [(0, 1, 2)] * 3
-        assert line.placements[3].stations == (2, 1, 0)
+        assert [pl.stations for pl in line.placements] == (
+            [(0, 1, 2)] * 3 + [(2, 1, 0)] * 2)
         entries = [t.operations[0] for t in line.instance.trains]
         assert [op.start_lb for op in entries] == [0, 120, 240, 0, 120]
         assert [op.resources[0].resource for op in entries] == [
@@ -220,10 +231,8 @@ class TestPerturb:
                                         resources=(ResourceUsage("S2T0", 5),))
         assert rerooted[3] == Operation(0, ())
         pl = snap.placements[0]
+        assert pl.visits == (Visit(2, (1, 2), None),)
         assert pl.stations == (2,)
-        assert pl.entry_track is None
-        assert pl.segment_ops == ((1, 0),)
-        assert pl.track_ops == ((2, (1, 2)),)
         assert pl.exit_op == 3
         assert pl.nominal_route == (0, 1, 3)
         assert snap.timetable[0] == (0, 70, 70, 80)
@@ -247,8 +256,8 @@ class TestPerturb:
         assert rerooted[0] == Operation(5, (1,), start_lb=0, start_ub=0,
                                         resources=(ResourceUsage("S1T0", 5),))
         pl = snap.placements[0]
+        assert pl.visits == (Visit(1, (), 1), Visit(2, (2, 3), None))
         assert pl.stations == (1, 2)
-        assert pl.entry_track == 0
 
     def test_extra_entry_delay(self):
         line = flat_line(headway=1000, up_fraction=1.0)
@@ -308,6 +317,54 @@ class TestJoinTrains:
         assert pl.stations == (0, 1, 2, 1, 0)
         assert pl.exit_op == 15
         assert pl.nominal_route == (0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13, 15)
+
+    @pytest.mark.parametrize("op,ahead", [
+        (8, (2, 1, 0)), (9, (1, 0)), (10, (1, 0)), (12, (0,)), (13, (0,)),
+    ])
+    def test_snapshot_lists_only_the_visits_ahead(self, op, ahead):
+        # The joined train runs 0-1-2 (ops 0-7), then 2-1-0 (ops 8-15).
+        line = generate_line(LineSpec(num_stations=3, num_trains=2, seed=1,
+                                      headway=0))
+        joined = join_trains(line, 0, 1)
+        snap = perturb(joined, PerturbSpec(at_time=joined.timetable[0][op] + 1))
+        assert snap.placements[0].stations == ahead
+
+    def test_snapshot_visits_name_their_operations(self):
+        # At every step of a round trip, each visit ahead names the tracks
+        # of its own station and the run to the next visit.
+        joined = join_trains(generate_line(ROUND_TRIP), 0, 1)
+        for op in joined.placements[0].nominal_route[:-1]:
+            snap = perturb(joined, PerturbSpec(at_time=joined.timetable[0][op]))
+            pl = snap.placements[0]
+            ops = snap.instance.trains[0].operations
+            assert pl.visits[-1].departure is None
+            for visit, after in zip(pl.visits, pl.visits[1:]):
+                segment = f"SEG{min(visit.station, after.station)}"
+                assert ops[visit.departure].resources[0].resource == segment
+                assert visit.departure in pl.nominal_route
+            for visit in pl.visits:
+                assert {ops[k].resources[0].resource for k in visit.tracks} <= {
+                    f"S{visit.station}T{t}" for t in range(2)}
+
+    @pytest.mark.parametrize("first,second", [(0, 1), (1, 0), (2, 0)])
+    def test_other_trains_are_carried(self, first, second):
+        line = generate_line(ROUND_TRIP)
+        joined = join_trains(line, first, second)
+        kept = [i for i in range(3) if i != second]     # old index of each new
+        carried = ({0, 1, 2} - {first, second}).pop()
+        assert len(joined.instance.trains) == 2
+        new = kept.index(carried)
+        assert joined.instance.trains[new] == line.instance.trains[carried]
+        assert joined.placements[new] == line.placements[carried]
+        offset = len(line.instance.trains[first].operations)
+        assert list(joined.instance.objective) == [
+            replace(c, train=new) if c.train == carried
+            else replace(c, train=kept.index(first),
+                         operation=c.operation + offset * (c.train == second))
+            for c in line.instance.objective]
+        report = solve_heuristic(joined.instance, max_restarts=4)
+        assert report.status is SolveStatus.FEASIBLE
+        assert verify(joined.instance, report.solution).feasible
 
     def test_joined_instance_solves(self):
         # The return service keeps its original threshold (its solo earliest
@@ -373,6 +430,13 @@ class TestCancellation:
                           schedule_solution(cut.instance, nominal, times))
         assert full_run.computed_objective == 0
 
+    def test_revisited_station_cancels_at_its_first_visit(self):
+        joined = join_trains(generate_line(ROUND_TRIP), 0, 1)
+        cut = add_cancellation(joined, 0, 1, 500)
+        ops = cut.instance.trains[0].operations
+        assert ops[15] == Operation(0, (16,))       # the shortcut
+        assert [k for k, op in enumerate(ops) if 15 in op.successors] == [2, 3]
+
     def test_free_cancellation_never_hurts(self):
         line = flat_line()
         plain = solve_exact(line.instance)
@@ -415,6 +479,25 @@ class TestCorrespondence:
         assert any("CORR1" == u.resource
                    for op in again.instance.trains[0].operations[:2]
                    for u in op.resources)
+
+    def test_connection_departs_the_first_visit(self):
+        # The round trip leaves station 1 on op 4 (first pass) and on op 12
+        # (second pass); op 9 is the run that arrives there the second time.
+        joined = join_trains(generate_line(ROUND_TRIP), 0, 1)
+        corr = add_correspondence(joined, 1, 0, 1)
+        assert claims(corr, 0, "CORR0") == [4]
+        assert claims(corr, 1, "CORR0") == [0, 1]
+
+    def test_joined_feeder_arrives_at_its_first_visit(self):
+        # The round trip first arrives at station 1 on tracks 2 and 3, so it
+        # holds the coupling on its entry and first run only.
+        joined = join_trains(generate_line(ROUND_TRIP), 0, 1)
+        corr = add_correspondence(joined, 0, 1, 1)
+        assert claims(corr, 0, "CORR0") == [0, 1]
+        assert claims(corr, 1, "CORR0") == [4]
+        report = solve_heuristic(corr.instance, max_restarts=4)
+        assert report.status is SolveStatus.FEASIBLE
+        assert verify(corr.instance, report.solution).feasible
 
     def test_free_running_schedule_is_excluded(self):
         # Without the coupling both trains run 0..230 undisturbed; with it,

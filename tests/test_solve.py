@@ -177,10 +177,13 @@ class TestEarliestTimes:
         assert times == [7, 9]
 
     def test_route_errors(self, junction):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one route per train"):
             earliest_times(junction, [[0, 1, 2]], GOLDEN_ORDER)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one route per train"):
             earliest_times(junction, [GOLDEN_ROUTES[0]], GOLDEN_ORDER)
+        # 1 -> 2 is no arc of train 0.
+        with pytest.raises(ValueError, match="train 0: .* is not a route"):
+            earliest_times(junction, [[0, 1, 2], GOLDEN_ROUTES[1]], GOLDEN_ORDER)
 
     def test_order_errors(self, junction):
         with pytest.raises(ValueError):
