@@ -10,7 +10,7 @@ holding operation ends before another train may claim the resource.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 # Rules reported by build_instance / validate_instance.
@@ -22,6 +22,11 @@ NEGATIVE_VALUE = "NegativeValue"
 DUPLICATE_RESOURCE = "DuplicateResourceInOperation"
 DUPLICATE_SUCCESSOR = "DuplicateSuccessor"
 EMPTY_TRAIN = "EmptyTrain"
+UNWRITABLE_VALUE = "UnwritableValue"  # a value the file format cannot hold
+
+# Values must fit signed 64-bit integers so files stay usable by consumers
+# without arbitrary-precision arithmetic (and horizon sums cannot wrap there).
+MAX_VALUE = 2**63 - 1
 
 
 class InstanceError(ValueError):
@@ -116,20 +121,25 @@ class RouteSet(NamedTuple):
     truncated: bool
 
 
+def _check_value(name: str, value: object, train: int, operation: int | None = None,
+                 component: int | None = None) -> None:
+    """Reject a value the file format cannot hold: anything but a plain int
+    in [0, MAX_VALUE]."""
+    if type(value) is int and 0 <= value <= MAX_VALUE:
+        return
+    where = (f"objective component {component}" if component is not None
+             else f"train {train} operation {operation}")
+    rule, problem = ((NEGATIVE_VALUE, "is negative") if type(value) is int and value < 0
+                     else (UNWRITABLE_VALUE, "is not an integer up to 2^63 - 1"))
+    raise InstanceError(rule, f"{where}: {name} {value!r} {problem}",
+                        train=train, operation=operation, component=component)
+
+
 def _check_operation_values(t: int, k: int, op: Operation) -> None:
-    if op.min_duration < 0:
-        raise InstanceError(NEGATIVE_VALUE,
-                            f"train {t} operation {k}: min_duration {op.min_duration} is negative",
-                            train=t, operation=k)
-    if op.start_lb < 0:
-        raise InstanceError(NEGATIVE_VALUE,
-                            f"train {t} operation {k}: start_lb {op.start_lb} is negative",
-                            train=t, operation=k)
+    _check_value("min_duration", op.min_duration, t, k)
+    _check_value("start_lb", op.start_lb, t, k)
     if op.start_ub is not None:
-        if op.start_ub < 0:
-            raise InstanceError(NEGATIVE_VALUE,
-                                f"train {t} operation {k}: start_ub {op.start_ub} is negative",
-                                train=t, operation=k)
+        _check_value("start_ub", op.start_ub, t, k)
         if op.start_ub < op.start_lb:
             # Negative-width start window.
             raise InstanceError(NEGATIVE_VALUE,
@@ -138,10 +148,10 @@ def _check_operation_values(t: int, k: int, op: Operation) -> None:
                                 train=t, operation=k)
     seen: set[str] = set()
     for usage in op.resources:
-        if usage.release_time < 0:
-            raise InstanceError(NEGATIVE_VALUE,
-                                f"train {t} operation {k}: release_time {usage.release_time} "
-                                f"of resource {usage.resource!r} is negative",
+        _check_value("release_time", usage.release_time, t, k)
+        if type(usage.resource) is not str:
+            raise InstanceError(UNWRITABLE_VALUE, f"train {t} operation {k}: resource "
+                                f"name {usage.resource!r} is not a string",
                                 train=t, operation=k)
         if usage.resource in seen:
             raise InstanceError(DUPLICATE_RESOURCE,
@@ -161,7 +171,7 @@ def _check_train_graph(t: int, train: Train) -> None:
     for k, op in enumerate(train.operations):
         _check_operation_values(t, k, op)
         for s in op.successors:
-            if s < 0 or s >= n:
+            if type(s) is not int or s < 0 or s >= n:
                 raise InstanceError(INDEX_OUT_OF_RANGE,
                                     f"train {t} operation {k}: successor {s} out of range "
                                     f"(train has {n} operations)",
@@ -196,22 +206,19 @@ def _check_train_graph(t: int, train: Train) -> None:
 def _check_objective(trains: Sequence[Train],
                      objective: Sequence[ObjectiveComponent]) -> None:
     for c, comp in enumerate(objective):
-        if comp.train < 0 or comp.train >= len(trains):
+        if type(comp.train) is not int or not 0 <= comp.train < len(trains):
             raise InstanceError(INDEX_OUT_OF_RANGE,
                                 f"objective component {c}: train {comp.train} out of range",
                                 component=c)
         n = len(trains[comp.train].operations)
-        if comp.operation < 0 or comp.operation >= n:
+        if type(comp.operation) is not int or not 0 <= comp.operation < n:
             raise InstanceError(INDEX_OUT_OF_RANGE,
                                 f"objective component {c}: operation {comp.operation} "
                                 f"out of range for train {comp.train}",
                                 train=comp.train, component=c)
         for name, value in (("threshold", comp.threshold), ("coeff", comp.coeff),
                             ("increment", comp.increment)):
-            if value < 0:
-                raise InstanceError(NEGATIVE_VALUE,
-                                    f"objective component {c}: {name} {value} is negative",
-                                    train=comp.train, component=c)
+            _check_value(name, value, comp.train, component=c)
 
 
 def build_instance(trains: Iterable[Sequence[Operation]],

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .core import (
+    MAX_VALUE,
     Event,
     Instance,
     InstanceError,
@@ -35,10 +36,6 @@ UNKNOWN_OBJECTIVE_TYPE = "UnknownObjectiveType"
 UNKNOWN_KEY = "UnknownKey"
 
 OBJECTIVE_TYPE = "op_delay"
-
-# Values must fit signed 64-bit integers so files stay usable by consumers
-# without arbitrary-precision arithmetic (and horizon sums cannot wrap there).
-MAX_VALUE = 2**63 - 1
 
 
 class FormatError(ValueError):
@@ -158,9 +155,7 @@ def _instance_error_path(err: InstanceError) -> str:
         return f"/objective/{err.component}"
     if err.train is not None and err.operation is not None:
         return f"/trains/{err.train}/{err.operation}"
-    if err.train is not None:
-        return f"/trains/{err.train}"
-    return ""
+    return f"/trains/{err.train}"
 
 
 def parse_instance(text: str, strict: bool = False) -> tuple[Instance, ParseDiagnostics]:

@@ -339,8 +339,6 @@ def emit_lp(model: MilpModel) -> str:
         if var.ub is not None:
             lines.append(f" {var.lb} <= {var.name} <= {var.ub}" if var.lb
                          else f" {var.name} <= {var.ub}")
-        elif var.lb:
-            lines.append(f" {var.name} >= {var.lb}")
     generals = [v.name for v in model.variables if v.kind == INTEGER]
     if generals:
         lines.append("Generals")

@@ -21,8 +21,8 @@ oracle does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .core import Instance, Solution
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
 import sys
 
 import pytest
@@ -199,6 +200,11 @@ class TestSolveCommand:
         assert cli.main(["solve", path]) == 1
         assert "Infeasible: no solution" in capsys.readouterr().err
 
+    def test_unwritable_output(self, junction_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "sol.json"
+        assert cli.main(["solve", junction_path, "-o", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_infeasible_json_has_no_solution_key(self, tmp_path, capsys):
         path = write_file(tmp_path, "blocked.json", INFEASIBLE_DOC)
         assert cli.main(["solve", "--json", path]) == 1
@@ -386,6 +392,13 @@ class TestMapSolution:
         assert code == 2
         assert "not a name map" in capsys.readouterr().err
 
+    def test_name_map_is_not_json(self, junction_path, tmp_path, capsys):
+        broken = write_file(tmp_path, "broken.json", "{")
+        assignment = write_file(tmp_path, "empty.txt", "")
+        code = cli.main(["map-solution", junction_path, broken, assignment])
+        assert code == 2
+        assert "name map is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", ["reference_objective",
                                         "relaxed_bounds"])
     def test_name_map_with_a_removed_option(self, junction_path, tmp_path,
@@ -536,6 +549,12 @@ class TestGenerateCommand:
         assert cli.main(["generate", "--count", "2"]) == 2
         assert "--out-dir" in capsys.readouterr().err
 
+    def test_out_dir_under_a_file(self, tmp_path, capsys):
+        blocker = write_file(tmp_path, "plain.txt", "")
+        code = cli.main(["generate", "--out-dir", blocker + "/sub"])
+        assert code == 2
+        assert "cannot create" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         path = write_file(tmp_path, "config.json", '{"line": {"seed": 5}}')
         out = tmp_path / "line.json"
@@ -601,3 +620,11 @@ class TestTopLevel:
     def test_help_is_success(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "train dispatching" in capsys.readouterr().out
+
+    def test_module_entry_point(self, junction_path):
+        # `python -m displib.cli` is the documented alternative to the
+        # installed script.
+        run = subprocess.run([sys.executable, "-m", "displib.cli", "validate",
+                              junction_path], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("valid: 2 trains, 7 operations")

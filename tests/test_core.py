@@ -14,9 +14,11 @@ from displib.core import (
     DUPLICATE_SUCCESSOR,
     EMPTY_TRAIN,
     INDEX_OUT_OF_RANGE,
+    MAX_VALUE,
     MULTIPLE_ENTRIES,
     MULTIPLE_EXITS,
     NEGATIVE_VALUE,
+    UNWRITABLE_VALUE,
     ConflictPair,
     InstanceError,
     ObjectiveComponent,
@@ -147,6 +149,53 @@ class TestBuildInstance:
             with pytest.raises(InstanceError) as err:
                 build_instance(ops, [ObjectiveComponent(0, 0, **kwargs)])
             assert err.value.rule == NEGATIVE_VALUE
+
+    @pytest.mark.parametrize("op", [
+        Operation(1.5, ()),
+        Operation(True, ()),
+        Operation(0, (), start_lb=MAX_VALUE + 1),
+        Operation(0, (), start_ub=2.0),
+        Operation(0, (), resources=(ResourceUsage("A", 0.5),)),
+        Operation(0, (), resources=(ResourceUsage(5),)),
+    ])
+    def test_unwritable_values_rejected(self, op):
+        # The file format holds only plain integers up to 2^63 - 1 and string
+        # resource names; anything else would write a file no parser accepts.
+        ops = [Operation(0, (1,)), op]
+        with pytest.raises(InstanceError) as err:
+            build_instance([[Operation(0, ())], ops])
+        assert err.value.rule == UNWRITABLE_VALUE
+        assert (err.value.train, err.value.operation) == (1, 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": 2.5, "coeff": 1},
+        {"coeff": False},
+        {"increment": MAX_VALUE + 1},
+    ])
+    def test_unwritable_objective_fields_rejected(self, kwargs):
+        ops = [[Operation(0, ())], [Operation(0, ())]]
+        objective = [ObjectiveComponent(0, 0), ObjectiveComponent(1, 0, **kwargs)]
+        with pytest.raises(InstanceError) as err:
+            build_instance(ops, objective)
+        assert err.value.rule == UNWRITABLE_VALUE
+        assert (err.value.train, err.value.component) == (1, 1)
+
+    @pytest.mark.parametrize("ops,objective", [
+        ([Operation(0, (True,)), Operation(0, ())], []),
+        ([Operation(0, (1.0,)), Operation(0, ())], []),
+        ([Operation(0, ())], [ObjectiveComponent(False, 0)]),
+        ([Operation(0, ())], [ObjectiveComponent(0, 0.0)]),
+    ])
+    def test_non_integer_indices_rejected(self, ops, objective):
+        with pytest.raises(InstanceError) as err:
+            build_instance([ops], objective)
+        assert err.value.rule == INDEX_OUT_OF_RANGE
+
+    def test_largest_writable_value_accepted(self):
+        op = Operation(MAX_VALUE, (), start_lb=MAX_VALUE, start_ub=MAX_VALUE,
+                       resources=(ResourceUsage("A", MAX_VALUE),))
+        build_instance([[op]], [ObjectiveComponent(0, 0, MAX_VALUE, MAX_VALUE,
+                                                   MAX_VALUE)])
 
     def test_revalidation_never_fails(self):
         rng = random.Random(7)

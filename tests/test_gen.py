@@ -11,7 +11,15 @@ import pytest
 import oracles
 from conftest import data_text
 from lp_reader import solve_lp
-from displib.core import Event, ObjectiveComponent, Operation, ResourceUsage, Solution
+from displib.core import (
+    UNWRITABLE_VALUE,
+    Event,
+    InstanceError,
+    ObjectiveComponent,
+    Operation,
+    ResourceUsage,
+    Solution,
+)
 from displib.fileformat import parse_instance, write_instance
 from displib.milp import build_model, emit_lp, map_solution
 from displib.generate import (
@@ -207,6 +215,19 @@ class TestSpecValidation:
             generate_line(replace(FLAT, tracks_per_station=1))
         with pytest.raises(SpecInfeasible, match="unknown cost_shape"):
             generate_line(replace(FLAT, cost_shape="cubic"))
+
+    @pytest.mark.parametrize("make", [
+        lambda line: perturb(line, PerturbSpec(at_time=150.5)),
+        lambda line: generate_line(LineSpec(num_stations=3, num_trains=2,
+                                            seed=1, headway=30.5)),
+        lambda line: add_cancellation(line, 0, 1, 2.5),
+    ], ids=["at_time", "headway", "penalty"])
+    def test_fractional_values_rejected(self, make):
+        # A fractional input would put non-integers into the written file.
+        line = generate_line(LineSpec(num_stations=3, num_trains=2, seed=1))
+        with pytest.raises(InstanceError) as err:
+            make(line)
+        assert err.value.rule == UNWRITABLE_VALUE
 
 
 class TestPerturb:
@@ -541,6 +562,14 @@ class TestCorrespondence:
         both_up = flat_line(up_fraction=1.0)
         with pytest.raises(PatternConflict, match="destination"):
             add_correspondence(both_up, 0, 1, 2)
+
+    def test_connecting_train_must_visit_the_station(self):
+        # At t=50 the up train 1 has left station 0 behind.
+        line = generate_line(LineSpec(num_stations=4, num_trains=2, seed=1,
+                                      headway=0))
+        snap = perturb(line, PerturbSpec(at_time=50))
+        with pytest.raises(PatternConflict, match="does not visit"):
+            add_correspondence(snap, 1, 0, 0)
 
 
 class TestGeneratedInstancesSolve:
