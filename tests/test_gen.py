@@ -564,7 +564,8 @@ class TestCorrespondence:
             add_correspondence(both_up, 0, 1, 2)
 
     def test_connecting_train_must_visit_the_station(self):
-        # At t=50 the up train 1 has left station 0 behind.
+        # At t=50 up train 0 is on its first run: its visits start at
+        # station 1, so it cannot connect at station 0.
         line = generate_line(LineSpec(num_stations=4, num_trains=2, seed=1,
                                       headway=0))
         snap = perturb(line, PerturbSpec(at_time=50))
