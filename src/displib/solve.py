@@ -12,15 +12,18 @@ never change, because every constraint arc points forward in the event
 order. The dispatcher owns the tables, the undo stack (`undo(depth)` takes
 back one event, the latest by default; `rewind(depth)` all events above a
 depth; `splice(depth)` the event at a depth when no later event depends on
-it), the count of its applies, and the clock.
+it), the count of its applies, the clock, and the cost lower bound of the
+partial schedule that the exact search prunes with and the heuristic stops
+at.
 
 One budget rule: the dispatcher reads the clock once every 256 applies and
 sets `expired` past the deadline. The exact search, the greedy pass and each
 merge of the insertion pass read it, so they stop within 256 applies of the
 deadline; the restart loop reads the clock between passes. A report's
-`nodes` is the dispatcher's count of applies, plus one when a budget stopped
-the exact search. Events that backtracking takes back were counted when
-applied; a retreat that splices takes back one event and re-applies nothing.
+`nodes` is the dispatcher's count of applies (for the exact search, in both
+of its passes), plus one when a budget stopped the exact search. Events that
+backtracking takes back were counted when applied; a retreat that splices
+takes back one event and re-applies nothing.
 
 Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
@@ -36,6 +39,7 @@ import random
 import time as _time
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (Instance, Event, ObjectiveComponent, Solution, Train,
@@ -131,13 +135,15 @@ class _OpTable:
 _OK, _BLOCKED, _DEAD = 0, 1, 2
 _CLOCK_PERIOD = 256         # dispatcher applies between two reads of the clock
 _ENTRY = (0,)               # the only candidate of a train not yet started
+_START = itemgetter(2)      # the start time of a (train, op, start) move
 
 
 class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
     the operation tables, each resource's state tuple, a stack of applied
     events that `undo`, `rewind` and `splice` take back, the count of its
-    applies, and `expired`. An event's undo record holds what the event list
+    applies, `expired`, and the cost lower bound of the partial schedule
+    (`bound`). An event's undo record holds what the event list
     cannot give back: the train's previous operation and start, the
     (resource, state) pairs the apply replaced, and the cost it added."""
 
@@ -149,6 +155,8 @@ class _Dispatcher:
             comps[comp.train][comp.operation] += (comp,)
         self.tables = [_OpTable(train, c)
                        for train, c in zip(instance.trains, comps)]
+        self.comp_trains = [i for i, tab in enumerate(self.tables)
+                            if any(tab.comps)]
         self.last_op: list[int | None] = [None] * self.n_trains
         self.last_time = [0] * self.n_trains
         self.ended = [False] * self.n_trains
@@ -273,6 +281,72 @@ class _Dispatcher:
         self.undo(depth)
         return True
 
+    def _train_bound(self, i: int) -> int:
+        """Cost lower bound of train i's unscheduled components: the earliest
+        possible start of each remaining operation, counted only for
+        operations the train cannot avoid on its way to the exit. The start
+        honours the release times other trains have already fixed on its
+        resources, and ignores their future claims.
+
+        Operation indices are topological and every operation reaches the
+        exit, so a remaining route avoids k exactly when an arc a->b out of
+        a reachable a < k lands beyond k. One forward sweep finds both the
+        reachable operations and `reach`, the farthest such arc head."""
+        tab = self.tables[i]
+        preds, dur, start_lb, keys, far, comps = (
+            tab.preds, tab.dur, tab.start_lb, tab.keys, tab.far, tab.comps)
+        res = self.res
+        floor = self.floor
+        # Earliest start of each reachable operation, the last started one
+        # at its actual start; -1 elsewhere (times are never negative).
+        earliest = [-1] * len(dur)
+        last = self.last_op[i]
+        if last is None:
+            first = reach = 0
+        else:
+            first, reach = last + 1, far[last]
+            earliest[last] = self.last_time[i]
+        lb = 0
+        for k in range(first, len(dur)):
+            best = -1
+            for p in preds[k]:
+                e = earliest[p]
+                if e >= 0:
+                    e += dur[p]
+                    if best < 0 or e < best:
+                        best = e
+            if best < 0 and k:
+                continue            # unreachable: only the entry has no preds
+            t = start_lb[k]
+            if floor > t:
+                t = floor
+            if best > t:
+                t = best
+            for r in keys[k]:
+                _, stamp1, train1, stamp2 = res[r]
+                s = stamp2 if train1 == i else stamp1
+                if s > t:
+                    t = s
+            earliest[k] = t
+            if reach <= k:
+                # On every remaining route: its cost is unavoidable, and t is
+                # a lower bound on its eventual start.
+                for comp in comps[k]:
+                    lb += comp.cost(t)
+            if far[k] > reach:
+                reach = far[k]
+        return lb
+
+    def bound(self) -> int:
+        """Lower bound on the cost of every completion of the partial
+        schedule: the cost fixed so far plus each unfinished train's
+        `_train_bound`. It never falls from a schedule to an extension."""
+        lb = self.z_partial
+        for i in self.comp_trains:
+            if not self.ended[i]:
+                lb += self._train_bound(i)
+        return lb
+
     def to_solution(self) -> Solution:
         events = tuple(Event(time=t, train=i, operation=o) for t, i, o in self.events)
         return Solution(objective_value=self.z_partial, events=events)
@@ -312,98 +386,37 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
 
 
 class _ExactSearch:
-    """Depth-first branch and bound over one dispatcher: the incumbent and
-    whether a budget cut the search short."""
+    """Depth-first branch and bound over one dispatcher, run by
+    `solve_exact` in two passes: the incumbent and whether a budget cut the
+    search short."""
 
     def __init__(self, instance: Instance, node_limit: int | None,
                  deadline: float | None):
         self.disp = _Dispatcher(instance, deadline)
         self.node_limit = node_limit
-        self.comp_trains = [i for i, tab in enumerate(self.disp.tables)
-                            if any(tab.comps)]
         self.truncated = False
         self.z: int | None = None
         self.solution: Solution | None = None
 
-    # ---- lower bound ----------------------------------------------------
-
-    def _train_bound(self, i: int) -> int:
-        """Cost lower bound of train i's unscheduled components: the earliest
-        possible start of each remaining operation, counted only for
-        operations the train cannot avoid on its way to the exit. The start
-        honours the release times other trains have already fixed on its
-        resources, and ignores their future claims.
-
-        Operation indices are topological and every operation reaches the
-        exit, so a remaining route avoids k exactly when an arc a->b out of
-        a reachable a < k lands beyond k. One forward sweep finds both the
-        reachable operations and `reach`, the farthest such arc head."""
-        disp = self.disp
-        tab = disp.tables[i]
-        preds, dur, start_lb, keys, far, comps = (
-            tab.preds, tab.dur, tab.start_lb, tab.keys, tab.far, tab.comps)
-        res = disp.res
-        floor = disp.floor
-        # Earliest start of each reachable operation, the last started one
-        # at its actual start; -1 elsewhere (times are never negative).
-        earliest = [-1] * len(dur)
-        last = disp.last_op[i]
-        if last is None:
-            first = reach = 0
-        else:
-            first, reach = last + 1, far[last]
-            earliest[last] = disp.last_time[i]
-        lb = 0
-        for k in range(first, len(dur)):
-            best = -1
-            for p in preds[k]:
-                e = earliest[p]
-                if e >= 0:
-                    e += dur[p]
-                    if best < 0 or e < best:
-                        best = e
-            if best < 0 and k:
-                continue            # unreachable: only the entry has no preds
-            t = start_lb[k]
-            if floor > t:
-                t = floor
-            if best > t:
-                t = best
-            for r in keys[k]:
-                _, stamp1, train1, stamp2 = res[r]
-                s = stamp2 if train1 == i else stamp1
-                if s > t:
-                    t = s
-            earliest[k] = t
-            if reach <= k:
-                # On every remaining route: its cost is unavoidable, and t is
-                # a lower bound on its eventual start.
-                for comp in comps[k]:
-                    lb += comp.cost(t)
-            if far[k] > reach:
-                reach = far[k]
-        return lb
-
-    def bound(self) -> int:
-        lb = self.disp.z_partial
-        for i in self.comp_trains:
-            if not self.disp.ended[i]:
-                lb += self._train_bound(i)
-        return lb
-
-    # ---- search ---------------------------------------------------------
-
     def _expand(self) -> list[tuple[int, int, int]]:
-        """The moves to try from the current partial schedule, in search
-        order: none at a complete schedule (which may become the incumbent),
-        at a node the bound prunes, or at a dead end."""
+        """The moves (train, op, start) to try from the current partial
+        schedule, in search order: none at a complete schedule (which may
+        become the incumbent), at a node the bound prunes, or at a dead end.
+
+        Before the first complete schedule (the first pass) the moves come
+        in train-index order, which runs the trains one after another and so
+        reaches a schedule even where opposing trains could wedge each other
+        on single track. Once there is an incumbent (the second pass) they
+        come earliest start first, ties by train and then operation: the
+        non-delay order of Giffler and Thompson. Probing a move costs no
+        node; `_dfs` counts one for each move it applies."""
         disp = self.disp
         if disp.done():
             if self.z is None or disp.z_partial < self.z:
                 self.z = disp.z_partial
                 self.solution = disp.to_solution()
             return []
-        if self.z is not None and self.bound() >= self.z:
+        if self.z is not None and disp.bound() >= self.z:
             return []
         moves: list[tuple[int, int, int]] = []
         for i in range(disp.n_trains):
@@ -421,14 +434,18 @@ class _ExactSearch:
                 # Start windows of every remaining candidate are overrun,
                 # and they can only drift later: no completion exists.
                 return []
+        if self.z is not None:
+            moves.sort(key=_START)      # stable: ties stay in (train, op) order
         return moves
 
     def _dfs(self) -> None:
-        """Search every completion of the empty schedule, with one iterator
+        """Search the completions of the empty schedule, with one iterator
         of moves per level on a stack instead of recursion. Each applied move
-        is one node; the budgets are checked before it. A truncated search
-        rewinds to the empty schedule."""
+        is one node; the budgets are checked before it. Started without an
+        incumbent, the search stops at the first complete schedule. It ends
+        rewound to the empty schedule, also when a budget truncates it."""
         disp = self.disp
+        dive = self.z is None
         levels = [iter(self._expand())]
         while levels:
             move = next(levels[-1], None)
@@ -440,10 +457,12 @@ class _ExactSearch:
             if disp.expired or (self.node_limit is not None
                                 and disp.applies >= self.node_limit):
                 self.truncated = True
-                disp.rewind(0)
-                return
+                break
             disp.apply(*move)
             levels.append(iter(self._expand()))
+            if dive and self.z is not None:
+                break
+        disp.rewind(0)
 
 
 def solve_exact(instance: Instance, *, node_limit: int | None = None,
@@ -454,20 +473,30 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     event order together; start times are always the componentwise-minimal
     completion, so every leaf is an earliest-times schedule. The bound adds
     per-train earliest-exit relaxations of the remaining cost to the cost of
-    already fixed events. Optimal/Infeasible are only reported when the
-    search space was exhausted; budget-limited runs degrade to Feasible or
-    TimeoutNoSolution, and their bound is a valid lower bound on the
-    optimum: the bound of the empty schedule, which no node below it
-    undercuts because every term of the bound only grows along a path.
-    Deterministic for a fixed node_limit.
+    already fixed events.
+
+    The search runs in two passes over one dispatcher. The first dives in
+    train-index order to the first complete schedule, which becomes the
+    incumbent; the second restarts from the empty schedule with it and
+    branches earliest start first (see `_ExactSearch._expand`). Infeasible
+    is reported only when the first pass is exhausted without a schedule,
+    Optimal only when the second is exhausted. node_limit and time_limit
+    cover both passes, and `nodes` is the dispatcher's count of applies in
+    both, plus one when a budget stopped the search. A budget-limited run
+    degrades to Feasible or TimeoutNoSolution, and its bound is a valid
+    lower bound on the optimum: the bound of the empty schedule, which no
+    node below it undercuts because every term of the bound only grows
+    along a path. Deterministic for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
     search = _ExactSearch(instance, node_limit, deadline)
     search._dfs()
+    if search.solution is not None and not search.truncated:
+        search._dfs()
     if search.truncated:
         # Every move is undone again, so this is the bound of the root.
-        bound: int | None = search.bound()
+        bound: int | None = search.disp.bound()
         status = (SolveStatus.FEASIBLE if search.solution is not None
                   else SolveStatus.TIMEOUT_NO_SOLUTION)
     elif search.solution is not None:
@@ -669,14 +698,19 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     """Seeded restarts of two passes over one dispatcher: even passes run
     `_greedy_pass`, odd passes `_insertion_pass`. Restarts re-jitter
     priorities and route choices from the seed (the first pass of each kind
-    runs with jitter span 0), keeping the best solution found. Deterministic
-    for a fixed seed and restart budget. Never claims optimality.
+    runs with jitter span 0), keeping the best solution found, and stop
+    early once the best reaches the lower bound of the empty schedule (the
+    exact search's root bound). Deterministic for a fixed seed and restart
+    budget. Never claims optimality, not even at that bound.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
     if max_restarts is None and time_limit is None:
         max_restarts = 16
     disp = _Dispatcher(instance, deadline)
+    # No schedule costs less than the bound of the empty one, so a restart
+    # could not improve on a best that reaches it.
+    root_bound = disp.bound()
     horizon_scale = max((tab.dist[0] for tab in disp.tables), default=0)
     jitter_span = max(1, horizon_scale // 8)
 
@@ -694,7 +728,7 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                                      < best.objective_value):
             best = solution
         attempt += 1
-        if best is not None and best.objective_value == 0:
+        if best is not None and best.objective_value <= root_bound:
             break
         if max_restarts is not None and attempt > max_restarts:
             break

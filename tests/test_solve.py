@@ -3,6 +3,7 @@ brute-force reference, and the greedy heuristic."""
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import replace
@@ -473,10 +474,68 @@ class TestSolveExact:
         assert report.status is SolveStatus.FEASIBLE
         assert (report.nodes, report.bound) == (2001, 0)
         assert len(report.solution.events) == 1200
-        assert report.solution.objective_value == 1_487_265
+        assert report.solution.objective_value == 1_487_596
         verdict = verify(line.instance, report.solution)
         assert verdict.feasible
-        assert verdict.computed_objective == 1_487_265
+        assert verdict.computed_objective == 1_487_596
+
+    @pytest.mark.parametrize("stations, objective, index_order_nodes",
+                             [(3, 298, 9_888), (4, 221, 78_254)])
+    def test_earliest_start_first_closes_small_corridors(
+            self, stations, objective, index_order_nodes):
+        """The seed-0 corridors close at their optimum in at most a third of
+        the nodes that a search branching in train-index order needs."""
+        line = generate_line(LineSpec(num_stations=stations, num_trains=3,
+                                      seed=0))
+        report = solve_exact(line.instance)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.solution.objective_value == report.bound == objective
+        assert report.nodes <= index_order_nodes // 3
+        assert verify(line.instance, report.solution).feasible
+
+    def test_capped_desk_scale_corridor_reaches_the_optimum(self):
+        """At 100k nodes the 5x4 seed-42 corridor, which the search cannot
+        close, holds the optimum HiGHS proves on its integer program."""
+        golden = json.loads(data_text("line_5x4_seed42.json"))
+        line = generate_line(LineSpec(**golden["line"]))
+        report = solve_exact(line.instance, node_limit=100_000)
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.nodes == 100_001
+        assert report.solution.objective_value == golden["optimal_objective"]
+        verdict = verify(line.instance, report.solution)
+        assert verdict.feasible
+        assert verdict.computed_objective == golden["optimal_objective"]
+
+    def test_budget_in_each_pass(self):
+        """A node cap inside the first pass (the dive to the first complete
+        schedule) leaves no solution; one inside the second pass leaves a
+        solution no worse than that first leaf. Neither claims certainty."""
+        line = generate_line(LineSpec(num_stations=3, num_trains=3, seed=0))
+        dive = _ExactSearch(line.instance, None, None)
+        dive._dfs()
+        first_leaf, dive_nodes = dive.z, dive.disp.applies
+        full = solve_exact(line.instance)
+        root = _Dispatcher(line.instance).bound()
+        assert 0 < dive_nodes < full.nodes
+        assert full.solution.objective_value < first_leaf
+        for cap in (0, 1, dive_nodes // 2, dive_nodes - 1):
+            report = solve_exact(line.instance, node_limit=cap)
+            assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
+            assert report.solution is None
+            assert (report.nodes, report.bound) == (cap + 1, root)
+        for cap in (dive_nodes, dive_nodes + 1, (dive_nodes + full.nodes) // 2,
+                    full.nodes - 1):
+            report = solve_exact(line.instance, node_limit=cap)
+            assert report.status is SolveStatus.FEASIBLE
+            assert (report.nodes, report.bound) == (cap + 1, root)
+            assert report.solution.objective_value <= first_leaf
+            verdict = verify(line.instance, report.solution)
+            assert verdict.feasible
+            assert verdict.computed_objective == report.solution.objective_value
+        report = solve_exact(line.instance, node_limit=dive_nodes)
+        assert report.solution.objective_value == first_leaf
+        assert solve_exact(line.instance,
+                           node_limit=full.nodes).same_outcome(full)
 
     def test_deterministic(self, junction):
         assert solve_exact(junction).same_outcome(solve_exact(junction))
@@ -505,7 +564,7 @@ class TestSolveExact:
                     for op in prefix:
                         disp.apply(0, op, disp.probe(0, op)[1])
                     unavoidable = all(k in r for r in through)
-                    assert search.bound() - disp.z_partial == int(unavoidable)
+                    assert disp.bound() - disp.z_partial == int(unavoidable)
                     charged += unavoidable
                     avoided += not unavoidable
         assert charged > 200 and avoided > 200
@@ -525,11 +584,11 @@ class TestSolveExact:
             for _ in range(4):
                 search = _ExactSearch(instance, None, None)
                 disp = search.disp
-                parent = search.bound()
+                parent = disp.bound()
                 moves = startable(disp)
                 while moves:
                     disp.apply(*rng.choice(moves))
-                    child = search.bound()
+                    child = disp.bound()
                     assert child >= parent
                     parent = child
                     steps += 1
@@ -562,7 +621,7 @@ class TestSolveExact:
                     break
                 disp.apply(*rng.choice(moves))
             expected = bound_from_events(instance, disp.events)
-            assert search.bound() - disp.z_partial == expected
+            assert disp.bound() - disp.z_partial == expected
             stamped += expected != bound_from_events(instance, disp.events,
                                                      honour_stamps=False)
         assert stamped > 40
@@ -643,6 +702,15 @@ class TestSolveHeuristic:
             assert heur.solution.objective_value >= exact.solution.objective_value
             compared += 1
         assert compared > 15
+
+    def test_stops_at_the_root_bound(self, junction):
+        """The junction's first pass reaches its root bound of 10, so a
+        time-limited run stops there, as a run without restarts does."""
+        assert _Dispatcher(junction).bound() == 10
+        report = solve_heuristic(junction, time_limit=2.0)
+        assert report.same_outcome(solve_heuristic(junction, max_restarts=0))
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.solution.objective_value == 10
 
     def test_time_limit_returns_promptly(self, junction):
         report = solve_heuristic(junction, time_limit=0.05)
