@@ -532,8 +532,8 @@ class TestSolveExact:
             verdict = verify(line.instance, report.solution)
             assert verdict.feasible
             assert verdict.computed_objective == report.solution.objective_value
-        report = solve_exact(line.instance, node_limit=dive_nodes)
-        assert report.solution.objective_value == first_leaf
+            if cap == dive_nodes:
+                assert report.solution.objective_value == first_leaf
         assert solve_exact(line.instance,
                            node_limit=full.nodes).same_outcome(full)
 
@@ -558,9 +558,7 @@ class TestSolveExact:
                 for k in range(first, len(ops)):
                     comp = ObjectiveComponent(0, k, threshold=0, coeff=0,
                                               increment=1)
-                    search = _ExactSearch(build_instance([ops], [comp]),
-                                          None, None)
-                    disp = search.disp
+                    disp = _Dispatcher(build_instance([ops], [comp]))
                     for op in prefix:
                         disp.apply(0, op, disp.probe(0, op)[1])
                     unavoidable = all(k in r for r in through)
@@ -582,8 +580,7 @@ class TestSolveExact:
         steps = 0
         for instance in instances:
             for _ in range(4):
-                search = _ExactSearch(instance, None, None)
-                disp = search.disp
+                disp = _Dispatcher(instance)
                 parent = disp.bound()
                 moves = startable(disp)
                 while moves:
@@ -613,8 +610,7 @@ class TestSolveExact:
                      for i, ops in enumerate(trains) for k in range(len(ops))
                      if rng.random() < 0.5]
             instance = build_instance(trains, comps)
-            search = _ExactSearch(instance, None, None)
-            disp = search.disp
+            disp = _Dispatcher(instance)
             for _ in range(rng.randint(0, 10)):
                 moves = startable(disp)
                 if not moves:
