@@ -16,12 +16,14 @@ it), the count of its applies, the clock, and the cost lower bound of the
 partial schedule that the exact search prunes with and the heuristic stops
 at.
 
-One budget rule: the dispatcher reads the clock once every 256 applies and
-sets `expired` past the deadline. The exact search, the greedy pass and each
-merge of the insertion pass read it, so they stop within 256 applies of the
-deadline; the restart loop reads the clock between passes. A report's
-`nodes` is the dispatcher's count of applies (for the exact search, in both
-of its passes), plus one when a budget stopped the exact search. Events that
+One backtracking loop, `_depth_first`, runs both passes of the exact
+search and the greedy pass; each is a move order plus a stop rule. One
+budget rule: the dispatcher reads the clock once every 256 applies and sets
+`expired` past the deadline. The search loop and each merge of the
+insertion pass read it, so they stop within 256 applies of the deadline;
+the restart loop reads the clock between passes. A report's `nodes` is the
+dispatcher's count of applies (for the exact search, in both of its
+passes), plus one when a budget stopped the exact search. Events that
 backtracking takes back were counted when applied; a retreat that splices
 takes back one event and re-applies nothing.
 
@@ -40,7 +42,7 @@ import time as _time
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (Instance, Event, ObjectiveComponent, Solution, Train,
                    is_route, predecessors)
@@ -60,8 +62,8 @@ class SolveReport:
     """Outcome of one solve. `nodes` counts the dispatcher's applies,
     including events that backtracking took back, plus one when a budget
     stopped the exact search (a capped run reports node_limit + 1). A retreat
-    that splices takes back one event and re-applies nothing. The exact search
-    and every greedy pass or merge stop within 256 applies of the deadline."""
+    that splices takes back one event and re-applies nothing. The search loop
+    and each merge stop within 256 applies of the deadline."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -385,84 +387,73 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
     return [t for t, _, _ in disp.events]
 
 
-class _ExactSearch:
-    """Depth-first branch and bound over one dispatcher, run by
-    `solve_exact` in two passes: the incumbent and whether a budget cut the
-    search short."""
+def _depth_first(disp: _Dispatcher,
+                 moves: Callable[[], Iterator[tuple[int, int, int]]], *,
+                 first_leaf: bool, node_limit: int | None = None,
+                 backtrack_limit: int | None = None) -> bool:
+    """Depth-first search from the empty schedule, the one backtracking
+    loop of the schedulers. It keeps one iterator of moves (train, op,
+    start) per level on a stack instead of recursion; `moves()` gives the
+    current level's, in the order to try them. An exhausted level takes
+    back the latest event. With `first_leaf` the loop stops at the first
+    complete schedule and leaves it applied; otherwise it ends rewound to
+    the empty schedule, as it does when a budget stops it: the deadline or
+    `node_limit` applies, checked before each apply, or `backtrack_limit`
+    take-backs, checked before each. True when a budget stopped it."""
+    levels = [moves()]
+    undos = 0
+    while levels:
+        move = next(levels[-1], None)
+        if move is None:
+            levels.pop()
+            if levels:
+                if backtrack_limit is not None and undos >= backtrack_limit:
+                    break
+                disp.undo()
+                undos += 1
+            continue
+        if disp.expired or (node_limit is not None
+                            and disp.applies >= node_limit):
+            break
+        disp.apply(*move)
+        if first_leaf and disp.done():
+            return False
+        levels.append(moves())
+    disp.rewind(0)
+    return bool(levels)
 
-    def __init__(self, instance: Instance, node_limit: int | None,
-                 deadline: float | None):
-        self.disp = _Dispatcher(instance, deadline)
-        self.node_limit = node_limit
-        self.truncated = False
-        self.z: int | None = None
-        self.solution: Solution | None = None
 
-    def _expand(self) -> list[tuple[int, int, int]]:
-        """The moves (train, op, start) to try from the current partial
-        schedule, in search order: none at a complete schedule (which may
-        become the incumbent), at a node the bound prunes, or at a dead end.
-
-        Before the first complete schedule (the first pass) the moves come
-        in train-index order, which runs the trains one after another and so
-        reaches a schedule even where opposing trains could wedge each other
-        on single track. Once there is an incumbent (the second pass) they
-        come earliest start first, ties by train and then operation: the
-        non-delay order of Giffler and Thompson. Probing a move costs no
-        node; `_dfs` counts one for each move it applies."""
-        disp = self.disp
-        if disp.done():
-            if self.z is None or disp.z_partial < self.z:
-                self.z = disp.z_partial
-                self.solution = disp.to_solution()
+def _branch_moves(disp: _Dispatcher,
+                  z: int | None) -> list[tuple[int, int, int]]:
+    """The exact search's moves (train, op, start) from the current partial
+    schedule, none at a complete schedule, at a dead end, or where the bound
+    reaches the incumbent's cost z. Without an incumbent (the first pass)
+    they come in train-index order, which runs the trains one after another
+    and so reaches a schedule even where opposing trains could wedge each
+    other on single track; with one, earliest start first, ties by train and
+    then operation: the non-delay order of Giffler and Thompson. Probing a
+    move costs no node."""
+    if z is not None and disp.bound() >= z:
+        return []
+    moves: list[tuple[int, int, int]] = []
+    for i in range(disp.n_trains):
+        if disp.ended[i]:
+            continue
+        alive = False
+        for op in disp.candidates(i):
+            status, t = disp.probe(i, op)
+            if status == _OK:
+                moves.append((i, op, t))
+                alive = True
+            elif status == _BLOCKED:
+                alive = True
+        if not alive:
+            # Start windows of every remaining candidate are overrun,
+            # and they can only drift later: no completion exists.
             return []
-        if self.z is not None and disp.bound() >= self.z:
-            return []
-        moves: list[tuple[int, int, int]] = []
-        for i in range(disp.n_trains):
-            if disp.ended[i]:
-                continue
-            alive = False
-            for op in disp.candidates(i):
-                status, t = disp.probe(i, op)
-                if status == _OK:
-                    moves.append((i, op, t))
-                    alive = True
-                elif status == _BLOCKED:
-                    alive = True
-            if not alive:
-                # Start windows of every remaining candidate are overrun,
-                # and they can only drift later: no completion exists.
-                return []
-        if self.z is not None:
-            moves.sort(key=_START)      # stable: ties stay in (train, op) order
-        return moves
-
-    def _dfs(self) -> None:
-        """Search the completions of the empty schedule, with one iterator
-        of moves per level on a stack instead of recursion. Each applied move
-        is one node; the budgets are checked before it. Started without an
-        incumbent, the search stops at the first complete schedule. It ends
-        rewound to the empty schedule, also when a budget truncates it."""
-        disp = self.disp
-        dive = self.z is None
-        levels = [iter(self._expand())]
-        while levels:
-            move = next(levels[-1], None)
-            if move is None:
-                levels.pop()
-                if levels:
-                    disp.undo()
-                continue
-            if disp.expired or (self.node_limit is not None
-                                and disp.applies >= self.node_limit):
-                self.truncated = True
-                break
-            disp.apply(*move)
-            levels.append(iter(self._expand()))
-            if dive and self.z is not None:
-                break
-        disp.rewind(0)
+    if z is not None:
+        moves.sort(key=_START)      # stable: ties stay in (train, op) order
+    return moves
 
 
 def solve_exact(instance: Instance, *, node_limit: int | None = None,
@@ -475,11 +466,11 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     per-train earliest-exit relaxations of the remaining cost to the cost of
     already fixed events.
 
-    The search runs in two passes over one dispatcher. The first dives in
-    train-index order to the first complete schedule, which becomes the
+    The search runs `_depth_first` twice over one dispatcher. The first
+    pass dives in train-index order to the first complete schedule, the
     incumbent; the second restarts from the empty schedule with it and
-    branches earliest start first (see `_ExactSearch._expand`). Infeasible
-    is reported only when the first pass is exhausted without a schedule,
+    branches earliest start first (see `_branch_moves`). Infeasible is
+    reported only when the first pass is exhausted without a schedule,
     Optimal only when the second is exhausted. node_limit and time_limit
     cover both passes, and `nodes` is the dispatcher's count of applies in
     both, plus one when a budget stopped the search. A budget-limited run
@@ -490,21 +481,34 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
-    search = _ExactSearch(instance, node_limit, deadline)
-    search._dfs()
-    if search.solution is not None and not search.truncated:
-        search._dfs()
-    if search.truncated:
+    disp = _Dispatcher(instance, deadline)
+    z: int | None = None
+    solution: Solution | None = None
+
+    def earliest_first():
+        nonlocal z, solution
+        if disp.done() and disp.z_partial < z:
+            z, solution = disp.z_partial, disp.to_solution()
+        return iter(_branch_moves(disp, z))
+
+    truncated = _depth_first(disp, lambda: iter(_branch_moves(disp, None)),
+                             first_leaf=True, node_limit=node_limit)
+    if disp.done():
+        z, solution = disp.z_partial, disp.to_solution()
+        disp.rewind(0)
+        truncated = _depth_first(disp, earliest_first, first_leaf=False,
+                                 node_limit=node_limit)
+    if truncated:
         # Every move is undone again, so this is the bound of the root.
-        bound: int | None = search.disp.bound()
-        status = (SolveStatus.FEASIBLE if search.solution is not None
+        bound: int | None = disp.bound()
+        status = (SolveStatus.FEASIBLE if solution is not None
                   else SolveStatus.TIMEOUT_NO_SOLUTION)
-    elif search.solution is not None:
-        bound, status = search.z, SolveStatus.OPTIMAL
+    elif solution is not None:
+        bound, status = z, SolveStatus.OPTIMAL
     else:
         bound, status = None, SolveStatus.INFEASIBLE
-    return SolveReport(status=status, solution=search.solution,
-                       nodes=search.disp.applies + search.truncated,
+    return SolveReport(status=status, solution=solution,
+                       nodes=disp.applies + truncated,
                        wall_time=_time.monotonic() - start,
                        bound=bound)
 
@@ -637,60 +641,50 @@ def _greedy_pass(disp: _Dispatcher, rng: random.Random,
     slack to the nearest cost threshold along the shortest remaining path,
     jittered per train; ties by start_lb, then train, then operation index.
     Each train offers only its head candidate, the successor with the
-    smallest jittered remaining min_duration sum that is not banned and
-    probes startable. A dead end takes back the latest event and bans it at
-    that depth, up to _BACKTRACK_LIMIT times per pass. The schedule stays
-    applied on the dispatcher; its solution, or None, also on expiry."""
+    smallest jittered remaining min_duration sum that is not yet tried at
+    that depth and probes startable. `_depth_first` runs this order to the
+    first complete schedule, taking back at most _BACKTRACK_LIMIT events per
+    pass. The schedule stays applied on the dispatcher; its solution, or
+    None, also on expiry."""
     slack_jitter = [rng.randint(-jitter_span, jitter_span)
                     for _ in range(disp.n_trains)]
     route_jitter: dict[tuple[int, int], int] = {}
 
     def _dj(i: int, o: int) -> int:
-        v = route_jitter.get((i, o))
-        if v is None:
-            v = rng.randint(0, jitter_span)
-            route_jitter[(i, o)] = v
-        return v
+        if (i, o) not in route_jitter:
+            route_jitter[(i, o)] = rng.randint(0, jitter_span)
+        return route_jitter[(i, o)]
 
-    # bans[k]: moves ruled out after the first k events.
-    bans: list[set[tuple[int, int]]] = [set()]
-    backtracks = 0
-    while not disp.done():
-        if disp.expired:
-            return None
-        banned = bans[-1]
-        chosen: tuple[int, int, int] | None = None
-        chosen_key = None
-        for i in range(disp.n_trains):
-            if disp.ended[i]:
-                continue
-            tab = disp.tables[i]
-            cands = sorted(disp.candidates(i),
-                           key=lambda o: (tab.dist[o] + _dj(i, o), o))
-            for op in cands:
-                if (i, op) in banned:
+    def urgent_first():
+        tried: set[tuple[int, int]] = set()
+        while True:
+            chosen = chosen_key = None
+            for i in range(disp.n_trains):
+                if disp.ended[i]:
                     continue
-                status, t = disp.probe(i, op)
-                if status != _OK:
-                    continue
-                key = (tab.slack[op] - t + slack_jitter[i], tab.start_lb[op],
-                       i, op)
-                if chosen_key is None or key < chosen_key:
-                    chosen_key = key
-                    chosen = (i, op, t)
-                break  # only the head candidate of each train competes
-        if chosen is None:
-            if not disp.events or backtracks >= _BACKTRACK_LIMIT:
-                return None
-            _, i, op = disp.events[-1]
-            disp.undo()
-            bans.pop()
-            bans[-1].add((i, op))
-            backtracks += 1
-            continue
-        disp.apply(*chosen)
-        bans.append(set())
-    return disp.to_solution()
+                tab = disp.tables[i]
+                cands = sorted(disp.candidates(i),
+                               key=lambda o: (tab.dist[o] + _dj(i, o), o))
+                for op in cands:
+                    if (i, op) in tried:
+                        continue
+                    status, t = disp.probe(i, op)
+                    if status != _OK:
+                        continue
+                    key = (tab.slack[op] - t + slack_jitter[i],
+                           tab.start_lb[op], i, op)
+                    if chosen_key is None or key < chosen_key:
+                        chosen_key = key
+                        chosen = (i, op, t)
+                    break  # only the head candidate of each train competes
+            if chosen is None:
+                return
+            tried.add(chosen[:2])
+            yield chosen
+
+    _depth_first(disp, urgent_first, first_leaf=True,
+                 backtrack_limit=_BACKTRACK_LIMIT)
+    return disp.to_solution() if disp.done() else None
 
 
 def solve_heuristic(instance: Instance, *, time_limit: float | None = None,

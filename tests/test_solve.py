@@ -3,6 +3,7 @@ brute-force reference, and the greedy heuristic."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -29,7 +30,8 @@ from displib.solve import (
     _OK,
     SolveStatus,
     _Dispatcher,
-    _ExactSearch,
+    _branch_moves,
+    _depth_first,
     _released,
     earliest_times,
     solve_exact,
@@ -415,6 +417,93 @@ class TestDispatcher:
         assert checked > 1000 and tied > 50
 
 
+def index_order(disp):
+    """The first exact pass's move order, as `_depth_first` takes it."""
+    return lambda: iter(_branch_moves(disp, None))
+
+
+class TestDepthFirst:
+    """The one backtracking loop: a budget stops it rewound to the empty
+    schedule and returns True; a first leaf stays applied."""
+
+    def test_node_limit_stops_before_the_next_apply(self, junction):
+        empty = dispatcher_state(_Dispatcher(junction))
+        for cap in (0, 1, 3):
+            disp = _Dispatcher(junction)
+            assert _depth_first(disp, index_order(disp), first_leaf=False,
+                                node_limit=cap)
+            assert disp.applies == cap
+            assert dispatcher_state(disp) == empty
+
+    def test_backtrack_limit_stops_at_the_first_dead_end(self):
+        """On the pinned crossing the index-order dive applies train 0's two
+        operations and then finds train 1's window overrun: with no
+        take-back allowed the loop stops there; with any number it runs to
+        exhaustion, which is not a budget stop."""
+        instance = pinned_crossing()
+        empty = dispatcher_state(_Dispatcher(instance))
+        for limit, stopped, applies in ((0, True, 2), (None, False, 4)):
+            disp = _Dispatcher(instance)
+            assert _depth_first(disp, index_order(disp), first_leaf=True,
+                                backtrack_limit=limit) is stopped
+            assert disp.applies == applies
+            assert dispatcher_state(disp) == empty
+
+    def test_spent_deadline_stops_within_256_applies(self):
+        instance = build_instance([chain(*[1] * 600)])
+        disp = _Dispatcher(instance, time.monotonic() - 1)
+        assert _depth_first(disp, index_order(disp), first_leaf=True)
+        assert disp.applies == 256
+        assert dispatcher_state(disp) == dispatcher_state(
+            _Dispatcher(instance))
+
+    def test_first_leaf_stays_applied(self, junction):
+        disp = _Dispatcher(junction)
+        assert not _depth_first(disp, index_order(disp), first_leaf=True)
+        assert disp.done()
+        check_invariants(disp)
+        verdict = verify(junction, disp.to_solution())
+        assert verdict.feasible
+        assert verdict.computed_objective == disp.z_partial
+
+    def test_exhaustion_visits_every_leaf_and_rewinds(self, junction):
+        """Without a bound the loop visits each complete event order once:
+        the junction's every route pair and feasible interleaving."""
+        disp = _Dispatcher(junction)
+        leaves = []
+
+        def moves():
+            if disp.done():
+                leaves.append(tuple(disp.events))
+            return iter(_branch_moves(disp, None))
+
+        assert not _depth_first(disp, moves, first_leaf=False)
+        assert dispatcher_state(disp) == dispatcher_state(
+            _Dispatcher(junction))
+        assert len(leaves) == len(set(leaves)) > 1
+        for events in leaves:
+            assert disp.applies >= len(events)
+            fresh = _Dispatcher(junction)
+            for _, i, op in events:
+                status, t = fresh.probe(i, op)
+                assert status == _OK
+                fresh.apply(i, op, t)
+            assert fresh.done() and tuple(fresh.events) == events
+
+    def test_no_trains(self):
+        """An instance without trains is a complete schedule already: both
+        solvers return it at objective 0 without a node."""
+        instance = build_instance([])
+        exact = solve_exact(instance)
+        assert (exact.status, exact.nodes, exact.bound) == (
+            SolveStatus.OPTIMAL, 0, 0)
+        heuristic = solve_heuristic(instance)
+        assert (heuristic.status, heuristic.nodes) == (SolveStatus.FEASIBLE, 0)
+        for report in (exact, heuristic):
+            assert report.solution.objective_value == 0
+            assert report.solution.events == ()
+
+
 class TestSolveExact:
     def test_junction_optimal(self, junction):
         report = solve_exact(junction)
@@ -511,9 +600,10 @@ class TestSolveExact:
         schedule) leaves no solution; one inside the second pass leaves a
         solution no worse than that first leaf. Neither claims certainty."""
         line = generate_line(LineSpec(num_stations=3, num_trains=3, seed=0))
-        dive = _ExactSearch(line.instance, None, None)
-        dive._dfs()
-        first_leaf, dive_nodes = dive.z, dive.disp.applies
+        disp = _Dispatcher(line.instance)
+        _depth_first(disp, lambda: iter(_branch_moves(disp, None)),
+                     first_leaf=True)
+        first_leaf, dive_nodes = disp.z_partial, disp.applies
         full = solve_exact(line.instance)
         root = _Dispatcher(line.instance).bound()
         assert 0 < dive_nodes < full.nodes
@@ -741,6 +831,26 @@ class TestSolveHeuristic:
         monkeypatch.setattr("displib.solve._BACKTRACK_LIMIT", 0)
         report = solve_heuristic(instance, max_restarts=2)
         assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
+
+    def test_greedy_order_is_pinned(self):
+        """One digest of (status, nodes, objective, events) pins the greedy
+        pass alone (no restart) and two restarts at seed 1 on 60 random
+        instances, six of whose greedy passes backtrack and eleven fail."""
+        rng = random.Random(16)
+        digest = hashlib.sha256()
+        for _ in range(60):
+            instance = random_instance(rng, max_trains=5, max_ops=8)
+            for kwargs in ({"max_restarts": 0},
+                           {"max_restarts": 2, "seed": 1}):
+                report = solve_heuristic(instance, **kwargs)
+                solution = report.solution
+                digest.update(repr((
+                    report.status.value, report.nodes,
+                    solution and solution.objective_value,
+                    solution and [(e.time, e.train, e.operation)
+                                  for e in solution.events])).encode())
+        assert digest.hexdigest() == (
+            "54de7138906ad52c7c8bfdef658529e6a40dbc803d655cbd467765f24c7fcb0e")
 
     @pytest.mark.parametrize("stations, trains, objective",
                              [(10, 8, 10367), (20, 14, 56032)])
