@@ -11,10 +11,12 @@ structure, bad generator specs, incomplete or non-integral assignments),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
+from typing import Iterator, TextIO
 
 from . import fileformat, generate, milp, solve
 from .core import (
@@ -50,15 +52,22 @@ def _read_text(path: str) -> str:
         raise _Fail(EXIT_USAGE, f"cannot read {path}: {e.strerror or e}") from e
 
 
-def _write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """A text handle on path, or stdout for -."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     except OSError as e:
         raise _Fail(EXIT_USAGE, f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _write_text(path: str, text: str) -> None:
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _emit_json(payload: dict) -> None:
@@ -241,13 +250,14 @@ def _cmd_emit_lp(args: argparse.Namespace) -> int:
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     model = milp.build_model(instance)
-    _write_text(args.output, milp.emit_lp(model))
+    with _output(args.output) as handle:
+        rows = milp.write_lp(model, handle)
     map_path = args.name_map
     if map_path is None and args.output != "-":
         map_path = args.output + ".names.json"
     if map_path is not None:
         _write_text(map_path, json.dumps(milp.name_map(model)) + "\n")
-    print(f"model: {len(model.variables)} variables, {len(model.rows)} rows, "
+    print(f"model: {len(model.variables)} variables, {rows} rows, "
           f"horizon {model.horizon}", file=sys.stderr)
     return EXIT_OK
 

@@ -44,22 +44,31 @@ Rows come in sections, each in train/operation/arc/pair/component order:
 flow, arcs (ya, yb, yf, dur), handovers (rel, zxa, zxb, zf), ranks (ord),
 pair ranks (ordz), costs (thr, cost), then the gated windows (lb, ub).
 
-Row and Variable are named tuples: immutable, cheap to build, and light for
-the cyclic garbage collector on models of 10^5 rows. Each operation's t, x
-and u names and each arc's y name are formatted once, and every row that
-refers to the variable shares that string.
+build_model declares only the variables and the objective, which is all that
+solution_assignment, map_solution and name_map read. The rows are generated
+on demand: iter_rows yields them one at a time, section by section, and
+write_lp formats each as it is made and writes it to a text handle, so no
+row outlives its line. MilpModel.rows is the list of all rows, built on its
+first read. Row and Variable are named tuples; within a pass each
+operation's t, x and u names and each arc's y name are formatted once, and
+every row that refers to the variable shares that string.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .core import (
+    ConflictPair,
     Instance,
     Event,
+    Operation,
     Solution,
+    Train,
     conflict_pairs,
     predecessors,
     shared_resources,
@@ -117,10 +126,15 @@ class Row(NamedTuple):
 class MilpModel:
     instance: Instance
     variables: list[Variable]
-    rows: list[Row]
     objective: list[tuple[str, int]]
     horizon: int
     order_big_m: int
+    pairs: list[ConflictPair]   # conflict_pairs(instance), computed once
+
+    @functools.cached_property
+    def rows(self) -> list[Row]:
+        """Every row, in iter_rows order, built on first read."""
+        return list(iter_rows(self))
 
 
 def _t(i: int, a: int) -> str:
@@ -143,145 +157,185 @@ def _u(i: int, a: int) -> str:
     return f"u{i}_{a}"
 
 
+def _jumped(train: Train) -> list[bool]:
+    """Per operation, whether an arc jumps over it, so that some route avoids
+    it. Operation indices are topological, so the arcs out of the earlier
+    operations decide it."""
+    jumped: list[bool] = []
+    reach = 0   # largest successor of the operations before a
+    for a, op in enumerate(train.operations):
+        jumped.append(reach > a)
+        reach = max(reach, max(op.successors, default=0))
+    return jumped
+
+
+def _start_ub(op: Operation, horizon: int) -> int:
+    return horizon if op.start_ub is None else min(op.start_ub, horizon)
+
+
+def _sides(instance: Instance, pair: ConflictPair) -> tuple[tuple, tuple]:
+    """Both directions (k, c, m, d, successors, z) of a conflict pair: side
+    (k, c) may hand the shared resources over to (m, d). A side without
+    successors never releases anything, so it gets no z and no rows."""
+    i, a, j, b = pair
+    return tuple((k, c, m, d, instance.trains[k].operations[c].successors,
+                  _z(k, c, m, d))
+                 for k, c, m, d in ((i, a, j, b), (j, b, i, a)))
+
+
 def build_model(instance: Instance) -> MilpModel:
-    """Construct all variables and rows. Deterministic: iteration follows
-    train/operation/arc/pair index order throughout."""
+    """Declare the variables and the objective; the rows are made on demand
+    by iter_rows. Deterministic: iteration follows train/operation/arc/pair
+    index order throughout."""
     horizon = time_horizon(instance)
     n_ops = total_operations(instance)
-    order_m = n_ops + 1
     op_vars: list[Variable] = []
     arc_vars: list[Variable] = []
     z_vars: list[Variable] = []
     cost_vars: list[Variable] = []
-    flow: list[Row] = []
-    arcs: list[Row] = []
-    handovers: list[Row] = []
-    ranks: list[Row] = []
-    pair_ranks: list[Row] = []
-    costs: list[Row] = []
-    windows: list[Row] = []
-
-    # Each operation's t/x/u names, formatted once for all the rows naming them.
-    ts: list[list[str]] = []
-    xs: list[list[str]] = []
-    us: list[list[str]] = []
     for i, train in enumerate(instance.trains):
-        ops = range(len(train.operations))
-        ts.append([_t(i, a) for a in ops])
-        xs.append([_x(i, a) for a in ops])
-        us.append([_u(i, a) for a in ops])
+        for a, (op, jumped) in enumerate(zip(train.operations, _jumped(train))):
+            if jumped:
+                # Some route avoids a: its window binds through rows gated by
+                # x, and t gets the box [0, H].
+                op_vars.append(Variable(_t(i, a), CONTINUOUS, 0, horizon,
+                                        ROLE_START, (i, a)))
+            else:
+                op_vars.append(Variable(_t(i, a), CONTINUOUS, op.start_lb,
+                                        _start_ub(op, horizon), ROLE_START, (i, a)))
+            op_vars.append(Variable(_x(i, a), BINARY, 0, 1, ROLE_SELECT_OP, (i, a)))
+            op_vars.append(Variable(_u(i, a), INTEGER, 0, n_ops, ROLE_RANK, (i, a)))
+            for b in op.successors:
+                arc_vars.append(Variable(_y(i, a, b), BINARY, 0, 1,
+                                         ROLE_SELECT_ARC, (i, a, b)))
+    pairs = conflict_pairs(instance)
+    for p in pairs:
+        for k, c, m, d, successors, z in _sides(instance, p):
+            if successors:
+                z_vars.append(Variable(z, BINARY, 0, 1, ROLE_PRECEDE, (k, c, m, d)))
+    for c in range(len(instance.objective)):
+        cost_vars.append(Variable(f"v{c}", BINARY, 0, 1, ROLE_LATE_FLAG, (c,)))
+        cost_vars.append(Variable(f"w{c}", CONTINUOUS, 0, None, ROLE_COST, (c,)))
+    objective = [(f"w{c}", 1) for c in range(len(instance.objective))]
+    return MilpModel(instance=instance,
+                     variables=op_vars + arc_vars + z_vars + cost_vars,
+                     objective=objective, horizon=horizon, order_big_m=n_ops + 1,
+                     pairs=pairs)
 
-    for i, train in enumerate(instance.trains):
+
+def iter_rows(model: MilpModel) -> Iterator[Row]:
+    """Yield the model's rows one at a time, section by section in the order
+    the module docstring lists. Each section takes its own pass over the
+    trains, conflict pairs or objective components."""
+    instance, horizon, order_m = model.instance, model.horizon, model.order_big_m
+    trains = instance.trains
+    # Each operation's t/x/u names and the y names of the arcs out of it,
+    # formatted once for all the rows naming them.
+    ts = [[_t(i, a) for a in range(len(train.operations))]
+          for i, train in enumerate(trains)]
+    xs = [[_x(i, a) for a in range(len(train.operations))]
+          for i, train in enumerate(trains)]
+    us = [[_u(i, a) for a in range(len(train.operations))]
+          for i, train in enumerate(trains)]
+    ys = [[[_y(i, a, b) for b in op.successors] for a, op in enumerate(train.operations)]
+          for i, train in enumerate(trains)]
+
+    # Route selection: one unit of flow entry -> exit.
+    for i, train in enumerate(trains):
         n = len(train.operations)
-        t_i, x_i, u_i = ts[i], xs[i], us[i]
         into: list[list[str]] = [[] for _ in range(n)]   # y names of arcs into a
-        reach = 0   # largest successor of the operations before a
         for a, op in enumerate(train.operations):
-            t, x, u = t_i[a], x_i[a], u_i[a]
-            lb = op.start_lb
-            ub = horizon if op.start_ub is None else min(op.start_ub, horizon)
-            if reach > a:
-                # An arc jumps over a, so some route avoids it: its window
-                # binds through rows gated by x, and t gets the box [0, H].
-                op_vars.append(Variable(t, CONTINUOUS, 0, horizon, ROLE_START, (i, a)))
-                if lb > 0:
-                    windows.append(Row(f"lb{i}_{a}", ((t, 1), (x, -lb)), ">=", 0))
-                if ub < horizon:
-                    windows.append(Row(f"ub{i}_{a}", ((t, 1), (x, horizon - ub)),
-                                       "<=", horizon))
-            else:
-                op_vars.append(Variable(t, CONTINUOUS, lb, ub, ROLE_START, (i, a)))
-            reach = max(reach, max(op.successors, default=0))
-            op_vars.append(Variable(x, BINARY, 0, 1, ROLE_SELECT_OP, (i, a)))
-            op_vars.append(Variable(u, INTEGER, 0, n_ops, ROLE_RANK, (i, a)))
-            # Route selection: one unit of flow entry -> exit.
-            outs = [_y(i, a, b) for b in op.successors]
+            outs = ys[i][a]
             if n == 1:
-                flow.append(Row(f"flow{i}_0", ((x, 1),), "=", 1))
+                yield Row(f"flow{i}_0", ((xs[i][a], 1),), "=", 1)
             elif a == 0:
-                flow.append(Row(f"flow{i}_0", tuple((y, 1) for y in outs), "=", 1))
+                yield Row(f"flow{i}_0", tuple((y, 1) for y in outs), "=", 1)
             elif a == n - 1:
-                flow.append(Row(f"flow{i}_{a}", tuple((y, 1) for y in into[a]), "=", 1))
+                yield Row(f"flow{i}_{a}", tuple((y, 1) for y in into[a]), "=", 1)
             else:
-                flow.append(Row(f"flow{i}_{a}",
-                                tuple([(y, 1) for y in into[a]] + [(y, -1) for y in outs]),
-                                "=", 0))
-            # Arcs tie x to y, carry the running time and order the ranks.
+                yield Row(f"flow{i}_{a}",
+                          tuple([(y, 1) for y in into[a]] + [(y, -1) for y in outs]),
+                          "=", 0)
             for b, y in zip(op.successors, outs):
                 into[b].append(y)
-                arc_vars.append(Variable(y, BINARY, 0, 1, ROLE_SELECT_ARC, (i, a, b)))
-                arcs.append(Row(f"ya{i}_{a}_{b}", ((y, 1), (x, -1)), "<=", 0))
-                arcs.append(Row(f"yb{i}_{a}_{b}", ((y, 1), (x_i[b], -1)), "<=", 0))
-                arcs.append(Row(f"yf{i}_{a}_{b}", ((x, 1), (x_i[b], 1), (y, -1)),
-                                "<=", 1))
+
+    # Arcs tie x to y and carry the running time.
+    for i, train in enumerate(trains):
+        t_i, x_i = ts[i], xs[i]
+        for a, op in enumerate(train.operations):
+            t, x = t_i[a], x_i[a]
+            for b, y in zip(op.successors, ys[i][a]):
+                yield Row(f"ya{i}_{a}_{b}", ((y, 1), (x, -1)), "<=", 0)
+                yield Row(f"yb{i}_{a}_{b}", ((y, 1), (x_i[b], -1)), "<=", 0)
+                yield Row(f"yf{i}_{a}_{b}", ((x, 1), (x_i[b], 1), (y, -1)), "<=", 1)
                 terms = [(t_i[b], 1), (t, -1)]
                 if op.min_duration:
                     terms.append((y, -op.min_duration))
-                arcs.append(Row(f"dur{i}_{a}_{b}", tuple(terms), ">=", 0))
-                ranks.append(Row(f"ord{i}_{a}_{b}", ((u, 1), (u_i[b], -1), (y, order_m)),
-                                 "<=", order_m - 1))
+                yield Row(f"dur{i}_{a}_{b}", tuple(terms), ">=", 0)
 
     # Resource handovers; resources are numbered by first appearance.
     resource_ids: dict[str, int] = {}
-    for p in conflict_pairs(instance):
+    for p in model.pairs:
         i, a, j, b = p
-        # Each side (k, c) may hand over to the other (m, d); a side without
-        # successors never releases anything, so it gets no z and no rows.
-        sides = []
-        for k, c, m, d in ((i, a, j, b), (j, b, i, a)):
-            successors = instance.trains[k].operations[c].successors
-            z = _z(k, c, m, d)
-            if successors:
-                z_vars.append(Variable(z, BINARY, 0, 1, ROLE_PRECEDE, (k, c, m, d)))
-            sides.append((k, c, m, d, successors, z))
+        sides = _sides(instance, p)
         for resource, *releases in shared_resources(instance, p):
             rid = resource_ids.setdefault(resource, len(resource_ids))
             for (k, c, m, d, successors, z), release in zip(sides, releases):
                 for cbar in successors:
-                    handovers.append(Row(
-                        f"rel{k}_{c}_{cbar}_{m}_{d}_r{rid}",
-                        ((ts[k][cbar], 1), (ts[m][d], -1), (z, horizon + release)),
-                        "<=", horizon))
+                    yield Row(f"rel{k}_{c}_{cbar}_{m}_{d}_r{rid}",
+                              ((ts[k][cbar], 1), (ts[m][d], -1), (z, horizon + release)),
+                              "<=", horizon)
         x_a, x_b = xs[i][a], xs[j][b]
         z_terms = [(z, 1) for *_, successors, z in sides if successors]
         if z_terms:
-            handovers.append(Row(f"zxa{i}_{a}_{j}_{b}",
-                                 tuple(z_terms + [(x_a, -1)]), "<=", 0))
-            handovers.append(Row(f"zxb{i}_{a}_{j}_{b}",
-                                 tuple(z_terms + [(x_b, -1)]), "<=", 0))
-        handovers.append(Row(f"zf{i}_{a}_{j}_{b}",
-                             tuple([(x_a, 1), (x_b, 1)]
-                                   + [(z, -1) for z, _ in z_terms]),
-                             "<=", 1))
-        for k, c, m, d, successors, z in sides:
+            yield Row(f"zxa{i}_{a}_{j}_{b}", tuple(z_terms + [(x_a, -1)]), "<=", 0)
+            yield Row(f"zxb{i}_{a}_{j}_{b}", tuple(z_terms + [(x_b, -1)]), "<=", 0)
+        yield Row(f"zf{i}_{a}_{j}_{b}",
+                  tuple([(x_a, 1), (x_b, 1)] + [(z, -1) for z, _ in z_terms]),
+                  "<=", 1)
+
+    # Ranks follow the selected arcs ...
+    for i, train in enumerate(trains):
+        u_i = us[i]
+        for a, op in enumerate(train.operations):
+            for b, y in zip(op.successors, ys[i][a]):
+                yield Row(f"ord{i}_{a}_{b}", ((u_i[a], 1), (u_i[b], -1), (y, order_m)),
+                          "<=", order_m - 1)
+
+    # ... and the handovers.
+    for p in model.pairs:
+        for k, c, m, d, successors, z in _sides(instance, p):
             for cbar in successors:
-                pair_ranks.append(Row(f"ordz{k}_{c}_{cbar}_{m}_{d}",
-                                      ((us[k][cbar], 1), (us[m][d], -1), (z, order_m)),
-                                      "<=", order_m - 1))
+                yield Row(f"ordz{k}_{c}_{cbar}_{m}_{d}",
+                          ((us[k][cbar], 1), (us[m][d], -1), (z, order_m)),
+                          "<=", order_m - 1)
 
     # Delay costs.
     for c, comp in enumerate(instance.objective):
         t = ts[comp.train][comp.operation]
         x = xs[comp.train][comp.operation]
         v, w = f"v{c}", f"w{c}"
-        cost_vars.append(Variable(v, BINARY, 0, 1, ROLE_LATE_FLAG, (c,)))
-        cost_vars.append(Variable(w, CONTINUOUS, 0, None, ROLE_COST, (c,)))
         # Strict threshold: for integral t, v is forced to 1 exactly when
         # t >= threshold (the step cost fires at equality).
         m_v = max(1, horizon - comp.threshold + 1)
-        costs.append(Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1))
+        yield Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1)
         gate = comp.coeff * max(0, horizon - comp.threshold) + comp.increment
         terms = [(w, 1), (v, -comp.increment), (x, -gate)]
         if comp.coeff:
             terms.insert(1, (t, -comp.coeff))
-        costs.append(Row(f"cost{c}", tuple(terms), ">=",
-                         -comp.coeff * comp.threshold - gate))
+        yield Row(f"cost{c}", tuple(terms), ">=", -comp.coeff * comp.threshold - gate)
 
-    objective = [(f"w{c}", 1) for c in range(len(instance.objective))]
-    return MilpModel(instance=instance,
-                     variables=op_vars + arc_vars + z_vars + cost_vars,
-                     rows=flow + arcs + handovers + ranks + pair_ranks + costs + windows,
-                     objective=objective, horizon=horizon, order_big_m=order_m)
+    # Windows of the operations some route avoids, gated by x.
+    for i, train in enumerate(trains):
+        for a, (op, jumped) in enumerate(zip(train.operations, _jumped(train))):
+            if not jumped:
+                continue
+            t, x = ts[i][a], xs[i][a]
+            lb, ub = op.start_lb, _start_ub(op, horizon)
+            if lb > 0:
+                yield Row(f"lb{i}_{a}", ((t, 1), (x, -lb)), ">=", 0)
+            if ub < horizon:
+                yield Row(f"ub{i}_{a}", ((t, 1), (x, horizon - ub)), "<=", horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +357,11 @@ def _format_terms(terms: Sequence[tuple[str, int]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _wrap(line: str, limit: int = 200) -> list[str]:
+def _wrap(line: str, limit: int = 200) -> str:
+    """The line and its newline; a line over the limit is broken at spaces
+    into continuation lines indented by three spaces."""
     if len(line) <= limit:
-        return [line]
+        return line + "\n"
     out: list[str] = []
     words = line.split(" ")
     cur = words[0]
@@ -316,39 +372,47 @@ def _wrap(line: str, limit: int = 200) -> list[str]:
         else:
             cur += " " + word
     out.append(cur)
-    return out
+    return "\n".join(out) + "\n"
 
 
-def emit_lp(model: MilpModel) -> str:
-    """Deterministic LP-format text for the model (integers only)."""
-    lines: list[str] = []
-    lines.append(f"\\ dispatching model: {len(model.instance.trains)} trains, "
-                 f"{total_operations(model.instance)} operations, horizon {model.horizon}")
-    lines.append("Minimize")
-    if model.objective:
-        lines.extend(_wrap(" obj: " + _format_terms(model.objective)))
-    else:
-        lines.append(" obj: 0")
-    lines.append("Subject To")
-    for name, terms, sense, rhs in model.rows:
-        lines.extend(_wrap(f" {name}: {_format_terms(terms)} {sense} {rhs}"))
-    lines.append("Bounds")
+def write_lp(model: MilpModel, out: TextIO) -> int:
+    """Write deterministic LP-format text for the model (integers only) to
+    out, formatting each row as iter_rows makes it. Returns the number of
+    rows written."""
+    write = out.write
+    write(f"\\ dispatching model: {len(model.instance.trains)} trains, "
+          f"{total_operations(model.instance)} operations, horizon {model.horizon}\n")
+    write("Minimize\n")
+    write(_wrap(" obj: " + _format_terms(model.objective)))
+    write("Subject To\n")
+    rows = 0
+    for name, terms, sense, rhs in iter_rows(model):
+        write(_wrap(f" {name}: {_format_terms(terms)} {sense} {rhs}"))
+        rows += 1
+    write("Bounds\n")
     for var in model.variables:
         if var.kind == BINARY:
             continue
         if var.ub is not None:
-            lines.append(f" {var.lb} <= {var.name} <= {var.ub}" if var.lb
-                         else f" {var.name} <= {var.ub}")
+            write(f" {var.lb} <= {var.name} <= {var.ub}\n" if var.lb
+                  else f" {var.name} <= {var.ub}\n")
     generals = [v.name for v in model.variables if v.kind == INTEGER]
     if generals:
-        lines.append("Generals")
-        lines.extend(_wrap(" " + " ".join(generals)))
+        write("Generals\n")
+        write(_wrap(" " + " ".join(generals)))
     binaries = [v.name for v in model.variables if v.kind == BINARY]
     if binaries:
-        lines.append("Binaries")
-        lines.extend(_wrap(" " + " ".join(binaries)))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        write("Binaries\n")
+        write(_wrap(" " + " ".join(binaries)))
+    write("End\n")
+    return rows
+
+
+def emit_lp(model: MilpModel) -> str:
+    """The LP text write_lp writes, as one string."""
+    out = io.StringIO()
+    write_lp(model, out)
+    return out.getvalue()
 
 
 def name_map(model: MilpModel) -> dict:

@@ -18,6 +18,14 @@ from displib.core import (
     Solution,
     build_instance,
 )
+from displib.generate import (
+    LineSpec,
+    PerturbSpec,
+    add_cancellation,
+    add_correspondence,
+    generate_line,
+    perturb,
+)
 
 RESOURCE_POOL = ("Q0", "Q1", "Q2", "Q3", "Q4")
 
@@ -253,3 +261,12 @@ def mutate_document(rng: random.Random, doc) -> str:
     else:                # trailing garbage
         return json.dumps(doc) + rng.choice((" }", "]", "x", '{"a"'))
     return json.dumps(doc)
+
+
+def disrupted_corridor() -> Instance:
+    """The 10x8 seed-7 corridor with a cancellation and a correspondence,
+    perturbed at time 400: 1,804 rel rows."""
+    line = generate_line(LineSpec(num_stations=10, num_trains=8, seed=7))
+    line = add_correspondence(add_cancellation(line, 0, 1, 50), 0, 7, 2)
+    return perturb(line, PerturbSpec(at_time=400, delayed_fraction=0.5,
+                                     seed=3)).instance

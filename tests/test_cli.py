@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from builders import disrupted_corridor
 from conftest import data_text
 from displib import cli, milp
 from displib.fileformat import parse_instance, parse_solution, write_instance
@@ -278,6 +279,28 @@ class TestEmitLp:
         assert cli.main(["emit-lp", path, "-o", str(out)]) == 0
         sidecar = json.loads((tmp_path / "line.lp.names.json").read_text())
         assert sidecar == milp.name_map(milp.build_model(line.instance))
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_line(LineSpec(num_stations=5, num_trains=4,
+                                       seed=42)).instance,
+        disrupted_corridor,
+    ], ids=["corridor-5x4-s42", "disrupted-10x8-s7"])
+    def test_file_and_stdout_are_the_emitted_text(self, make, tmp_path, capsys):
+        instance = make()
+        model = milp.build_model(instance)
+        expected = milp.emit_lp(model)
+        path = write_file(tmp_path, "line.json", write_instance(instance))
+        out = tmp_path / "line.lp"
+        assert cli.main(["emit-lp", path, "-o", str(out)]) == 0
+        to_file = capsys.readouterr()
+        assert cli.main(["emit-lp", path]) == 0
+        to_stdout = capsys.readouterr()
+        assert out.read_bytes() == expected.encode()
+        assert to_file.out == ""
+        assert to_stdout.out == expected
+        counts = (f"model: {len(model.variables)} variables, "
+                  f"{len(model.rows)} rows, horizon {model.horizon}\n")
+        assert to_file.err == to_stdout.err == counts
 
 
 class TestMapSolution:

@@ -35,4 +35,5 @@ def test_readme_library_block_runs():
                                       solve.SolveStatus.FEASIBLE)
     assert names["solution"] == golden
     assert names["lp_text"].startswith("\\ dispatching model")
+    assert names["rows"] == 55
     assert names["snapshot"].instance.trains

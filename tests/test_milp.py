@@ -12,17 +12,11 @@ import re
 import pytest
 
 import oracles
-from builders import random_instance, random_reduced_instance
+from builders import disrupted_corridor, random_instance, random_reduced_instance
 from conftest import data_text
-from lp_reader import read_lp, solve_lp
-from displib.generate import (
-    LineSpec,
-    PerturbSpec,
-    add_cancellation,
-    add_correspondence,
-    generate_line,
-    perturb,
-)
+from lp_reader import assignment_text, read_lp, solve_lp
+from displib import cli, milp
+from displib.generate import LineSpec, generate_line
 from displib.core import (
     ObjectiveComponent,
     Operation,
@@ -79,15 +73,6 @@ def optional_start_lb_instance():
            Operation(0, (), start_ub=300)]
     comp = ObjectiveComponent(train=0, operation=3, threshold=5, coeff=1)
     return build_instance([ops], [comp])
-
-
-def disrupted_corridor():
-    """The 10x8 seed-7 corridor with a cancellation and a correspondence,
-    perturbed at time 400: 1,804 rel rows."""
-    line = generate_line(LineSpec(num_stations=10, num_trains=8, seed=7))
-    line = add_correspondence(add_cancellation(line, 0, 1, 50), 0, 7, 2)
-    return perturb(line, PerturbSpec(at_time=400, delayed_fraction=0.5,
-                                     seed=3)).instance
 
 
 def gated_windows_draw():
@@ -240,6 +225,55 @@ class TestModelInvariants:
                                     "=", 1)
         assert model.variables[-1] == Variable("w0", "continuous", 0, None,
                                                "cost", (0,))
+
+
+class TestRowsOnDemand:
+    """build_model declares no rows; model.rows builds the list on first
+    read, and the LP writer makes each row as it writes it."""
+
+    def test_round_trip_builds_no_rows(self, junction, junction_solution):
+        model = build_model(junction)
+        values = solution_assignment(model, junction, junction_solution)
+        map_solution(model, values, junction)
+        assert emit_lp(model) == data_text("junction.lp")
+        assert "rows" not in vars(model)
+
+    def test_commands_build_no_rows(self, junction, junction_solution,
+                                    tmp_path, monkeypatch, capsys):
+        models = []
+
+        def recording_build_model(instance):
+            models.append(build_model(instance))
+            return models[-1]
+
+        monkeypatch.setattr(milp, "build_model", recording_build_model)
+        instance = tmp_path / "junction.json"
+        instance.write_text(data_text("junction_instance.json"))
+        values = solution_assignment(build_model(junction), junction,
+                                     junction_solution)
+        assignment = tmp_path / "assignment.txt"
+        assignment.write_text(assignment_text(values))
+        lp = tmp_path / "junction.lp"
+        assert cli.main(["emit-lp", str(instance), "-o", str(lp)]) == 0
+        assert cli.main(["map-solution", str(instance), f"{lp}.names.json",
+                         str(assignment), "-o", str(tmp_path / "mapped.json")]) == 0
+        assert "mapped: objective 10" in capsys.readouterr().err
+        assert len(models) == 2
+        assert all("rows" not in vars(model) for model in models)
+
+    def test_reading_rows_first_leaves_the_text_unchanged(self):
+        for instance in (disrupted_corridor(), gated_windows_draw()):
+            unread, read = build_model(instance), build_model(instance)
+            rows = read.rows
+            assert emit_lp(unread) == emit_lp(read)
+            assert "rows" not in vars(unread) and read.rows is rows
+
+    def test_rows_are_the_rows_of_the_lp_text(self):
+        models = [build_model(disrupted_corridor()), *random_models()]
+        for model in models:
+            problem = read_lp(emit_lp(model))
+            assert [row.name for row in model.rows] == \
+                [name for name, *_ in problem.rows]
 
 
 class TestModelShapes:
