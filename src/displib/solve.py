@@ -23,9 +23,16 @@ budget rule: the dispatcher reads the clock once every 256 applies and sets
 insertion pass read it, so they stop within 256 applies of the deadline;
 the restart loop reads the clock between passes. A report's `nodes` is the
 dispatcher's count of applies (for the exact search, in both of its
-passes), plus one when a budget stopped the exact search. Events that
-backtracking takes back were counted when applied; a retreat that splices
-takes back one event and re-applies nothing.
+passes; for the heuristic, in both processes when a helper ran), plus one
+when a budget stopped the exact search. Events that backtracking takes back
+were counted when applied; a retreat that splices takes back one event and
+re-applies nothing.
+
+The heuristic's restarts are independent seeded passes, so after the first
+one `solve_heuristic` may fork one `_Helper` that runs every other pair of
+them on its copy of the dispatcher. The results are merged in restart
+order by the rule of a one-process run, so without a deadline the report
+is the same whether the helper runs, is skipped or fails.
 
 Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
@@ -37,12 +44,19 @@ time of the latest event, or 0 with none.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
+import pickle
 import random
+import select
+import signal
+import threading
 import time as _time
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (Instance, Event, ObjectiveComponent, Solution, Train,
                    is_route, predecessors)
@@ -612,8 +626,11 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
     """Schedule trains one at a time in jittered entry order, interleaving
     each train's route into the order built so far, a strategy immune to the
     head-on wedges that can trap greedy dispatch on dense single-track
-    traffic. The final order stays applied on the dispatcher; its solution,
-    or None."""
+    traffic. The order built so far stays applied between trains. Once the
+    dispatcher has expired every merge fails at once, so each remaining
+    train is appended whole on top of it, which gives the schedule a replay
+    of the appended order would. The final order stays applied on the
+    dispatcher; its solution, or None."""
     n = disp.n_trains
     jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
     priority = sorted(range(n), key=lambda i: (
@@ -621,6 +638,10 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
     order: list[tuple[int, int]] = []
     for i in priority:
         route = _pick_route(disp.tables[i], rng, jitter_span)
+        if disp.expired:
+            if not _replay(disp, [(i, op) for op in route]):
+                return None
+            continue
         disp.rewind(0)
         merged = _merge_route(disp, order, i, route)
         if merged is None:
@@ -687,6 +708,181 @@ def _greedy_pass(disp: _Dispatcher, rng: random.Random,
     return disp.to_solution() if disp.done() else None
 
 
+class _Attempt(NamedTuple):
+    """One seeded pass of the restart loop. Of a list of attempts only the
+    one with the list's best schedule keeps its solution: the first of the
+    least cost. The winner of any merge of lists cut at the root bound is
+    such an attempt, so one solution per list is all that is kept."""
+    attempt: int
+    objective: int | None       # None when the pass found no schedule
+    applies: int
+    solution: Solution | None
+
+
+def _attempts(disp: _Dispatcher, attempts: Iterable[int], *, seed: int,
+              jitter_span: int, root_bound: int,
+              cut: Callable[[], float] = lambda: _INF) -> list[_Attempt]:
+    """Run the seeded passes `attempts`, in order, on one dispatcher that is
+    rewound after each: odd attempts run `_insertion_pass`, even ones
+    `_greedy_pass`, and attempts 0 and 1 with jitter span 0. Without a
+    deadline each is a pure function of the instance, the seed and its
+    number. Stops after an attempt that reaches root_bound, and before any
+    attempt but the 0th once the deadline has passed or the attempt lies
+    beyond `cut()`, the first attempt that is known elsewhere to reach it."""
+    results: list[_Attempt] = []
+    best = None                 # the index of the result with the solution
+    for attempt in attempts:
+        if attempt and (attempt > cut() or disp.deadline is not None
+                        and _time.monotonic() > disp.deadline):
+            break
+        applies = disp.applies
+        rng = random.Random(seed * 1_000_003 + attempt)
+        span = jitter_span if attempt > 1 else 0
+        run_pass = _insertion_pass if attempt % 2 else _greedy_pass
+        solution = run_pass(disp, rng, span)
+        disp.rewind(0)
+        objective = None if solution is None else solution.objective_value
+        if objective is not None and (
+                best is None or objective < results[best].objective):
+            if best is not None:
+                results[best] = results[best]._replace(solution=None)
+            best = len(results)
+        else:
+            solution = None
+        results.append(_Attempt(attempt, objective, disp.applies - applies,
+                                solution))
+        if objective is not None and objective <= root_bound:
+            break
+    return results
+
+
+def _dealt(side: int, sides: int, max_restarts: int | None) -> Iterator[int]:
+    """Attempts 1, 2, ... up to max_restarts (without end for None), dealt
+    out in pairs to `sides` processes: with two, (1, 2) to side 0, (3, 4) to
+    side 1, (5, 6) to side 0 and so on. A pair holds one pass of each kind,
+    so both sides get the same mix of work."""
+    for first in itertools.count(1 + 2 * side, 2 * sides):
+        for attempt in (first, first + 1):
+            if max_restarts is not None and attempt > max_restarts:
+                return
+            yield attempt
+
+
+# Forking the helper, collecting its results and reaping it cost 2.9 ms on
+# 2 shared cores with a 27 MiB parent (CPython 3.11); a first pass shorter
+# than that leaves too little work to share.
+_FORK_COST = 0.0029
+
+
+def _can_fork() -> bool:
+    """A second CPU is usable, and the process has one thread: a fork copies
+    only the calling thread, so a lock another thread holds would stay held
+    in the child."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and threading.active_count() == 1
+
+
+class _Helper:
+    """A forked copy of the solving process that runs `run(cut)` and sends
+    its result back through a pipe as one pickle. It always ends in
+    `os._exit`, so it runs no exit handler and never flushes the parent's
+    stdio. A second pipe carries a cut from the parent: `cut()` in the
+    helper reads inf until the parent writes a number, and -1 once the pipe
+    closes without one, as it does when the parent dies."""
+
+    def __init__(self, pid: int, results_fd: int, cut_fd: int):
+        self.pid = pid
+        self._results = os.fdopen(results_fd, "rb")
+        self._cut = os.fdopen(cut_fd, "wb", buffering=0)
+        self._reaped = False
+        self.results: list[_Attempt] | None = None
+
+    @classmethod
+    def fork(cls, run: Callable[[Callable[[], float]], list[_Attempt]]
+             ) -> "_Helper | None":
+        """Start a helper; None when the fork fails."""
+        results_r, results_w = os.pipe()
+        cut_r, cut_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (results_r, results_w, cut_r, cut_w):
+                os.close(fd)
+            return None
+        if pid:
+            os.close(results_w)
+            os.close(cut_r)
+            return cls(pid, results_r, cut_w)
+        code = 1
+        try:
+            os.close(results_r)
+            os.close(cut_w)
+            results = run(functools.partial(_read_cut, cut_r, [_INF]))
+            with os.fdopen(results_w, "wb") as pipe:
+                pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def poll(self) -> list[_Attempt] | None:
+        """The helper's results once it has sent them, without waiting for
+        them; None before, and when it failed."""
+        if not self._reaped and select.select([self._results], [], [], 0)[0]:
+            self._collect()
+        return self.results
+
+    def join(self, cut: float) -> list[_Attempt] | None:
+        """Send the helper `cut` unless it is inf, wait for its results and
+        reap it. None when it failed: a non-zero exit or a truncated
+        payload."""
+        if not self._reaped:
+            if cut < _INF:
+                try:
+                    self._cut.write(b"%d" % cut)
+                except BrokenPipeError:
+                    pass            # it has already finished
+            self._collect()
+        return self.results
+
+    def _collect(self) -> None:
+        # Read to the end before waiting: a payload larger than the pipe
+        # holds keeps the helper from exiting until it is read.
+        payload = self._results.read()
+        _, status = os.waitpid(self.pid, 0)
+        self._reaped = True
+        self._close_pipes()
+        if status == 0:
+            try:
+                self.results = pickle.loads(payload)
+            except (EOFError, pickle.UnpicklingError):
+                pass
+
+    def close(self) -> None:
+        """Kill and reap a helper whose results were never collected."""
+        if not self._reaped:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self._reaped = True
+            self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        self._results.close()
+        self._cut.close()
+
+
+def _read_cut(fd: int, cut: list[float]) -> float:
+    """The helper's side of the cut pipe; `cut` holds the value once read."""
+    if cut[0] == _INF and select.select([fd], [], [], 0)[0]:
+        data = os.read(fd, 32)
+        cut[0] = int(data) if data else -1
+    return cut[0]
+
+
 def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                     seed: int = 0, max_restarts: int | None = None) -> SolveReport:
     """Seeded restarts of two passes over one dispatcher: even passes run
@@ -696,6 +892,19 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     early once the best reaches the lower bound of the empty schedule (the
     exact search's root bound). Deterministic for a fixed seed and restart
     budget. Never claims optimality, not even at that bound.
+
+    Pass 0 runs inline. If it took longer than forking costs
+    (`_FORK_COST`), more than one CPU is usable, the process has one thread,
+    neither the deadline nor the root bound has stopped the solve, and
+    attempts 3 and up are in the budget, a forked `_Helper` takes every
+    other pair of attempts (see `_dealt`) on its copy of the dispatcher;
+    under a time limit both processes stride through their pairs to the
+    deadline. The parent merges the results in attempt order by the rule of
+    a one-process run: the first strict improvement wins, `nodes` sums the
+    applies of both processes, and the run ends at the first attempt that
+    reaches the root bound. Without a deadline the report is therefore the
+    one a single process gives. A helper that fails has its attempts run by
+    the parent.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -706,30 +915,51 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     # could not improve on a best that reaches it.
     root_bound = disp.bound()
     horizon_scale = max((tab.dist[0] for tab in disp.tables), default=0)
-    jitter_span = max(1, horizon_scale // 8)
+    run = functools.partial(_attempts, disp, seed=seed,
+                            jitter_span=max(1, horizon_scale // 8),
+                            root_bound=root_bound)
 
-    best: Solution | None = None
-    attempt = 0
-    while True:
-        rng = random.Random(seed * 1_000_003 + attempt)
-        span = jitter_span if attempt > 1 else 0
-        if attempt % 2:
-            solution = _insertion_pass(disp, rng, span)
-        else:
-            solution = _greedy_pass(disp, rng, span)
-        disp.rewind(0)
-        if solution is not None and (best is None or solution.objective_value
-                                     < best.objective_value):
-            best = solution
-        attempt += 1
-        if best is not None and best.objective_value <= root_bound:
-            break
-        if max_restarts is not None and attempt > max_restarts:
-            break
-        if deadline is not None and _time.monotonic() > deadline:
-            break
+    def cut(results: list[_Attempt] | None) -> float:
+        """The attempt at which a list stopped at the root bound, or inf."""
+        if results and results[-1].objective is not None \
+                and results[-1].objective <= root_bound:
+            return results[-1].attempt
+        return _INF
 
-    status = (SolveStatus.FEASIBLE if best is not None
+    pass_start = _time.monotonic()
+    results = run([0])
+    first_pass = _time.monotonic() - pass_start
+    helper = None
+    if (first_pass > _FORK_COST and cut(results) == _INF
+            and (max_restarts is None or max_restarts > 2)
+            and (deadline is None or _time.monotonic() <= deadline)
+            and _can_fork()):
+        helper = _Helper.fork(lambda helper_cut: run(
+            _dealt(1, 2, max_restarts), cut=helper_cut))
+    if helper is None:
+        results += run(_dealt(0, 1, max_restarts), cut=lambda: cut(results))
+    else:
+        try:
+            mine = run(_dealt(0, 2, max_restarts),
+                       cut=lambda: cut(helper.poll()))
+            theirs = helper.join(cut(mine))
+        finally:
+            helper.close()
+        if theirs is None:
+            theirs = run(_dealt(1, 2, max_restarts), cut=lambda: cut(mine))
+        results += mine + theirs
+
+    winner: _Attempt | None = None
+    nodes = 0
+    for result in sorted(results, key=attrgetter("attempt")):
+        nodes += result.applies
+        if result.objective is None:
+            continue
+        if winner is None or result.objective < winner.objective:
+            winner = result
+        if result.objective <= root_bound:
+            break
+    status = (SolveStatus.FEASIBLE if winner is not None
               else SolveStatus.TIMEOUT_NO_SOLUTION)
-    return SolveReport(status=status, solution=best, nodes=disp.applies,
-                       wall_time=_time.monotonic() - start)
+    return SolveReport(status=status, solution=winner and winner.solution,
+                       nodes=nodes, wall_time=_time.monotonic() - start)

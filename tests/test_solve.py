@@ -5,21 +5,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 import random
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
 from builders import random_instance, random_reduced_train, random_train
 from conftest import data_text
+import displib.solve
 from displib import cli
 from displib.core import (
     Instance,
     ObjectiveComponent,
     Operation,
     ResourceUsage,
+    Solution,
     build_instance,
     enumerate_routes,
 )
@@ -32,7 +37,9 @@ from displib.solve import (
     _Dispatcher,
     _branch_moves,
     _depth_first,
+    _insertion_pass,
     _released,
+    _replay,
     earliest_times,
     solve_exact,
     solve_heuristic,
@@ -731,6 +738,28 @@ class TestSolveExact:
         assert infeasible >= 2
 
 
+GREEDY_DIGEST = (
+    "54de7138906ad52c7c8bfdef658529e6a40dbc803d655cbd467765f24c7fcb0e")
+
+
+def greedy_digest() -> str:
+    """The digest `test_greedy_order_is_pinned` pins."""
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        instance = random_instance(rng, max_trains=5, max_ops=8)
+        for kwargs in ({"max_restarts": 0},
+                       {"max_restarts": 2, "seed": 1}):
+            report = solve_heuristic(instance, **kwargs)
+            solution = report.solution
+            digest.update(repr((
+                report.status.value, report.nodes,
+                solution and solution.objective_value,
+                solution and [(e.time, e.train, e.operation)
+                              for e in solution.events])).encode())
+    return digest.hexdigest()
+
+
 class TestSolveHeuristic:
     def test_junction(self, junction):
         report = solve_heuristic(junction)
@@ -835,21 +864,7 @@ class TestSolveHeuristic:
         """One digest of (status, nodes, objective, events) pins the greedy
         pass alone (no restart) and two restarts at seed 1 on 60 random
         instances, six of whose greedy passes backtrack and eleven fail."""
-        rng = random.Random(16)
-        digest = hashlib.sha256()
-        for _ in range(60):
-            instance = random_instance(rng, max_trains=5, max_ops=8)
-            for kwargs in ({"max_restarts": 0},
-                           {"max_restarts": 2, "seed": 1}):
-                report = solve_heuristic(instance, **kwargs)
-                solution = report.solution
-                digest.update(repr((
-                    report.status.value, report.nodes,
-                    solution and solution.objective_value,
-                    solution and [(e.time, e.train, e.operation)
-                                  for e in solution.events])).encode())
-        assert digest.hexdigest() == (
-            "54de7138906ad52c7c8bfdef658529e6a40dbc803d655cbd467765f24c7fcb0e")
+        assert greedy_digest() == GREEDY_DIGEST
 
     @pytest.mark.parametrize("stations, trains, objective",
                              [(10, 8, 10367), (20, 14, 56032)])
@@ -868,6 +883,155 @@ class TestSolveHeuristic:
         verdict = verify(instance, report.solution)
         assert verdict.feasible
         assert verdict.computed_objective == objective
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made while the test runs, counted in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def use_helper(monkeypatch, on: bool) -> None:
+    """Force the restart helper on (no first pass too short to share, two
+    usable CPUs) or off (one usable CPU)."""
+    monkeypatch.setattr("displib.solve._FORK_COST", 0)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0, 1} if on else {0}, raising=False)
+
+
+class TestHelper:
+    """A forked helper runs every other pair of restarts; the report is the
+    one a single process gives, whether the helper runs, is skipped or
+    fails."""
+
+    @pytest.mark.parametrize("stations, trains", [(10, 8), (20, 14)])
+    def test_corridor_reports_match_a_one_process_run(
+            self, monkeypatch, forks, stations, trains):
+        instance = generate_line(LineSpec(num_stations=stations,
+                                          num_trains=trains, seed=7)).instance
+        use_helper(monkeypatch, False)
+        inline = solve_heuristic(instance, max_restarts=16, seed=0)
+        assert not forks
+        use_helper(monkeypatch, True)
+        shared = solve_heuristic(instance, max_restarts=16, seed=0)
+        assert len(forks) == 1
+        assert shared.same_outcome(inline)
+
+    def test_cuts_at_the_root_bound_on_either_side(self, monkeypatch, forks):
+        """On 130 random instances at 48 restarts the one-process run stops
+        at the root bound in the parent's share of the attempts (1, 5 and
+        29) and in the helper's (3, 7 and 43). The helper gives the same
+        report, and so does a run with a far deadline and no restart budget,
+        which only the other side's cut can stop before the deadline where
+        no later attempt of a side reaches the bound again."""
+        stops = {}
+        attempts = displib.solve._attempts
+
+        def recorded(disp, order, **kwargs):
+            results = attempts(disp, order, **kwargs)
+            last = results[-1] if results else None
+            if last and last.objective is not None \
+                    and last.objective <= kwargs["root_bound"]:
+                stops[id(disp)] = last.attempt
+            return results
+
+        rng = random.Random(16)
+        instances = [random_instance(rng, max_trains=6, max_ops=10)
+                     for _ in range(130)]
+        use_helper(monkeypatch, False)
+        inline, stopped_at = [], []
+        for instance in instances:
+            stops.clear()
+            with monkeypatch.context() as m:
+                m.setattr("displib.solve._attempts", recorded)
+                inline.append(solve_heuristic(instance, max_restarts=48,
+                                              seed=1))
+            stopped_at.append(next(iter(stops.values()), None))
+        assert {1, 3, 5, 7, 29, 43} <= set(stopped_at)
+        use_helper(monkeypatch, True)
+        for instance, report, stop in zip(instances, inline, stopped_at):
+            assert solve_heuristic(instance, max_restarts=48,
+                                   seed=1).same_outcome(report)
+            if stop is not None:
+                timed = solve_heuristic(instance, time_limit=60, seed=1)
+                assert timed.same_outcome(report)
+                assert timed.wall_time < 10
+        # A helper starts unless the first pass reaches the root bound.
+        assert len(forks) == sum((stop != 0) + (stop not in (None, 0))
+                                 for stop in stopped_at)
+
+    @pytest.mark.parametrize("reach", [1, 5, 29, 3, 7, 43])
+    def test_far_deadline_ends_at_the_first_attempt_at_the_bound(
+            self, monkeypatch, forks, junction, reach):
+        """Both passes are scripted: attempt k costs k applies and finds a
+        schedule of cost 11, and only attempt `reach` reaches the junction's
+        root bound of 10. A run with a far deadline and no restart budget
+        ends there, whether the parent's share holds it (1, 5, 29: the
+        parent cuts the helper short) or the helper's (3, 7, 43: the parent
+        reads the helper's results before its own share ends)."""
+        use_helper(monkeypatch, True)
+
+        def scripted(disp, attempt, span):
+            disp.applies += attempt
+            return Solution(objective_value=10 if attempt == reach else 11,
+                            events=())
+
+        # With seed 0 each pass's "rng" is its attempt number.
+        monkeypatch.setattr("displib.solve.random",
+                            SimpleNamespace(Random=lambda seed: seed))
+        monkeypatch.setattr("displib.solve._greedy_pass", scripted)
+        monkeypatch.setattr("displib.solve._insertion_pass", scripted)
+        report = solve_heuristic(junction, time_limit=5, seed=0)
+        assert len(forks) == 1
+        assert report.solution.objective_value == 10
+        assert report.nodes == sum(range(reach + 1))
+        assert report.wall_time < 4
+
+    def test_keeps_the_pinned_greedy_digest(self, monkeypatch, forks):
+        """At most two restarts leave the helper no pair, so none starts."""
+        use_helper(monkeypatch, True)
+        assert greedy_digest() == GREEDY_DIGEST
+        assert not forks
+
+    @pytest.mark.parametrize("failure", [
+        "fork raises", "exits without writing", "exits non-zero",
+        "truncated payload"])
+    def test_failed_helper_falls_back_to_the_parent(self, monkeypatch, forks,
+                                                    failure):
+        instance = generate_line(LineSpec(num_stations=10, num_trains=8,
+                                          seed=7)).instance
+        use_helper(monkeypatch, False)
+        inline = solve_heuristic(instance, max_restarts=16, seed=0)
+        use_helper(monkeypatch, True)
+        fork = os.fork
+        dump = pickle.dump
+
+        def failing():
+            if failure == "fork raises":
+                raise OSError("no more processes")
+            pid = fork()
+            if not pid:
+                if failure == "exits without writing":
+                    os._exit(0)
+                if failure == "exits non-zero":
+                    os._exit(3)
+                pickle.dump = lambda obj, out, protocol: out.write(
+                    pickle.dumps(obj, protocol)[:-9])
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing)
+        report = solve_heuristic(instance, max_restarts=16, seed=0)
+        assert len(forks) == (failure != "fork raises")
+        assert pickle.dump is dump
+        assert report.same_outcome(inline)
 
 
 @pytest.fixture(scope="module")
@@ -891,3 +1055,22 @@ class TestDeadline:
         assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
         assert report.bound is not None
         assert report.nodes <= 257
+
+    def test_expired_insertion_pass_appends_each_train_once(self):
+        """Past the deadline every merge fails at once; each train's route
+        is then appended on top of the order already applied, not replayed
+        with that order from the empty schedule."""
+        instance = generate_line(LineSpec(num_stations=10, num_trains=8,
+                                          seed=7)).instance
+        disp = _Dispatcher(instance)
+        disp.expired = True
+        solution = _insertion_pass(disp, random.Random(3), 40)
+        assert solution is not None
+        assert disp.applies == len(solution.events)
+        trains = [e.train for e in solution.events]
+        blocks = [i for k, i in enumerate(trains) if not k or trains[k - 1] != i]
+        assert sorted(blocks) == list(range(len(instance.trains)))
+        fresh = _Dispatcher(instance)
+        assert _replay(fresh, [(e.train, e.operation)
+                               for e in solution.events])
+        assert fresh.to_solution() == solution
