@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -321,10 +322,12 @@ def _cmd_map_solution(args: argparse.Namespace) -> int:
                            f"mapped: objective {solution.objective_value}")
 
 
-_PATTERN_KEYS = {
-    "join": ("first", "second"),
-    "cancellation": ("train", "station", "penalty"),
-    "correspondence": ("feeder", "connecting", "station"),
+# Service patterns by config type; each one's keys are its function's
+# parameters after `line`.
+_PATTERNS = {
+    "join": generate.join_trains,
+    "cancellation": generate.add_cancellation,
+    "correspondence": generate.add_correspondence,
 }
 
 _LINE_FLAGS = ("num_stations", "tracks_per_station", "num_trains",
@@ -378,9 +381,10 @@ def _apply_pattern(line: generate.GeneratedLine, raw: dict,
     if not isinstance(raw, dict) or "type" not in raw:
         raise _Fail(EXIT_USAGE, f"config: {where} needs a \"type\" key")
     kind = raw["type"]
-    if kind not in _PATTERN_KEYS:
+    if kind not in _PATTERNS:
         raise _Fail(EXIT_USAGE, f"config: {where}: unknown pattern type {kind!r}")
-    wanted = _PATTERN_KEYS[kind]
+    apply = _PATTERNS[kind]
+    wanted = [key for key in inspect.signature(apply).parameters if key != "line"]
     for key in raw:
         if key != "type" and key not in wanted:
             raise _Fail(EXIT_USAGE, f"config: {where}: unknown key {key!r}")
@@ -390,11 +394,7 @@ def _apply_pattern(line: generate.GeneratedLine, raw: dict,
     values = [raw[key] for key in wanted]
     if not all(_is_int(v) for v in values):
         raise _Fail(EXIT_USAGE, f"config: {where}: all pattern fields are integers")
-    if kind == "join":
-        return generate.join_trains(line, *values)
-    if kind == "cancellation":
-        return generate.add_cancellation(line, *values)
-    return generate.add_correspondence(line, *values)
+    return apply(line, *values)
 
 
 def _generate_one(config: dict, args: argparse.Namespace,

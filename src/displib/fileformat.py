@@ -1,17 +1,20 @@
 """JSON reading and writing for instances and solutions.
 
-Parsing applies the documented defaults (start_lb 0, unbounded start_ub,
-empty resources, release_time 0, threshold/coeff/increment 0), insists on
-non-negative integers everywhere, and reports problems with JSON-pointer
-paths. Unknown keys are collected as warnings so newer files still load;
-strict mode turns them into errors. Writing produces canonical text: fixed
-key order, defaulted keys omitted, byte-identical for equal inputs.
+Every record is read and written from its dataclass in `core`: a key is
+required exactly when its field has no default, parsing applies the
+dataclass defaults (start_lb 0, unbounded start_ub, empty resources,
+release_time 0, threshold/coeff/increment 0) and writing omits a key equal
+to its default. Parsing insists on non-negative integers everywhere and
+reports problems with JSON-pointer paths. Unknown keys are collected as
+warnings so newer files still load; strict mode turns them into errors.
+Writing produces canonical text: fixed key order, byte-identical for equal
+inputs.
 """
-
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from .core import (
@@ -97,57 +100,98 @@ def _check_keys(obj: dict, known: tuple[str, ...], path: str, strict: bool,
             diags.warn(f"{path}/{key}", f"unknown key {key!r} ignored")
 
 
-_OP_KEYS = ("start_lb", "start_ub", "min_duration", "resources", "successors")
-_USAGE_KEYS = ("resource", "release_time")
-_COMP_KEYS = ("type", "train", "operation", "threshold", "increment", "coeff")
+# One key tuple per record: the keys a document may hold, in written order.
+# Fields are read in dataclass order, after the unknown keys and, for an
+# objective component, its constant `type`.
+_KEYS = {
+    ResourceUsage: ("resource", "release_time"),
+    Operation: ("start_lb", "start_ub", "min_duration", "resources", "successors"),
+    ObjectiveComponent: ("type", "train", "operation", "threshold", "increment", "coeff"),
+    Event: ("time", "train", "operation"),
+    Solution: ("objective_value", "events"),
+}
 _INSTANCE_KEYS = ("trains", "objective")
-_SOLUTION_KEYS = ("objective_value", "events")
-_EVENT_KEYS = ("time", "train", "operation")
 
 
-def _parse_usage(raw: Any, path: str, strict: bool, diags: ParseDiagnostics) -> ResourceUsage:
+def _read(cls: type, raw: Any, path: str, strict: bool, diags: ParseDiagnostics):
+    """One `cls` record from its JSON object."""
     obj = _as_dict(raw, path)
-    _check_keys(obj, _USAGE_KEYS, path, strict, diags)
-    name = _require(obj, "resource", path)
-    if not isinstance(name, str):
-        raise FormatError(MALFORMED_DOCUMENT, f"{path}/resource",
-                          "resource name must be a string")
-    release = _as_int(obj.get("release_time", 0), f"{path}/release_time")
-    return ResourceUsage(resource=name, release_time=release)
+    _check_keys(obj, _KEYS[cls], path, strict, diags)
+    if cls is ObjectiveComponent:
+        ctype = _require(obj, "type", path)
+        if ctype != OBJECTIVE_TYPE:
+            raise FormatError(UNKNOWN_OBJECTIVE_TYPE, f"{path}/type",
+                              f"unsupported objective component type {ctype!r}")
+    values = []
+    for name, default, read, _ in _FIELDS[cls]:
+        if name in obj or default is MISSING:
+            values.append(read(_require(obj, name, path), f"{path}/{name}",
+                               strict, diags))
+        else:
+            values.append(default)
+    return cls(*values)
 
 
-def _parse_operation(raw: Any, path: str, strict: bool, diags: ParseDiagnostics) -> Operation:
-    obj = _as_dict(raw, path)
-    _check_keys(obj, _OP_KEYS, path, strict, diags)
-    min_duration = _as_int(_require(obj, "min_duration", path), f"{path}/min_duration")
-    raw_succ = _as_list(_require(obj, "successors", path), f"{path}/successors")
-    successors = tuple(_as_int(s, f"{path}/successors/{i}") for i, s in enumerate(raw_succ))
-    start_lb = _as_int(obj.get("start_lb", 0), f"{path}/start_lb")
-    start_ub = None
-    if "start_ub" in obj:
-        start_ub = _as_int(obj["start_ub"], f"{path}/start_ub")
-    resources = tuple(
-        _parse_usage(u, f"{path}/resources/{i}", strict, diags)
-        for i, u in enumerate(_as_list(obj.get("resources", []), f"{path}/resources")))
-    return Operation(min_duration=min_duration, successors=successors,
-                     start_lb=start_lb, start_ub=start_ub, resources=resources)
+def _write(cls: type, record: Any) -> dict:
+    """The JSON object of one `cls` record, defaulted keys left out."""
+    doc: dict[str, Any] = {"type": OBJECTIVE_TYPE} if cls is ObjectiveComponent else {}
+    for name, written_default, write in _WRITES[cls]:
+        value = write(getattr(record, name))
+        if value != written_default:
+            doc[name] = value
+    return doc
 
 
-def _parse_component(raw: Any, path: str, strict: bool,
-                     diags: ParseDiagnostics) -> ObjectiveComponent:
-    obj = _as_dict(raw, path)
-    _check_keys(obj, _COMP_KEYS, path, strict, diags)
-    ctype = _require(obj, "type", path)
-    if ctype != OBJECTIVE_TYPE:
-        raise FormatError(UNKNOWN_OBJECTIVE_TYPE, f"{path}/type",
-                          f"unsupported objective component type {ctype!r}")
-    train = _as_int(_require(obj, "train", path), f"{path}/train")
-    operation = _as_int(_require(obj, "operation", path), f"{path}/operation")
-    threshold = _as_int(obj.get("threshold", 0), f"{path}/threshold")
-    coeff = _as_int(obj.get("coeff", 0), f"{path}/coeff")
-    increment = _as_int(obj.get("increment", 0), f"{path}/increment")
-    return ObjectiveComponent(train=train, operation=operation, threshold=threshold,
-                              coeff=coeff, increment=increment)
+def _array(read_item, write_item) -> tuple:
+    """(reader, writer) of a JSON array, read into a tuple."""
+    def read(raw: Any, path: str, strict: bool, diags: ParseDiagnostics) -> tuple:
+        return tuple(read_item(item, f"{path}/{i}", strict, diags)
+                     for i, item in enumerate(_as_list(raw, path)))
+    return read, lambda values: [write_item(v) for v in values]
+
+
+def _records(cls: type) -> tuple:
+    return _array(functools.partial(_read, cls), functools.partial(_write, cls))
+
+
+def _read_int(raw: Any, path: str, strict: bool, diags: ParseDiagnostics) -> int:
+    return _as_int(raw, path)
+
+
+def _read_name(raw: Any, path: str, strict: bool, diags: ParseDiagnostics) -> str:
+    if not isinstance(raw, str):
+        raise FormatError(MALFORMED_DOCUMENT, path, "resource name must be a string")
+    return raw
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+# (reader, writer) of the fields that are not plain integers.
+_CODECS = {
+    "resource": (_read_name, _same),
+    "successors": _array(_read_int, _same),
+    "resources": _records(ResourceUsage),
+    "events": _records(Event),
+}
+# Per record, built once: (name, default, reader, writer) in dataclass order,
+# and (name, written default, writer) in written order.
+_FIELDS = {cls: [(f.name, f.default, *_CODECS.get(f.name, (_read_int, _same)))
+                 for f in fields(cls)] for cls in _KEYS}
+_WRITES = {cls: [(name, default if default is MISSING else write(default), write)
+                 for name, default, _, write in sorted(
+                     _FIELDS[cls], key=lambda f: keys.index(f[0]))]
+           for cls, keys in _KEYS.items()}
+_read_operations, _write_operations = _records(Operation)
+_read_components, _write_components = _records(ObjectiveComponent)
+
+
+def _load(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(MALFORMED_DOCUMENT, "", f"invalid JSON: {e}") from e
 
 
 def _instance_error_path(err: InstanceError) -> str:
@@ -161,25 +205,13 @@ def _instance_error_path(err: InstanceError) -> str:
 def parse_instance(text: str, strict: bool = False) -> tuple[Instance, ParseDiagnostics]:
     """Parse instance JSON. Raises FormatError on any fatal problem."""
     diags = ParseDiagnostics()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(MALFORMED_DOCUMENT, "", f"invalid JSON: {e}") from e
-    root = _as_dict(doc, "")
+    root = _as_dict(_load(text), "")
     _check_keys(root, _INSTANCE_KEYS, "", strict, diags)
     raw_trains = _as_list(_require(root, "trains", ""), "/trains")
-    trains = []
-    for t, raw_ops in enumerate(raw_trains):
-        ops_list = _as_list(raw_ops, f"/trains/{t}")
-        trains.append([
-            _parse_operation(op, f"/trains/{t}/{k}", strict, diags)
-            for k, op in enumerate(ops_list)
-        ])
-    raw_obj = _as_list(_require(root, "objective", ""), "/objective")
-    objective = [
-        _parse_component(comp, f"/objective/{c}", strict, diags)
-        for c, comp in enumerate(raw_obj)
-    ]
+    trains = [_read_operations(raw_ops, f"/trains/{t}", strict, diags)
+              for t, raw_ops in enumerate(raw_trains)]
+    objective = _read_components(_require(root, "objective", ""), "/objective",
+                                 strict, diags)
     try:
         instance = build_instance(trains, objective)
     except InstanceError as e:
@@ -187,44 +219,11 @@ def parse_instance(text: str, strict: bool = False) -> tuple[Instance, ParseDiag
     return instance, diags
 
 
-def _usage_doc(usage: ResourceUsage) -> dict:
-    doc: dict[str, Any] = {"resource": usage.resource}
-    if usage.release_time != 0:
-        doc["release_time"] = usage.release_time
-    return doc
-
-
-def _operation_doc(op: Operation) -> dict:
-    doc: dict[str, Any] = {}
-    if op.start_lb != 0:
-        doc["start_lb"] = op.start_lb
-    if op.start_ub is not None:
-        doc["start_ub"] = op.start_ub
-    doc["min_duration"] = op.min_duration
-    if op.resources:
-        doc["resources"] = [_usage_doc(u) for u in op.resources]
-    doc["successors"] = list(op.successors)
-    return doc
-
-
-def _component_doc(comp: ObjectiveComponent) -> dict:
-    doc: dict[str, Any] = {"type": OBJECTIVE_TYPE, "train": comp.train,
-                           "operation": comp.operation}
-    if comp.threshold != 0:
-        doc["threshold"] = comp.threshold
-    if comp.increment != 0:
-        doc["increment"] = comp.increment
-    if comp.coeff != 0:
-        doc["coeff"] = comp.coeff
-    return doc
-
-
 def write_instance(instance: Instance) -> str:
     """Canonical instance JSON: fixed key order, defaults omitted."""
     doc = {
-        "trains": [[_operation_doc(op) for op in train.operations]
-                   for train in instance.trains],
-        "objective": [_component_doc(c) for c in instance.objective],
+        "trains": [_write_operations(train.operations) for train in instance.trains],
+        "objective": _write_components(instance.objective),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -233,31 +232,8 @@ def parse_solution(text: str, strict: bool = False) -> tuple[Solution, ParseDiag
     """Parse solution JSON (structure only; index validity is the verifier's
     job because it needs the instance)."""
     diags = ParseDiagnostics()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(MALFORMED_DOCUMENT, "", f"invalid JSON: {e}") from e
-    root = _as_dict(doc, "")
-    _check_keys(root, _SOLUTION_KEYS, "", strict, diags)
-    objective_value = _as_int(_require(root, "objective_value", ""), "/objective_value")
-    raw_events = _as_list(_require(root, "events", ""), "/events")
-    events = []
-    for i, raw in enumerate(raw_events):
-        path = f"/events/{i}"
-        obj = _as_dict(raw, path)
-        _check_keys(obj, _EVENT_KEYS, path, strict, diags)
-        events.append(Event(
-            time=_as_int(_require(obj, "time", path), f"{path}/time"),
-            train=_as_int(_require(obj, "train", path), f"{path}/train"),
-            operation=_as_int(_require(obj, "operation", path), f"{path}/operation"),
-        ))
-    return Solution(objective_value=objective_value, events=tuple(events)), diags
+    return _read(Solution, _load(text), "", strict, diags), diags
 
 
 def write_solution(solution: Solution) -> str:
-    doc = {
-        "objective_value": solution.objective_value,
-        "events": [{"time": e.time, "train": e.train, "operation": e.operation}
-                   for e in solution.events],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_write(Solution, solution), indent=2) + "\n"

@@ -47,10 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import pickle
 import random
-import select
-import signal
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -626,11 +623,12 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
     """Schedule trains one at a time in jittered entry order, interleaving
     each train's route into the order built so far, a strategy immune to the
     head-on wedges that can trap greedy dispatch on dense single-track
-    traffic. The order built so far stays applied between trains. Once the
-    dispatcher has expired every merge fails at once, so each remaining
-    train is appended whole on top of it, which gives the schedule a replay
-    of the appended order would. The final order stays applied on the
-    dispatcher; its solution, or None."""
+    traffic. The order built so far stays applied between trains. A train
+    whose merge fails is appended whole on top of that order, re-applied
+    first because a failed merge leaves the dispatcher empty. Once the
+    dispatcher has expired every merge would fail at once, so each
+    remaining train is appended without one. The final order stays applied
+    on the dispatcher; its solution, or None."""
     n = disp.n_trains
     jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
     priority = sorted(range(n), key=lambda i: (
@@ -638,18 +636,19 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
     order: list[tuple[int, int]] = []
     for i in priority:
         route = _pick_route(disp.tables[i], rng, jitter_span)
-        if disp.expired:
-            if not _replay(disp, [(i, op) for op in route]):
-                return None
-            continue
-        disp.rewind(0)
-        merged = _merge_route(disp, order, i, route)
-        if merged is None:
+        if not disp.expired:
+            disp.rewind(0)
+            merged = _merge_route(disp, order, i, route)
+            if merged is not None:
+                order = merged
+                continue
             # Plain append sometimes works when interleaving does not.
-            merged = order + [(i, op) for op in route]
-            if not _replay(disp, merged):
+            if not _replay(disp, order):
                 return None
-        order = merged
+        appended = [(i, op) for op in route]
+        if not _replay(disp, appended):
+            return None
+        order += appended
     return disp.to_solution()
 
 
@@ -793,7 +792,9 @@ class _Helper:
     `os._exit`, so it runs no exit handler and never flushes the parent's
     stdio. A second pipe carries a cut from the parent: `cut()` in the
     helper reads inf until the parent writes a number, and -1 once the pipe
-    closes without one, as it does when the parent dies."""
+    closes without one, as it does when the parent dies. The modules only a
+    helper needs are imported where it uses them, so a process that never
+    forks one does not load them."""
 
     def __init__(self, pid: int, results_fd: int, cut_fd: int):
         self.pid = pid
@@ -820,6 +821,7 @@ class _Helper:
             return cls(pid, results_r, cut_w)
         code = 1
         try:
+            import pickle
             os.close(results_r)
             os.close(cut_w)
             results = run(functools.partial(_read_cut, cut_r, [_INF]))
@@ -832,6 +834,7 @@ class _Helper:
     def poll(self) -> list[_Attempt] | None:
         """The helper's results once it has sent them, without waiting for
         them; None before, and when it failed."""
+        import select
         if not self._reaped and select.select([self._results], [], [], 0)[0]:
             self._collect()
         return self.results
@@ -852,6 +855,7 @@ class _Helper:
     def _collect(self) -> None:
         # Read to the end before waiting: a payload larger than the pipe
         # holds keeps the helper from exiting until it is read.
+        import pickle
         payload = self._results.read()
         _, status = os.waitpid(self.pid, 0)
         self._reaped = True
@@ -864,6 +868,7 @@ class _Helper:
 
     def close(self) -> None:
         """Kill and reap a helper whose results were never collected."""
+        import signal
         if not self._reaped:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -877,6 +882,7 @@ class _Helper:
 
 def _read_cut(fd: int, cut: list[float]) -> float:
     """The helper's side of the cut pipe; `cut` holds the value once read."""
+    import select
     if cut[0] == _INF and select.select([fd], [], [], 0)[0]:
         data = os.read(fd, 32)
         cut[0] = int(data) if data else -1

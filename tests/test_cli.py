@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -651,3 +652,16 @@ class TestTopLevel:
                               junction_path], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("valid: 2 trains, 7 operations")
+
+    def test_import_loads_no_helper_modules(self):
+        # pickle, select and signal serve only the forked restart helper;
+        # importing the command line must not load them.
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "import displib.cli\n"
+                "print(sorted({'pickle', 'select', 'signal'} & (set(sys.modules) - before)))")
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": package_root})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"

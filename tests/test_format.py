@@ -3,6 +3,7 @@ error reporting with document paths."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import data_text
-from builders import mutate_document, random_instance
+from builders import (_walk_containers, disrupted_corridor, mutate_document,
+                      random_instance)
 from displib import fileformat
 from displib.core import (
     DUPLICATE_SUCCESSOR,
@@ -24,6 +26,7 @@ from displib.core import (
     Solution,
     build_instance,
 )
+from displib.generate import LineSpec, generate_line
 from displib.fileformat import (
     MALFORMED_DOCUMENT,
     MISSING_KEY,
@@ -300,3 +303,92 @@ class TestFuzzing:
         # deleting an optional key) legitimately survive.
         assert errored > 250
         assert survived + errored == 400
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(json.dumps(item).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _outcome(parse, text: str, strict: bool) -> list:
+    """(kind, path, message) of a rejected document; the re-written bytes and
+    the warnings of an accepted one."""
+    try:
+        parsed, diags = parse(text, strict=strict)
+    except FormatError as e:
+        return [e.kind, e.path, e.reason]
+    written = (write_instance(parsed) if parse is parse_instance
+               else write_solution(parsed))
+    return [written, diags.warnings]
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus():
+    """50 random instances, the disrupted 10x8 corridor and the 5x4 seed-42
+    line, with their heuristic solutions at 4 restarts (so a change to the
+    heuristic's schedules changes the digests too)."""
+    from displib.solve import solve_heuristic
+    instances = [random_instance(random.Random(seed)) for seed in range(50)]
+    instances += [disrupted_corridor(),
+                  generate_line(LineSpec(num_stations=5, num_trains=4,
+                                         seed=42)).instance]
+    solutions = [solve_heuristic(instance, max_restarts=4).solution
+                 for instance in instances]
+    return instances, [s for s in solutions if s is not None]
+
+
+class TestPinnedBehaviour:
+    """Digests of what the format writes and reports. A change to any written
+    byte, error kind, path, message or warning changes a digest."""
+
+    def test_written_bytes(self, pinned_corpus):
+        instances, solutions = pinned_corpus
+        assert len(solutions) == 50
+        texts = ([write_instance(i) for i in instances]
+                 + [write_solution(s) for s in solutions])
+        assert _digest(texts) == WRITTEN_DIGEST
+
+    def test_parse_outcomes(self, pinned_corpus):
+        # Every other base document carries an unknown key somewhere, so
+        # lenient and strict parses differ.
+        instances, solutions = pinned_corpus
+        rng = random.Random(19)
+        cases = []
+        for n, record in enumerate(instances[:50] + solutions[:50]):
+            is_instance = n < 50
+            doc = json.loads(write_instance(record) if is_instance
+                             else write_solution(record))
+            for k in range(10):
+                base = doc
+                if k % 2:
+                    base = json.loads(json.dumps(doc))
+                    target = rng.choice([c for c in _walk_containers(base)
+                                         if isinstance(c, dict)])
+                    target["note"] = k
+                cases.append((parse_instance if is_instance else parse_solution,
+                              mutate_document(rng, base)))
+        assert len(cases) == 1000
+        outcomes = [_outcome(parse, text, strict)
+                    for parse, text in cases for strict in (False, True)]
+        assert sum(len(o) == 3 and o[0] == UNKNOWN_KEY for o in outcomes) > 100
+        assert _digest(outcomes) == OUTCOME_DIGEST
+
+    def test_unknown_key_comes_before_field_errors(self):
+        # Unknown keys are checked first, then the fields in dataclass order:
+        # min_duration (missing) before start_lb (negative).
+        text = ('{"trains": [[{"start_lb": -1, "successors": [], "extra": 1}]], '
+                '"objective": []}')
+        with pytest.raises(FormatError) as strict:
+            parse_instance(text, strict=True)
+        assert (strict.value.kind, strict.value.path) == (UNKNOWN_KEY,
+                                                          "/trains/0/0/extra")
+        with pytest.raises(FormatError) as lenient:
+            parse_instance(text)
+        assert (lenient.value.kind, lenient.value.path) == (MISSING_KEY,
+                                                            "/trains/0/0")
+
+
+WRITTEN_DIGEST = "d28a4d7cf3377949122ee820601421eb50a1de529727dc821ecab5988ef9188d"
+OUTCOME_DIGEST = "6f7406dbc29c03b017380ba56551119b165509483c5fca75fba8a242adb5597a"
