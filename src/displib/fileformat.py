@@ -151,6 +151,7 @@ def _array(read_item, write_item) -> tuple:
 
 
 def _records(cls: type) -> tuple:
+    """(reader, writer) of a JSON array of `cls` records."""
     return _array(functools.partial(_read, cls), functools.partial(_write, cls))
 
 

@@ -27,6 +27,7 @@ from displib.core import (
     build_instance,
 )
 from displib.generate import LineSpec, generate_line
+from displib.solve import solve_heuristic
 from displib.fileformat import (
     MALFORMED_DOCUMENT,
     MISSING_KEY,
@@ -329,7 +330,6 @@ def pinned_corpus():
     """50 random instances, the disrupted 10x8 corridor and the 5x4 seed-42
     line, with their heuristic solutions at 4 restarts (so a change to the
     heuristic's schedules changes the digests too)."""
-    from displib.solve import solve_heuristic
     instances = [random_instance(random.Random(seed)) for seed in range(50)]
     instances += [disrupted_corridor(),
                   generate_line(LineSpec(num_stations=5, num_trains=4,
