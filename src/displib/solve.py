@@ -30,9 +30,11 @@ re-applies nothing.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
-them on its copy of the dispatcher. The results are merged in restart
-order by the rule of a one-process run, so without a deadline the report
-is the same whether the helper runs, is skipped or fails.
+them on its copy of the dispatcher and reads nothing from the parent. The
+results are merged in restart order by the rule of a one-process run, so
+without a deadline the report is the same whether the helper runs, is
+skipped, fails, or is killed because the parent's share reached the root
+bound first and the parent re-runs the helper's earlier restarts.
 
 Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
@@ -787,44 +789,38 @@ def _can_fork() -> bool:
 
 
 class _Helper:
-    """A forked copy of the solving process that runs `run(cut)` and sends
-    its result back through a pipe as one pickle. It always ends in
-    `os._exit`, so it runs no exit handler and never flushes the parent's
-    stdio. A second pipe carries a cut from the parent: `cut()` in the
-    helper reads inf until the parent writes a number, and -1 once the pipe
-    closes without one, as it does when the parent dies. The modules only a
-    helper needs are imported where it uses them, so a process that never
-    forks one does not load them."""
+    """A forked copy of the solving process that runs `run()`, sends the
+    result back through a pipe as one pickle and reads nothing from the
+    parent. It always ends in `os._exit`, so it runs no exit handler and
+    never flushes the parent's stdio. `join` waits for it; `close` kills
+    it unless reaped; if the parent is killed first, it runs to its budget.
+    The modules only a helper needs are imported where it uses them, so a
+    process that never forks one does not load them."""
 
-    def __init__(self, pid: int, results_fd: int, cut_fd: int):
+    def __init__(self, pid: int, results_fd: int):
         self.pid = pid
         self._results = os.fdopen(results_fd, "rb")
-        self._cut = os.fdopen(cut_fd, "wb", buffering=0)
         self._reaped = False
         self.results: list[_Attempt] | None = None
 
     @classmethod
-    def fork(cls, run: Callable[[Callable[[], float]], list[_Attempt]]
-             ) -> "_Helper | None":
+    def fork(cls, run: Callable[[], list[_Attempt]]) -> "_Helper | None":
         """Start a helper; None when the fork fails."""
         results_r, results_w = os.pipe()
-        cut_r, cut_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (results_r, results_w, cut_r, cut_w):
+            for fd in (results_r, results_w):
                 os.close(fd)
             return None
         if pid:
             os.close(results_w)
-            os.close(cut_r)
-            return cls(pid, results_r, cut_w)
+            return cls(pid, results_r)
         code = 1
         try:
             import pickle
             os.close(results_r)
-            os.close(cut_w)
-            results = run(functools.partial(_read_cut, cut_r, [_INF]))
+            results = run()
             with os.fdopen(results_w, "wb") as pipe:
                 pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -839,16 +835,10 @@ class _Helper:
             self._collect()
         return self.results
 
-    def join(self, cut: float) -> list[_Attempt] | None:
-        """Send the helper `cut` unless it is inf, wait for its results and
-        reap it. None when it failed: a non-zero exit or a truncated
-        payload."""
+    def join(self) -> list[_Attempt] | None:
+        """Wait for the helper's results and reap it. None when it failed:
+        a non-zero exit or a truncated payload."""
         if not self._reaped:
-            if cut < _INF:
-                try:
-                    self._cut.write(b"%d" % cut)
-                except BrokenPipeError:
-                    pass            # it has already finished
             self._collect()
         return self.results
 
@@ -859,7 +849,6 @@ class _Helper:
         payload = self._results.read()
         _, status = os.waitpid(self.pid, 0)
         self._reaped = True
-        self._close_pipes()
         if status == 0:
             try:
                 self.results = pickle.loads(payload)
@@ -867,26 +856,13 @@ class _Helper:
                 pass
 
     def close(self) -> None:
-        """Kill and reap a helper whose results were never collected."""
-        import signal
+        """Kill and reap the helper unless reaped; close the pipe."""
         if not self._reaped:
+            import signal
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self._reaped = True
-            self._close_pipes()
-
-    def _close_pipes(self) -> None:
         self._results.close()
-        self._cut.close()
-
-
-def _read_cut(fd: int, cut: list[float]) -> float:
-    """The helper's side of the cut pipe; `cut` holds the value once read."""
-    import select
-    if cut[0] == _INF and select.select([fd], [], [], 0)[0]:
-        data = os.read(fd, 32)
-        cut[0] = int(data) if data else -1
-    return cut[0]
 
 
 def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
@@ -905,12 +881,16 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     attempts 3 and up are in the budget, a forked `_Helper` takes every
     other pair of attempts (see `_dealt`) on its copy of the dispatcher;
     under a time limit both processes stride through their pairs to the
-    deadline. The parent merges the results in attempt order by the rule of
-    a one-process run: the first strict improvement wins, `nodes` sums the
-    applies of both processes, and the run ends at the first attempt that
-    reaches the root bound. Without a deadline the report is therefore the
-    one a single process gives. A helper that fails has its attempts run by
-    the parent.
+    deadline. The parent's share stops before any attempt beyond one at the
+    root bound in the helper's results. At a bound in its own share, the
+    parent takes the helper's results if they have arrived, or else kills
+    the helper and runs the helper's attempts below the bound itself, as
+    after a helper failure: so it never waits on a running pass, and spends
+    at most about what one process spends up to that attempt. The parent
+    merges the results in attempt order by the rule of a one-process run:
+    the first strict improvement wins, `nodes` sums the applies of both
+    processes, and the run ends at the first attempt that reaches the root
+    bound. Without a deadline the report is the one a single process gives.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -940,15 +920,14 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
             and (max_restarts is None or max_restarts > 2)
             and (deadline is None or _time.monotonic() <= deadline)
             and _can_fork()):
-        helper = _Helper.fork(lambda helper_cut: run(
-            _dealt(1, 2, max_restarts), cut=helper_cut))
+        helper = _Helper.fork(lambda: run(_dealt(1, 2, max_restarts)))
     if helper is None:
         results += run(_dealt(0, 1, max_restarts), cut=lambda: cut(results))
     else:
         try:
             mine = run(_dealt(0, 2, max_restarts),
                        cut=lambda: cut(helper.poll()))
-            theirs = helper.join(cut(mine))
+            theirs = helper.join() if cut(mine) == _INF else helper.poll()
         finally:
             helper.close()
         if theirs is None:

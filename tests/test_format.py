@@ -287,23 +287,50 @@ class TestParseSolution:
 
 class TestFuzzing:
     def test_invalid_documents_never_crash(self):
-        rng = random.Random(99)
+        # Every other mutant that is still JSON gets an unknown key, placed
+        # by a random stream of its own after mutating, so that `rng` and
+        # the mutants are what they were without keys.
+        rng, keys = random.Random(99), random.Random(20)
         survived = 0
         errored = 0
-        for _ in range(400):
+        warned = unknown = 0
+        for n in range(400):
             base = json.loads(write_instance(random_instance(rng)))
             text = mutate_document(rng, base)
+            if n % 2:
+                try:
+                    doc = json.loads(text)
+                except ValueError:
+                    pass
+                else:
+                    keys.choice([c for c in _walk_containers(doc)
+                                 if isinstance(c, dict)])["note"] = n
+                    text = json.dumps(doc)
             try:
-                parse_instance(text)
+                lenient, diags = parse_instance(text)
                 survived += 1
             except FormatError as e:
                 errored += 1
                 assert isinstance(e.path, str)
                 assert str(e)
+                lenient = None
+            try:
+                strict, _ = parse_instance(text, strict=True)
+            except FormatError as e:
+                assert isinstance(e.path, str)
+                assert str(e)
+                unknown += e.kind == UNKNOWN_KEY
+                strict = None
+            if lenient is not None and diags.warnings:
+                warned += 1
+                assert strict is None
+            elif lenient is not None:
+                assert strict == lenient
         # Most mutations must actually break the document; a few (like
         # deleting an optional key) legitimately survive.
         assert errored > 250
         assert survived + errored == 400
+        assert warned and unknown > 100
 
 
 def _digest(items) -> str:

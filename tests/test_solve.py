@@ -909,8 +909,16 @@ def use_helper(monkeypatch, on: bool) -> None:
 
 class TestHelper:
     """A forked helper runs every other pair of restarts; the report is the
-    one a single process gives, whether the helper runs, is skipped or
-    fails."""
+    one a single process gives, whether the helper runs, is skipped, fails
+    or is killed."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        """Every helper is reaped: after joining it, after killing it at a
+        stop on the parent's side, and after each kind of failure."""
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("stations, trains", [(10, 8), (20, 14)])
     def test_corridor_reports_match_a_one_process_run(
@@ -994,6 +1002,31 @@ class TestHelper:
         assert report.solution.objective_value == 10
         assert report.nodes == sum(range(reach + 1))
         assert report.wall_time < 4
+
+    def test_stop_on_the_parent_side_does_not_wait_for_the_helper(
+            self, monkeypatch, forks, junction):
+        """The parent's attempt 1 reaches the root bound after 0.3 s while
+        the helper's attempt 3 runs for 1.5 s. The parent kills the helper
+        instead of waiting for that pass, and no attempt of the helper's lies
+        below the bound, so the report is the one of attempts 0 and 1."""
+        use_helper(monkeypatch, True)
+        seconds = {1: 0.3, 2: 0.3, 3: 1.5, 4: 1.5, 7: 1.5, 8: 1.5}
+
+        def scripted(disp, attempt, span):
+            time.sleep(seconds.get(attempt, 0))
+            disp.applies += attempt
+            return Solution(objective_value=10 if attempt == 1 else 11,
+                            events=())
+
+        monkeypatch.setattr("displib.solve.random",
+                            SimpleNamespace(Random=lambda seed: seed))
+        monkeypatch.setattr("displib.solve._greedy_pass", scripted)
+        monkeypatch.setattr("displib.solve._insertion_pass", scripted)
+        report = solve_heuristic(junction, time_limit=20, seed=0)
+        assert len(forks) == 1
+        assert report.solution.objective_value == 10
+        assert report.nodes == sum(range(2))
+        assert report.wall_time < 1
 
     def test_keeps_the_pinned_greedy_digest(self, monkeypatch, forks):
         """At most two restarts leave the helper no pair, so none starts."""
