@@ -17,9 +17,13 @@ partial schedule that the exact search prunes with and the heuristic stops
 at.
 
 One backtracking loop, `_depth_first`, runs both passes of the exact
-search and the greedy pass; each is a move order plus a stop rule. One
-budget rule: the dispatcher reads the clock once every 256 applies and sets
-`expired` past the deadline. The search loop and each merge of the
+search and the greedy pass; each is a move order plus a stop rule. A greedy
+level ranks its moves once and resumes from that ranking after a take-back,
+which restores the level's state exactly. `splice` checks resource states by
+identity: each write makes a fresh state tuple, so a resource still holding
+the tuple an event wrote was touched by no later event. One budget rule:
+the dispatcher reads the clock once every 256 applies and sets `expired`
+past the deadline. The search loop and each merge of the
 insertion pass read it, so they stop within 256 applies of the deadline;
 the restart loop reads the clock between passes. A report's `nodes` is the
 dispatcher's count of applies (for the exact search, in both of its
@@ -30,11 +34,12 @@ re-applies nothing.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
-them on its copy of the dispatcher and reads nothing from the parent. The
-results are merged in restart order by the rule of a one-process run, so
-without a deadline the report is the same whether the helper runs, is
-skipped, fails, or is killed because the parent's share reached the root
-bound first and the parent re-runs the helper's earlier restarts.
+them on its copy of the dispatcher, reads nothing from the parent, and
+stops before its next pass once the parent is gone. The results are merged
+in restart order by the rule of a one-process run, so without a deadline
+the report is the same whether the helper runs, is skipped, fails, or is
+killed because the parent's share reached the root bound first and the
+parent re-runs the helper's earlier restarts.
 
 Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
@@ -47,6 +52,7 @@ time of the latest event, or 0 with none.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import os
 import random
@@ -160,7 +166,8 @@ class _Dispatcher:
     applies, `expired`, and the cost lower bound of the partial schedule
     (`bound`). An event's undo record holds what the event list
     cannot give back: the train's previous operation and start, the
-    (resource, state) pairs the apply replaced, and the cost it added."""
+    (resource, state before, state written) triples of the apply, and the
+    cost it added."""
 
     def __init__(self, instance: Instance, deadline: float | None = None):
         self.n_trains = len(instance.trains)
@@ -224,20 +231,22 @@ class _Dispatcher:
         """Append the start of (train, op) at time t."""
         tab = self.tables[train]
         res = self.res
-        # (resource, state) before each change; undo restores them newest
-        # first, so a resource changed twice ends at its first state.
-        old: list[tuple[str, tuple]] = []
+        # (resource, state before, state written) for each change; undo
+        # restores them newest first, so a resource changed twice ends at its
+        # first state. Every written state is a fresh tuple, which `splice`
+        # compares by identity.
+        old: list[tuple[str, tuple, tuple]] = []
         last = self.last_op[train]
         if last is not None:
             for r, release in zip(tab.keys[last], tab.release[last]):
                 state = res[r]
-                old.append((r, state))
-                res[r] = _released(state, t + release, train)
+                res[r] = new = _released(state, t + release, train)
+                old.append((r, state, new))
         for r in tab.keys[op]:
             state = res[r]
-            old.append((r, state))
             _, stamp1, train1, stamp2 = state
-            res[r] = (train, stamp1, train1, stamp2)
+            res[r] = new = (train, stamp1, train1, stamp2)
+            old.append((r, state, new))
         z_delta = 0
         for comp in tab.comps[op]:
             z_delta += comp.cost(t)
@@ -268,7 +277,7 @@ class _Dispatcher:
         self.floor = events[-1][0] if events else 0
         self.last_op[train] = prev_op
         self.last_time[train] = prev_time
-        for r, state in reversed(old):
+        for r, state, _ in reversed(old):
             self.res[r] = state
 
     def rewind(self, depth: int) -> None:
@@ -279,20 +288,25 @@ class _Dispatcher:
     def splice(self, depth: int) -> bool:
         """Take back the event at `depth` alone, leaving the events above it
         applied; False, with nothing changed, unless every later event would
-        probe to the same start without it: none is of the same train,
-        none touches a resource the event claimed or released, and the next
-        one starts strictly later (so the floor the event set bound none).
-        The undo records of the events above stay exact."""
-        events, records = self.events, self._undo
-        if depth + 1 < len(events):
-            t, train, _ = events[depth]
-            if events[depth + 1][0] <= t:
+        probe to the same start without it: none is of the same train (the
+        event is its train's latest), none touches a resource the event
+        claimed or released (each such resource still holds the very state
+        tuple the event wrote), and the next one starts strictly later (so
+        the floor the event set bound none). The check costs O(resources of
+        the event). The undo records of the events above stay exact."""
+        events = self.events
+        t, train, op = events[depth]
+        if depth + 1 < len(events) and events[depth + 1][0] <= t:
+            return False
+        if self.last_op[train] != op:
+            return False
+        # The state each resource ended at in this apply: the last one
+        # written where the event released and claimed the same resource.
+        written = {r: new for r, _, new in self._undo[depth][2]}
+        res = self.res
+        for r, new in written.items():
+            if res[r] is not new:
                 return False
-            touched = {r for r, _ in records[depth][2]}
-            for k in range(depth + 1, len(events)):
-                if events[k][1] == train or any(
-                        r in touched for r, _ in records[k][2]):
-                    return False
         self.undo(depth)
         return True
 
@@ -667,42 +681,53 @@ def _greedy_pass(disp: _Dispatcher, rng: random.Random,
     that depth and probes startable. `_depth_first` runs this order to the
     first complete schedule, taking back at most _BACKTRACK_LIMIT events per
     pass. The schedule stays applied on the dispatcher; its solution, or
-    None, also on expiry."""
+    None, also on expiry.
+
+    A level ranks its head moves once, in a heap. A take-back restores the
+    level's state exactly, so the level resumes from that ranking and probes
+    only the next candidate of the train whose head it yielded. Each train's
+    candidate order is sorted once per previous operation in a pass, and the
+    first sort draws the route jitter."""
     slack_jitter = [rng.randint(-jitter_span, jitter_span)
                     for _ in range(disp.n_trains)]
     route_jitter: dict[tuple[int, int], int] = {}
+    ranked: dict[tuple[int, int | None], list[int]] = {}
 
     def _dj(i: int, o: int) -> int:
         if (i, o) not in route_jitter:
             route_jitter[(i, o)] = rng.randint(0, jitter_span)
         return route_jitter[(i, o)]
 
-    def urgent_first():
-        tried: set[tuple[int, int]] = set()
-        while True:
-            chosen = chosen_key = None
-            for i in range(disp.n_trains):
-                if disp.ended[i]:
-                    continue
-                tab = disp.tables[i]
-                cands = sorted(disp.candidates(i),
-                               key=lambda o: (tab.dist[o] + _dj(i, o), o))
-                for op in cands:
-                    if (i, op) in tried:
-                        continue
-                    status, t = disp.probe(i, op)
-                    if status != _OK:
-                        continue
-                    key = (tab.slack[op] - t + slack_jitter[i],
-                           tab.start_lb[op], i, op)
-                    if chosen_key is None or key < chosen_key:
-                        chosen_key = key
-                        chosen = (i, op, t)
-                    break  # only the head candidate of each train competes
-            if chosen is None:
+    def candidates(i: int) -> list[int]:
+        """Train i's candidates, shortest jittered remaining path first."""
+        key = (i, disp.last_op[i])
+        if key not in ranked:
+            tab = disp.tables[i]
+            ranked[key] = sorted(disp.candidates(i),
+                                 key=lambda o: (tab.dist[o] + _dj(i, o), o))
+        return ranked[key]
+
+    def offer(heap: list, i: int, cands: list[int], first: int) -> None:
+        """Push train i's head: its first candidate from index `first` on
+        that probes startable, keyed by urgency."""
+        tab = disp.tables[i]
+        for k in range(first, len(cands)):
+            op = cands[k]
+            status, t = disp.probe(i, op)
+            if status == _OK:
+                heapq.heappush(heap, (tab.slack[op] - t + slack_jitter[i],
+                                      tab.start_lb[op], i, op, t, cands, k))
                 return
-            tried.add(chosen[:2])
-            yield chosen
+
+    def urgent_first():
+        heap: list[tuple] = []
+        for i in range(disp.n_trains):
+            if not disp.ended[i]:
+                offer(heap, i, candidates(i), 0)
+        while heap:
+            _, _, i, op, t, cands, k = heapq.heappop(heap)
+            yield i, op, t
+            offer(heap, i, cands, k + 1)
 
     _depth_first(disp, urgent_first, first_leaf=True,
                  backtrack_limit=_BACKTRACK_LIMIT)
@@ -729,7 +754,8 @@ def _attempts(disp: _Dispatcher, attempts: Iterable[int], *, seed: int,
     deadline each is a pure function of the instance, the seed and its
     number. Stops after an attempt that reaches root_bound, and before any
     attempt but the 0th once the deadline has passed or the attempt lies
-    beyond `cut()`, the first attempt that is known elsewhere to reach it."""
+    beyond `cut()`, the first attempt that is known elsewhere to reach it
+    (0 when no result of this list will be read)."""
     results: list[_Attempt] = []
     best = None                 # the index of the result with the solution
     for attempt in attempts:
@@ -793,7 +819,8 @@ class _Helper:
     result back through a pipe as one pickle and reads nothing from the
     parent. It always ends in `os._exit`, so it runs no exit handler and
     never flushes the parent's stdio. `join` waits for it; `close` kills
-    it unless reaped; if the parent is killed first, it runs to its budget.
+    it unless reaped. If the parent dies first, the solve's helper stops
+    before its next pass (see `solve_heuristic`).
     The modules only a helper needs are imported where it uses them, so a
     process that never forks one does not load them."""
 
@@ -881,9 +908,10 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     attempts 3 and up are in the budget, a forked `_Helper` takes every
     other pair of attempts (see `_dealt`) on its copy of the dispatcher;
     under a time limit both processes stride through their pairs to the
-    deadline. The parent's share stops before any attempt beyond one at the
-    root bound in the helper's results. At a bound in its own share, the
-    parent takes the helper's results if they have arrived, or else kills
+    deadline. The helper's share stops before its next attempt once the
+    parent is gone. The parent's share stops before any attempt beyond one
+    at the root bound in the helper's results. At a bound in its own share,
+    the parent takes the helper's results if they have arrived, or else kills
     the helper and runs the helper's attempts below the bound itself, as
     after a helper failure: so it never waits on a running pass, and spends
     at most about what one process spends up to that attempt. The parent
@@ -920,7 +948,12 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
             and (max_restarts is None or max_restarts > 2)
             and (deadline is None or _time.monotonic() <= deadline)
             and _can_fork()):
-        helper = _Helper.fork(lambda: run(_dealt(1, 2, max_restarts)))
+        parent = os.getpid()
+        # Once the parent is gone the helper is re-parented: it then stops
+        # before its next pass instead of running on to its budget.
+        helper = _Helper.fork(lambda: run(
+            _dealt(1, 2, max_restarts),
+            cut=lambda: _INF if os.getppid() == parent else 0))
     if helper is None:
         results += run(_dealt(0, 1, max_restarts), cut=lambda: cut(results))
     else:

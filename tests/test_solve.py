@@ -8,6 +8,11 @@ import json
 import os
 import pickle
 import random
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -226,6 +231,21 @@ class TestEarliestTimes:
         assert checked > 50
 
 
+def rescan_allows_splice(disp, depth):
+    """Whether `splice(depth)` may take the event at depth back, by a full
+    rescan of the events above it: none is of the same train, none's undo
+    record touches a resource the event's record touches, and the next one
+    starts strictly later."""
+    events, records = disp.events, disp._undo
+    t, train, _ = events[depth]
+    if depth + 1 < len(events) and events[depth + 1][0] <= t:
+        return False
+    touched = {r for r, *_ in records[depth][2]}
+    return not any(events[k][1] == train
+                   or any(r in touched for r, *_ in records[k][2])
+                   for k in range(depth + 1, len(events)))
+
+
 class TestDispatcher:
     def test_rewind_restores_the_replayed_state(self):
         """Walk forward by random moves, rewind to a random depth and walk on;
@@ -351,6 +371,46 @@ class TestDispatcher:
                 assert dispatcher_state(disp) == dispatcher_state(
                     _Dispatcher(instance))
         assert spliced > 1000 and refused > 1000
+
+    def test_splice_agrees_with_a_full_rescan(self):
+        """Drive random apply, undo and splice sequences. `splice` accepts
+        exactly when `rescan_allows_splice` does. An accepted splice leaves
+        the state a fresh `_replay` of the remaining order reaches, resource
+        states compared by value; a refused one changes nothing. Over 500
+        of the accepted splices leave events above the one taken back."""
+        rng = random.Random(43)
+        accepted = refused = buried = 0
+        for _ in range(800):
+            instance = random_instance(rng, max_trains=5, max_ops=8)
+            disp = _Dispatcher(instance)
+            for _ in range(100):
+                moves = startable(disp)
+                roll = rng.random()
+                if moves and (roll < 0.6 or not disp.events):
+                    disp.apply(*rng.choice(moves))
+                elif not disp.events:
+                    break
+                elif roll < 0.7:
+                    disp.undo()
+                else:
+                    depth = rng.randrange(len(disp.events))
+                    allowed = rescan_allows_splice(disp, depth)
+                    before, records = dispatcher_state(disp), list(disp._undo)
+                    above = len(disp.events) - 1 - depth
+                    assert disp.splice(depth) == allowed
+                    if allowed:
+                        fresh = _Dispatcher(instance)
+                        assert _replay(fresh, [(i, op)
+                                               for _, i, op in disp.events])
+                        assert dispatcher_state(disp) == dispatcher_state(fresh)
+                        accepted += 1
+                        buried += above > 0
+                    else:
+                        assert dispatcher_state(disp) == before
+                        assert disp._undo == records
+                        refused += 1
+                check_invariants(disp)
+        assert accepted > 1000 and refused > 1000 and buried > 500
 
     def test_released_waits_for_the_best_stamp_of_another_train(self):
         """Fold random (train, stamp) releases into one resource state. After
@@ -866,12 +926,14 @@ class TestSolveHeuristic:
         instances, six of whose greedy passes backtrack and eleven fail."""
         assert greedy_digest() == GREEDY_DIGEST
 
-    @pytest.mark.parametrize("stations, trains, objective",
-                             [(10, 8, 10367), (20, 14, 56032)])
+    @pytest.mark.parametrize("stations, trains, objective, nodes",
+                             [(10, 8, 10367, 9455), (20, 14, 56032, 56027)],
+                             ids=["10-8-10367", "20-14-56032"])
     def test_ladder_corridor_objective(self, tmp_path, stations, trains,
-                                       objective):
+                                       objective, nodes):
         """The benchmark's corridors, generated by the CLI at seed 7, keep
-        the objective the heuristic reached on them at 16 restarts."""
+        the objective the heuristic reached on them at 16 restarts, and the
+        dispatcher applies it took to reach it."""
         path = tmp_path / "line.json"
         assert cli.main(["generate", "--num-stations", str(stations),
                          "--num-trains", str(trains), "--seed", "7",
@@ -879,7 +941,8 @@ class TestSolveHeuristic:
         instance, _ = parse_instance(path.read_text())
         report = solve_heuristic(instance, max_restarts=16, seed=0)
         assert report.status is SolveStatus.FEASIBLE
-        assert report.solution.objective_value == objective
+        assert (report.solution.objective_value, report.nodes) == (
+            objective, nodes)
         verdict = verify(instance, report.solution)
         assert verdict.feasible
         assert verdict.computed_objective == objective
@@ -1033,6 +1096,57 @@ class TestHelper:
         use_helper(monkeypatch, True)
         assert greedy_digest() == GREEDY_DIGEST
         assert not forks
+
+    def test_orphaned_helper_stops_before_its_next_pass(self):
+        """A solving process with scripted passes of 0.5 s each under a 20 s
+        time limit forks its helper and is then killed by SIGTERM alone. The
+        helper stops before its next pass, within 2 s, instead of running on
+        to the deadline. It holds the write end of a pipe it inherited until
+        it exits, so end of file on the read end shows that it has."""
+        script = textwrap.dedent("""
+            import os, time
+            from displib import solve
+            from displib.core import Operation, build_instance
+
+            def scripted(disp, rng, span):
+                time.sleep(0.5)
+
+            solve._greedy_pass = solve._insertion_pass = scripted
+            solve._FORK_COST = 0
+            os.sched_getaffinity = lambda pid: {0, 1}
+            fork = os.fork
+
+            def reported():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            os.fork = reported
+            solve.solve_heuristic(build_instance([[Operation(1, ())]]),
+                                  time_limit=20)
+            """)
+        src = os.path.dirname(os.path.dirname(displib.solve.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        alive_r, alive_w = os.pipe()
+        try:
+            with subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE,
+                                  pass_fds=(alive_w,)) as parent:
+                os.close(alive_w)
+                alive_w = None
+                helper = int(parent.stdout.readline())
+                parent.send_signal(signal.SIGTERM)
+                parent.wait(timeout=5)
+            gone = select.select([alive_r], [], [], 2.0)[0]
+            if not gone:
+                os.kill(helper, signal.SIGKILL)
+            assert gone and os.read(alive_r, 1) == b""
+        finally:
+            os.close(alive_r)
+            if alive_w is not None:
+                os.close(alive_w)
 
     @pytest.mark.parametrize("failure", [
         "fork raises", "exits without writing", "exits non-zero",
