@@ -53,6 +53,13 @@ def _read_text(path: str) -> str:
         raise _Fail(EXIT_USAGE, f"cannot read {path}: {e.strerror or e}") from e
 
 
+def _one_stdin(*paths: str) -> None:
+    """Reject a command whose inputs name stdin twice: the second read
+    would get nothing, and the error would blame that input."""
+    if paths.count("-") > 1:
+        raise _Fail(EXIT_USAGE, "only one input can come from stdin (-)")
+
+
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[TextIO]:
     """A text handle on path, or stdout for -."""
@@ -179,6 +186,7 @@ def _violation_doc(v: Violation) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _one_stdin(args.instance, args.solution)
     instance, inst_diags = _load_instance(args.instance, strict=args.strict)
     try:
         solution, sol_diags = fileformat.parse_solution(_read_text(args.solution),
@@ -290,6 +298,7 @@ def _read_name_map(path: str) -> set[str]:
 
 
 def _cmd_map_solution(args: argparse.Namespace) -> int:
+    _one_stdin(args.instance, args.name_map, args.assignment)
     instance, diags = _load_instance(args.instance)
     if not args.json:
         _print_warnings(diags)

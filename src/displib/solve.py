@@ -16,6 +16,18 @@ it), the count of its applies, the clock, and the cost lower bound of the
 partial schedule that the exact search prunes with and the heuristic stops
 at.
 
+The exact search needs only whether the bound reaches the incumbent's cost
+z, and most nodes of its second pass are pruned. So `bound()` keeps, per
+depth, each train's start at every costly operation it cannot avoid, and a
+child first charges those starts (`quick_bound`): it re-sweeps only the
+train that just moved, and charges every other unfinished train each
+recorded start t at max(t, floor + lag), lag being the shortest min_duration
+sum from the train's next operation to that operation. That never exceeds
+the child's own bound, since an unmoved train keeps its last operation and
+start while the floor and the release stamps only grow. Where it stays
+below z the full bound runs, reusing that sweep, and is recorded for the
+child's children; so every prune is decided as `bound() >= z` decides it.
+
 One backtracking loop, `_depth_first`, runs both passes of the exact
 search and the greedy pass; each is a move order plus a stop rule. A greedy
 level ranks its moves once and resumes from that ranking after a take-back,
@@ -152,6 +164,31 @@ class _OpTable:
         self.dist = tuple(dist)
         self.slack = tuple(slack)
 
+    def lags(self) -> dict[int | None, dict[int, float]]:
+        """For each last started operation (None before the entry), the
+        shortest min_duration sum from the train's next operation to the
+        start of each costly operation (inf where none reaches it): no
+        start of that operation lies closer than this after the floor. For
+        a component on the exit it is min(dist[c]) over the next operations
+        c."""
+        n = len(self.dur)
+        rows: dict[int | None, dict[int, float]] = {
+            last: {} for last in (None, *range(n))}
+        for k in range(n):
+            if not self.comps[k]:
+                continue
+            # Shortest sum from each operation to the start of k; indices
+            # are topological, so only operations below k reach it.
+            to: list[float] = [_INF] * n
+            to[k] = 0
+            for c in range(k - 1, -1, -1):
+                to[c] = self.dur[c] + min((to[s] for s in self.succ[c]),
+                                          default=_INF)
+            for last, row in rows.items():
+                nxt = _ENTRY if last is None else self.succ[last]
+                row[k] = min((to[c] for c in nxt), default=_INF)
+        return rows
+
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
 _CLOCK_PERIOD = 256         # dispatcher applies between two reads of the clock
@@ -163,9 +200,10 @@ class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
     the operation tables, each resource's state tuple, a stack of applied
     events that `undo`, `rewind` and `splice` take back, the count of its
-    applies, `expired`, and the cost lower bound of the partial schedule
-    (`bound`). An event's undo record holds what the event list
-    cannot give back: the train's previous operation and start, the
+    applies, `expired`, the cost lower bound of the partial schedule
+    (`bound`) and, per depth, the starts it charged, which the prune at the
+    children reads (`prunes`). An event's undo record holds what the event
+    list cannot give back: the train's previous operation and start, the
     (resource, state before, state written) triples of the apply, and the
     cost it added."""
 
@@ -193,6 +231,10 @@ class _Dispatcher:
         self.expired = False
         # One undo record per event in `events`.
         self._undo: list[tuple] = []
+        # By depth, the (train, starts) pairs of the latest `bound` there;
+        # the lag tables `quick_bound` charges them with, built on first use.
+        self._starts: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+        self._lags: list[dict[int | None, dict[int, float]]] | None = None
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -310,12 +352,18 @@ class _Dispatcher:
         self.undo(depth)
         return True
 
-    def _train_bound(self, i: int) -> int:
+    def _train_bound(self, i: int) -> tuple[int, list[tuple[int, int]]]:
         """Cost lower bound of train i's unscheduled components: the earliest
         possible start of each remaining operation, counted only for
         operations the train cannot avoid on its way to the exit. The start
         honours the release times other trains have already fixed on its
-        resources, and ignores their future claims.
+        resources, and ignores their future claims. Returned with the
+        (operation, start) pairs it charged, the starts `quick_bound` reads.
+        While train i does not move, later events only raise the floor and
+        the stamps, so a later sweep charges the same operations, each at a
+        start no earlier than here and no earlier than the floor plus the
+        shortest path to it: charging a kept start at the later of the two
+        never exceeds the later sweep.
 
         Operation indices are topological and every operation reaches the
         exit, so a remaining route avoids k exactly when an arc a->b out of
@@ -336,6 +384,7 @@ class _Dispatcher:
             first, reach = last + 1, far[last]
             earliest[last] = self.last_time[i]
         lb = 0
+        starts: list[tuple[int, int]] = []
         for k in range(first, len(dur)):
             best = -1
             for p in preds[k]:
@@ -357,24 +406,84 @@ class _Dispatcher:
                 if s > t:
                     t = s
             earliest[k] = t
-            if reach <= k:
+            if reach <= k and comps[k]:
                 # On every remaining route: its cost is unavoidable, and t is
                 # a lower bound on its eventual start.
                 for comp in comps[k]:
                     lb += comp.cost(t)
+                starts.append((k, t))
             if far[k] > reach:
                 reach = far[k]
-        return lb
+        return lb, starts
 
-    def bound(self) -> int:
+    def bound(self, swept: tuple[int, tuple[int, list]] | None = None) -> int:
         """Lower bound on the cost of every completion of the partial
         schedule: the cost fixed so far plus each unfinished train's
-        `_train_bound`. It never falls from a schedule to an extension."""
+        `_train_bound`. It never falls from a schedule to an extension.
+        `swept` is (train, its `_train_bound`) when that sweep was already
+        made here. The sweeps' starts are kept as the record of this depth,
+        which `quick_bound` at the children reads."""
         lb = self.z_partial
+        record = []
         for i in self.comp_trains:
             if not self.ended[i]:
-                lb += self._train_bound(i)
+                b, starts = (swept[1] if swept is not None and swept[0] == i
+                             else self._train_bound(i))
+                lb += b
+                record.append((i, starts))
+        self._starts[len(self.events)] = record
         return lb
+
+    def quick_bound(self, enough: float = _INF
+                    ) -> tuple[int, tuple[int, tuple[int, list]] | None]:
+        """A lower bound on `bound()` from at most one sweep, and that sweep
+        as `bound(swept)` takes it (None when none was made): none is made
+        when the other trains' charges already reach `enough`. It reads the
+        record of the parent, the schedule without the latest event, and
+        holds only while that record is the parent's own: in a depth-first
+        walk that calls `bound()` at every node it expands, it is.
+
+        Only the latest event's train moved since the parent: it is
+        re-swept. Every other unfinished train keeps its last operation and
+        start, and the floor and the release stamps on its resources only
+        grew, so its `_train_bound` charges the same operations at starts
+        no earlier than the parent's. Each such start also lies at or after
+        the floor plus the train's lag to that operation (`_OpTable.lags`),
+        because a sweep starts every reachable operation at or after the
+        floor and then adds at least the shortest path's durations. Costs
+        never fall as a start grows later, so charging each recorded start
+        t at max(t, floor + lag) never exceeds `bound()`."""
+        lb = self.z_partial
+        if not self.events:
+            return lb, None
+        if self._lags is None:
+            self._lags = [tab.lags() for tab in self.tables]
+        moved = self.events[-1][1]
+        moved_costs = False         # the parent recorded the moved train
+        floor, last_op, lags, tables = (
+            self.floor, self.last_op, self._lags, self.tables)
+        for i, starts in self._starts[len(self.events) - 1]:
+            if i == moved:
+                moved_costs = True
+                continue
+            lag = lags[i][last_op[i]]
+            comps = tables[i].comps
+            for k, t in starts:
+                s = floor + lag[k]
+                if t > s:
+                    s = t
+                for comp in comps[k]:
+                    lb += comp.cost(s)
+        if not moved_costs or self.ended[moved] or lb >= enough:
+            return lb, None
+        swept = self._train_bound(moved)
+        return lb + swept[0], (moved, swept)
+
+    def prunes(self, z: int) -> bool:
+        """Whether `bound() >= z`, from `quick_bound` where that reaches z
+        and from `bound()`, reusing its sweep, where it does not."""
+        quick, swept = self.quick_bound(z)
+        return quick >= z or self.bound(swept) >= z
 
     def to_solution(self) -> Solution:
         events = tuple(Event(time=t, train=i, operation=o) for t, i, o in self.events)
@@ -459,8 +568,10 @@ def _branch_moves(disp: _Dispatcher,
     and so reaches a schedule even where opposing trains could wedge each
     other on single track; with one, earliest start first, ties by train and
     then operation: the non-delay order of Giffler and Thompson. Probing a
-    move costs no node."""
-    if z is not None and disp.bound() >= z:
+    move costs no node. The prune is `disp.prunes(z)`, which decides as
+    `bound() >= z` does, mostly from the parent's recorded starts and at
+    most one sweep of the train that moved."""
+    if z is not None and disp.prunes(z):
         return []
     moves: list[tuple[int, int, int]] = []
     for i in range(disp.n_trains):
@@ -491,7 +602,10 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     event order together; start times are always the componentwise-minimal
     completion, so every leaf is an earliest-times schedule. The bound adds
     per-train earliest-exit relaxations of the remaining cost to the cost of
-    already fixed events.
+    already fixed events. A node is pruned where that bound reaches the
+    incumbent; the cheap charge of the parent's recorded starts settles most
+    prunes (see `_Dispatcher.quick_bound`) and never exceeds the bound, so
+    the tree, and the report, are those of pruning with `bound()` alone.
 
     The search runs `_depth_first` twice over one dispatcher. The first
     pass dives in train-index order to the first complete schedule, the

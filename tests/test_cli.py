@@ -169,6 +169,18 @@ class TestVerifyCommand:
         assert cli.main(["verify", junction_path, "-"]) == 0
         assert "feasible" in capsys.readouterr().out
 
+    def test_stdin_named_twice_is_a_usage_error(self, monkeypatch, capsys):
+        """Both inputs from stdin: the second read would get nothing, so
+        the command refuses before reading and blames neither document."""
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(data_text("junction_instance.json")))
+        assert cli.main(["verify", "-", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: only one input can come from "
+                                "stdin (-)\n")
+        assert captured.out == ""
+        assert sys.stdin.tell() == 0
+
 
 class TestSolveCommand:
     def test_auto_picks_exact_on_junction(self, junction_path, tmp_path, capsys):
@@ -408,6 +420,26 @@ class TestMapSolution:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad assignment" in err and f"line {lineno}:" in err
+
+    @pytest.mark.parametrize("inputs", [("-", "-", "-"), ("-", "-", "A"),
+                                        ("-", "N", "-"), ("I", "-", "-")])
+    def test_stdin_named_twice_is_a_usage_error(self, junction_path,
+                                                tmp_path, monkeypatch,
+                                                capsys, inputs):
+        """Any two of the three inputs from stdin are refused before any
+        input is read, instead of blaming the empty second read."""
+        _, names = self.emit(junction_path, tmp_path)
+        capsys.readouterr()
+        assignment = write_file(tmp_path, "empty.txt", "")
+        files = {"I": junction_path, "N": str(names), "A": assignment}
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(data_text("junction_instance.json")))
+        code = cli.main(["map-solution",
+                         *(files.get(name, name) for name in inputs)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: only one input can come from stdin (-)\n")
+        assert sys.stdin.tell() == 0
 
     def test_not_a_name_map(self, junction_path, tmp_path, capsys):
         bogus = write_file(tmp_path, "bogus.json", '{"x": 1}')
