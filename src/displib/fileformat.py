@@ -8,16 +8,13 @@ to its default. Parsing insists on non-negative integers everywhere and
 reports problems with JSON-pointer paths. Unknown keys are collected as
 warnings so newer files still load; strict mode turns them into errors.
 Writing produces canonical text: fixed key order, byte-identical for equal
-inputs. The text is that of `json.dumps(doc, indent=2)`, produced by a
-private writer (`_dumps`) because `json.dumps` with an indent runs its
-pure-Python encoder.
+inputs.
 """
 from __future__ import annotations
 
 import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .core import (
@@ -223,56 +220,13 @@ def parse_instance(text: str, strict: bool = False) -> tuple[Instance, ParseDiag
     return instance, diags
 
 
-def _dump(value: Any, out: list[str], newline: str) -> None:
-    """Append the text `json.dumps(value, indent=2)` gives for a document
-    of dicts, lists, strings and integers, `newline` being the line break
-    and indent of the line value starts on. Written here because with an
-    indent `json.dumps` falls back to its pure-Python encoder."""
-    if type(value) is int:
-        out.append(int.__repr__(value))
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(sep + _encode_str(key) + ": ")
-            _dump(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _dump(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
-def _dumps(doc: Any) -> str:
-    """`json.dumps(doc, indent=2)` plus a final newline."""
-    out: list[str] = []
-    _dump(doc, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
 def write_instance(instance: Instance) -> str:
     """Canonical instance JSON: fixed key order, defaults omitted."""
     doc = {
         "trains": [_write_operations(train.operations) for train in instance.trains],
         "objective": _write_components(instance.objective),
     }
-    return _dumps(doc)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_solution(text: str, strict: bool = False) -> tuple[Solution, ParseDiagnostics]:
@@ -283,4 +237,4 @@ def parse_solution(text: str, strict: bool = False) -> tuple[Solution, ParseDiag
 
 
 def write_solution(solution: Solution) -> str:
-    return _dumps(_write(Solution, solution))
+    return json.dumps(_write(Solution, solution), indent=2) + "\n"

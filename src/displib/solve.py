@@ -18,15 +18,18 @@ at.
 
 The exact search needs only whether the bound reaches the incumbent's cost
 z, and most nodes of its second pass are pruned. So `bound()` keeps, per
-depth, each train's start at every costly operation it cannot avoid, and a
-child first charges those starts (`quick_bound`): it re-sweeps only the
-train that just moved, and charges every other unfinished train each
-recorded start t at max(t, floor + lag), lag being the shortest min_duration
-sum from the train's next operation to that operation. That never exceeds
-the child's own bound, since an unmoved train keeps its last operation and
-start while the floor and the release stamps only grow. Where it stays
-below z the full bound runs, reusing that sweep, and is recorded for the
-child's children; so every prune is decided as `bound() >= z` decides it.
+depth, each train's start at every costly operation it cannot avoid, and
+`prunes(z)` at a child first charges those starts (`_charge`): it re-sweeps
+only the train that just moved, and charges every other unfinished train
+each recorded start t at max(t, floor + lag), lag being the shortest
+min_duration sum from the train's next operation to that operation. That
+never exceeds the child's own bound, since an unmoved train keeps its last
+operation and start while the floor and the release stamps only grow.
+Where it stays below z the full bound runs, reusing that sweep, and is
+recorded for the child's children; so every prune is decided as
+`bound() >= z` decides it. The charge starts at the first prune and pauses
+after a run of nodes that were not pruned, so a search that rarely prunes
+pays for `bound()` alone.
 
 One backtracking loop, `_depth_first`, runs both passes of the exact
 search and the greedy pass; each is a move order plus a stop rule. A greedy
@@ -192,6 +195,9 @@ class _OpTable:
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
 _CLOCK_PERIOD = 256         # dispatcher applies between two reads of the clock
+# Nodes in a row that `prunes` lets through before it stops charging the
+# parent's record, until a node is pruned again.
+_EXPANDED_RUN = 8
 _ENTRY = (0,)               # the only candidate of a train not yet started
 _START = itemgetter(2)      # the start time of a (train, op, start) move
 
@@ -231,10 +237,13 @@ class _Dispatcher:
         self.expired = False
         # One undo record per event in `events`.
         self._undo: list[tuple] = []
-        # By depth, the (train, starts) pairs of the latest `bound` there;
-        # the lag tables `quick_bound` charges them with, built on first use.
-        self._starts: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+        # By depth, the (train, bound, starts) of the latest `bound` there;
+        # the lag tables `_charge` charges them with, built on first use.
+        self._starts: dict[int, list[tuple[int, int, list]]] = {}
         self._lags: list[dict[int | None, dict[int, float]]] | None = None
+        # Nodes `prunes` let through since it last pruned; it charges the
+        # parent's record only from the first prune on.
+        self._expanded = _EXPANDED_RUN
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -352,18 +361,18 @@ class _Dispatcher:
         self.undo(depth)
         return True
 
-    def _train_bound(self, i: int) -> tuple[int, list[tuple[int, int]]]:
+    def _train_bound(self, i: int) -> tuple[int, list[tuple[int, int, int]]]:
         """Cost lower bound of train i's unscheduled components: the earliest
         possible start of each remaining operation, counted only for
         operations the train cannot avoid on its way to the exit. The start
         honours the release times other trains have already fixed on its
         resources, and ignores their future claims. Returned with the
-        (operation, start) pairs it charged, the starts `quick_bound` reads.
-        While train i does not move, later events only raise the floor and
-        the stamps, so a later sweep charges the same operations, each at a
-        start no earlier than here and no earlier than the floor plus the
-        shortest path to it: charging a kept start at the later of the two
-        never exceeds the later sweep.
+        (operation, start, cost) of each operation it charged, the starts
+        that `prunes` reads at the children. While train i does not move,
+        later events only raise the floor and the stamps, so a later sweep
+        charges the same operations, each at a start no earlier than here
+        and no earlier than the floor plus the shortest path to it: charging
+        a kept start at the later of the two never exceeds the later sweep.
 
         Operation indices are topological and every operation reaches the
         exit, so a remaining route avoids k exactly when an arc a->b out of
@@ -384,7 +393,7 @@ class _Dispatcher:
             first, reach = last + 1, far[last]
             earliest[last] = self.last_time[i]
         lb = 0
-        starts: list[tuple[int, int]] = []
+        starts: list[tuple[int, int, int]] = []
         for k in range(first, len(dur)):
             best = -1
             for p in preds[k]:
@@ -409,9 +418,11 @@ class _Dispatcher:
             if reach <= k and comps[k]:
                 # On every remaining route: its cost is unavoidable, and t is
                 # a lower bound on its eventual start.
+                c = 0
                 for comp in comps[k]:
-                    lb += comp.cost(t)
-                starts.append((k, t))
+                    c += comp.cost(t)
+                lb += c
+                starts.append((k, t, c))
             if far[k] > reach:
                 reach = far[k]
         return lb, starts
@@ -421,8 +432,8 @@ class _Dispatcher:
         schedule: the cost fixed so far plus each unfinished train's
         `_train_bound`. It never falls from a schedule to an extension.
         `swept` is (train, its `_train_bound`) when that sweep was already
-        made here. The sweeps' starts are kept as the record of this depth,
-        which `quick_bound` at the children reads."""
+        made here. Each train's bound and starts are kept as the record of
+        this depth, which `prunes` at the children reads."""
         lb = self.z_partial
         record = []
         for i in self.comp_trains:
@@ -430,18 +441,36 @@ class _Dispatcher:
                 b, starts = (swept[1] if swept is not None and swept[0] == i
                              else self._train_bound(i))
                 lb += b
-                record.append((i, starts))
+                record.append((i, b, starts))
         self._starts[len(self.events)] = record
         return lb
 
-    def quick_bound(self, enough: float = _INF
-                    ) -> tuple[int, tuple[int, tuple[int, list]] | None]:
+    def prunes(self, z: int) -> bool:
+        """Whether `bound() >= z`: from the charge of the parent's record
+        (`_charge`) where that reaches z, else from `bound()`, reusing the
+        charge's sweep of the moved train. The charge waits for the first
+        prune, and after `_EXPANDED_RUN` nodes in a row were not pruned it
+        is skipped until one is: a search that rarely prunes then pays for
+        `bound()` alone."""
+        swept = None
+        if self._expanded < _EXPANDED_RUN:
+            charge, swept = self._charge(z)
+            if charge >= z:
+                self._expanded = 0
+                return True
+        if self.bound(swept) >= z:
+            self._expanded = 0
+            return True
+        self._expanded += 1
+        return False
+
+    def _charge(self, z: float) -> tuple[int, tuple[int, tuple] | None]:
         """A lower bound on `bound()` from at most one sweep, and that sweep
         as `bound(swept)` takes it (None when none was made): none is made
-        when the other trains' charges already reach `enough`. It reads the
-        record of the parent, the schedule without the latest event, and
-        holds only while that record is the parent's own: in a depth-first
-        walk that calls `bound()` at every node it expands, it is.
+        when the other trains' charges already reach z. It reads the record
+        of the parent, the schedule without the latest event, and holds
+        only while that record is the parent's own: in a depth-first walk
+        that calls `bound()` at every node it expands, it is.
 
         Only the latest event's train moved since the parent: it is
         re-swept. Every other unfinished train keeps its last operation and
@@ -452,7 +481,8 @@ class _Dispatcher:
         because a sweep starts every reachable operation at or after the
         floor and then adds at least the shortest path's durations. Costs
         never fall as a start grows later, so charging each recorded start
-        t at max(t, floor + lag) never exceeds `bound()`."""
+        t at max(t, floor + lag) never exceeds `bound()`; a start the floor
+        plus the lag does not pass keeps its recorded cost."""
         lb = self.z_partial
         if not self.events:
             return lb, None
@@ -462,28 +492,22 @@ class _Dispatcher:
         moved_costs = False         # the parent recorded the moved train
         floor, last_op, lags, tables = (
             self.floor, self.last_op, self._lags, self.tables)
-        for i, starts in self._starts[len(self.events) - 1]:
+        for i, b, starts in self._starts[len(self.events) - 1]:
             if i == moved:
                 moved_costs = True
                 continue
+            lb += b
             lag = lags[i][last_op[i]]
-            comps = tables[i].comps
-            for k, t in starts:
+            for k, t, c in starts:
                 s = floor + lag[k]
-                if t > s:
-                    s = t
-                for comp in comps[k]:
-                    lb += comp.cost(s)
-        if not moved_costs or self.ended[moved] or lb >= enough:
+                if s > t:
+                    lb -= c
+                    for comp in tables[i].comps[k]:
+                        lb += comp.cost(s)
+        if not moved_costs or self.ended[moved] or lb >= z:
             return lb, None
         swept = self._train_bound(moved)
         return lb + swept[0], (moved, swept)
-
-    def prunes(self, z: int) -> bool:
-        """Whether `bound() >= z`, from `quick_bound` where that reaches z
-        and from `bound()`, reusing its sweep, where it does not."""
-        quick, swept = self.quick_bound(z)
-        return quick >= z or self.bound(swept) >= z
 
     def to_solution(self) -> Solution:
         events = tuple(Event(time=t, train=i, operation=o) for t, i, o in self.events)
@@ -604,8 +628,8 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     per-train earliest-exit relaxations of the remaining cost to the cost of
     already fixed events. A node is pruned where that bound reaches the
     incumbent; the cheap charge of the parent's recorded starts settles most
-    prunes (see `_Dispatcher.quick_bound`) and never exceeds the bound, so
-    the tree, and the report, are those of pruning with `bound()` alone.
+    prunes (see `_Dispatcher.prunes`) and never exceeds the bound, so the
+    tree, and the report, are those of pruning with `bound()` alone.
 
     The search runs `_depth_first` twice over one dispatcher. The first
     pass dives in train-index order to the first complete schedule, the

@@ -194,42 +194,6 @@ class TestWriteInstance:
             assert parse_instance(write_instance(instance))[0] == instance
 
 
-# Nested documents of the shapes the writers emit, with empty containers,
-# negative and large integers and non-ASCII strings drawn often.
-json_documents = st.recursive(
-    st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(json_documents)
-def test_indented_writer_matches_json_dumps(doc):
-    """The writers' encoder gives the text of `json.dumps(doc, indent=2)`
-    plus a final newline."""
-    assert fileformat._dumps(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-def test_indented_writer_on_empty_and_non_ascii_records():
-    """Empty lists and non-ASCII resource names are written as
-    `json.dumps(indent=2)` writes them; a value of another type is
-    refused, not written in some other layout."""
-    instance = build_instance(
-        [[Operation(2, (1,), resources=(ResourceUsage("Gleisé一", 3),
-                                        ResourceUsage("\"\\\n\U0001f686"))),
-          Operation(0, ())]],
-        [])
-    doc = {"trains": [fileformat._write_operations(
-               instance.trains[0].operations)], "objective": []}
-    text = write_instance(instance)
-    assert text == json.dumps(doc, indent=2) + "\n"
-    assert '"objective": []' in text and text.isascii()
-    for value in (None, True, 1.5, (1, 2)):
-        with pytest.raises(TypeError):
-            fileformat._dumps({"a": [value]})
-
-
 # A hypothesis strategy that grows valid trains the same way the format
 # accepts them: chain backbones with optional skip arcs.
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import random
@@ -37,6 +38,7 @@ from displib.core import (
 from displib.fileformat import parse_instance
 from displib.generate import LineSpec, generate_line
 from displib.solve import (
+    _EXPANDED_RUN,
     _FREE,
     _OK,
     SolveStatus,
@@ -766,7 +768,7 @@ class TestSolveExact:
                            for u in op.resources))
                        for op in train.operations] for train in base.trains]
             comps = [ObjectiveComponent(i, k, threshold=0, coeff=1)
-                     for i, ops in enumerate(trains) for k in range(len(ops) - 1)
+                     for i, ops in enumerate(trains) for k in range(len(ops))
                      if rng.random() < 0.5]
             instance = build_instance(trains, comps)
             disp = _Dispatcher(instance)
@@ -787,7 +789,7 @@ class TestSolveExact:
         keep every one of them."""
         assert exact_digest() == EXACT_DIGEST
 
-    def test_quick_bound_never_exceeds_the_bound(self):
+    def test_charge_never_exceeds_the_bound(self):
         """On random walks that call `bound()` at every node they visit and
         backtrack at random, as the depth-first search does, the bound a
         child charges from its parent's record never exceeds `bound()`, and
@@ -822,19 +824,42 @@ class TestSolveExact:
                 disp.apply(*rng.choice(moves))
                 parent = disp._starts[len(disp.events) - 1]
                 b = disp.bound()
-                quick, _ = disp.quick_bound()
-                assert quick <= b
+                charge, _ = disp._charge(math.inf)
+                assert charge <= b
                 for z in (b - 1, b, b + 1):
                     assert disp.prunes(z) == (b >= z)
-                    assert disp.quick_bound(z)[0] <= b
+                    assert disp._charge(z)[0] <= b
                 children += 1
-                tight += quick == b > disp.z_partial
+                tight += charge == b > disp.z_partial
                 lags = disp._lags
                 floor_binds += any(
                     disp.floor + lags[i][disp.last_op[i]][k] > t
-                    for i, starts in parent if i != disp.events[-1][1]
-                    for k, t in starts)
+                    for i, _, starts in parent if i != disp.events[-1][1]
+                    for k, t, _ in starts)
         assert children > 5000 and tight > 1000 and floor_binds > 500
+
+    def test_charge_waits_for_a_prune_and_pauses_after_expansions(
+            self, monkeypatch):
+        """`prunes` charges the parent's record only from the first prune
+        on, and stops after `_EXPANDED_RUN` nodes in a row were not pruned,
+        so a search that never prunes pays for `bound()` alone."""
+        charged = []
+        charge = _Dispatcher._charge
+        monkeypatch.setattr(_Dispatcher, "_charge", lambda disp, z: (
+            charged.append(len(disp.events)) or charge(disp, z)))
+        line = generate_line(LineSpec(num_stations=4, num_trains=3, seed=0))
+        disp = _Dispatcher(line.instance)
+        assert not disp.prunes(math.inf)
+        for _ in range(_EXPANDED_RUN + 3):
+            disp.apply(*startable(disp)[0])
+            assert not disp.prunes(math.inf)
+        assert charged == []
+        assert disp.prunes(0)
+        depth = len(disp.events)
+        for _ in range(_EXPANDED_RUN + 3):
+            disp.apply(*startable(disp)[0])
+            assert not disp.prunes(math.inf)
+        assert charged == list(range(depth + 1, depth + 1 + _EXPANDED_RUN))
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
