@@ -193,9 +193,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                                         strict=args.strict)
     except fileformat.FormatError as e:
         raise _Fail(EXIT_USAGE, f"invalid solution ({e.kind}) {e}") from e
-    if not args.json:
-        _print_warnings(inst_diags)
-        _print_warnings(sol_diags)
+    _print_warnings(inst_diags)
+    _print_warnings(sol_diags)
     verdict = verify(instance, solution)
     if args.json:
         _emit_json({"feasible": verdict.feasible,
@@ -217,8 +216,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if value is not None and not value >= 0:
             raise _Fail(EXIT_USAGE, f"{flag} must be non-negative")
     instance, diags = _load_instance(args.instance)
-    if not args.json:
-        _print_warnings(diags)
+    _print_warnings(diags)
     mode = args.mode
     if mode == "auto":
         small = total_operations(instance) <= 60 and len(instance.trains) <= 6
@@ -300,8 +298,7 @@ def _read_name_map(path: str) -> set[str]:
 def _cmd_map_solution(args: argparse.Namespace) -> int:
     _one_stdin(args.instance, args.name_map, args.assignment)
     instance, diags = _load_instance(args.instance)
-    if not args.json:
-        _print_warnings(diags)
+    _print_warnings(diags)
     recorded = _read_name_map(args.name_map)
     model = milp.build_model(instance)
     if recorded != {v.name for v in model.variables}:

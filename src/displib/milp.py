@@ -435,9 +435,11 @@ def name_map(model: MilpModel) -> dict:
 
 def parse_assignment(text: str) -> dict[str, float]:
     """Parse `name value` lines ('#' comments and blank lines allowed),
-    the shape of the usual solver solution dumps. Values must be finite."""
+    the shape of the usual solver solution dumps. Values must be finite,
+    and each name is given once."""
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -451,7 +453,13 @@ def parse_assignment(text: str) -> dict[str, float]:
         if not math.isfinite(value):
             raise ValueError(f"line {lineno}: {parts[0]} = {parts[1]!r} is not "
                              "a finite number")
-        values[parts[0]] = value
+        name = parts[0]
+        if name in values:
+            first = next(n for n, other in enumerate(lines, start=1)
+                         if other.split()[:1] == [name])
+            raise ValueError(f"line {lineno}: {name} is given again "
+                             f"(first on line {first})")
+        values[name] = value
     return values
 
 

@@ -22,9 +22,10 @@ depth, each train's start at every costly operation it cannot avoid, and
 `prunes(z)` at a child first charges those starts (`_charge`): it re-sweeps
 only the train that just moved, and charges every other unfinished train
 each recorded start t at max(t, floor + lag), lag being the shortest
-min_duration sum from the train's next operation to that operation. That
-never exceeds the child's own bound, since an unmoved train keeps its last
-operation and start while the floor and the release stamps only grow.
+min_duration sum from the train's next operation to that operation, which
+`dist` gives because a recorded operation lies on every remaining route.
+That never exceeds the child's own bound, since an unmoved train keeps its
+last operation and start while the floor and the release stamps only grow.
 Where it stays below z the full bound runs, reusing that sweep, and is
 recorded for the child's children; so every prune is decided as
 `bound() >= z` decides it. The charge starts at the first prune and pauses
@@ -60,8 +61,8 @@ Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
 it, or None. The stamps are the two best release stamps from distinct trains,
 stamp1 set by train1: a train is never delayed by its own release times, so
-train i waits for stamp2 if train1 is i, else for stamp1. The floor is the
-time of the latest event, or 0 with none.
+train i waits for stamp2 if train1 is i, else for stamp1. The floor, cached
+on every apply and undo, is the time of the latest event, or 0 with none.
 """
 
 from __future__ import annotations
@@ -133,10 +134,11 @@ class _OpTable:
     built once per dispatcher, so that the hot loops index plain tuples
     instead of following Operation and ResourceUsage attributes. `comps`
     holds each operation's objective components in instance order; `dist`
-    the shortest remaining min_duration sum to the exit, and `slack` the
-    tightest cost threshold along that shortest path, shifted so that an
-    operation started at t has slack[op] - t left (inf with none). Ties
-    between shortest successors go to the lowest index."""
+    the shortest remaining min_duration sum to the exit, the one
+    shortest-path table the searches read, and `slack` the tightest cost
+    threshold along that shortest path, shifted so that an operation
+    started at t has slack[op] - t left (inf with none). Ties between
+    shortest successors go to the lowest index."""
     __slots__ = ("preds", "dur", "start_lb", "start_ub", "keys", "release",
                  "far", "succ", "comps", "dist", "slack")
 
@@ -166,31 +168,6 @@ class _OpTable:
             slack[k] = s
         self.dist = tuple(dist)
         self.slack = tuple(slack)
-
-    def lags(self) -> dict[int | None, dict[int, float]]:
-        """For each last started operation (None before the entry), the
-        shortest min_duration sum from the train's next operation to the
-        start of each costly operation (inf where none reaches it): no
-        start of that operation lies closer than this after the floor. For
-        a component on the exit it is min(dist[c]) over the next operations
-        c."""
-        n = len(self.dur)
-        rows: dict[int | None, dict[int, float]] = {
-            last: {} for last in (None, *range(n))}
-        for k in range(n):
-            if not self.comps[k]:
-                continue
-            # Shortest sum from each operation to the start of k; indices
-            # are topological, so only operations below k reach it.
-            to: list[float] = [_INF] * n
-            to[k] = 0
-            for c in range(k - 1, -1, -1):
-                to[c] = self.dur[c] + min((to[s] for s in self.succ[c]),
-                                          default=_INF)
-            for last, row in rows.items():
-                nxt = _ENTRY if last is None else self.succ[last]
-                row[k] = min((to[c] for c in nxt), default=_INF)
-        return rows
 
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
@@ -237,10 +214,8 @@ class _Dispatcher:
         self.expired = False
         # One undo record per event in `events`.
         self._undo: list[tuple] = []
-        # By depth, the (train, bound, starts) of the latest `bound` there;
-        # the lag tables `_charge` charges them with, built on first use.
+        # By depth, the (train, bound, starts) of the latest `bound` there.
         self._starts: dict[int, list[tuple[int, int, list]]] = {}
-        self._lags: list[dict[int | None, dict[int, float]]] | None = None
         # Nodes `prunes` let through since it last pruned; it charges the
         # parent's record only from the first prune on.
         self._expanded = _EXPANDED_RUN
@@ -371,8 +346,9 @@ class _Dispatcher:
         that `prunes` reads at the children. While train i does not move,
         later events only raise the floor and the stamps, so a later sweep
         charges the same operations, each at a start no earlier than here
-        and no earlier than the floor plus the shortest path to it: charging
-        a kept start at the later of the two never exceeds the later sweep.
+        and no earlier than the floor plus the shortest path to it, which
+        `dist` gives: charging a kept start at the later of the two never
+        exceeds the later sweep.
 
         Operation indices are topological and every operation reaches the
         exit, so a remaining route avoids k exactly when an arc a->b out of
@@ -477,7 +453,7 @@ class _Dispatcher:
         start, and the floor and the release stamps on its resources only
         grew, so its `_train_bound` charges the same operations at starts
         no earlier than the parent's. Each such start also lies at or after
-        the floor plus the train's lag to that operation (`_OpTable.lags`),
+        the floor plus the train's lag to that operation (read from `dist`),
         because a sweep starts every reachable operation at or after the
         floor and then adds at least the shortest path's durations. Costs
         never fall as a start grows later, so charging each recorded start
@@ -486,23 +462,25 @@ class _Dispatcher:
         lb = self.z_partial
         if not self.events:
             return lb, None
-        if self._lags is None:
-            self._lags = [tab.lags() for tab in self.tables]
         moved = self.events[-1][1]
         moved_costs = False         # the parent recorded the moved train
-        floor, last_op, lags, tables = (
-            self.floor, self.last_op, self._lags, self.tables)
+        floor, last_op, tables = self.floor, self.last_op, self.tables
         for i, b, starts in self._starts[len(self.events) - 1]:
             if i == moved:
                 moved_costs = True
                 continue
             lb += b
-            lag = lags[i][last_op[i]]
+            tab, last = tables[i], last_op[i]
+            dist = tab.dist
+            ahead = floor + (dist[0] if last is None
+                             else dist[last] - tab.dur[last])
             for k, t, c in starts:
-                s = floor + lag[k]
+                # Every path from the next operations to the exit passes k,
+                # so the shortest sum up to k is the whole one less dist[k].
+                s = ahead - dist[k]
                 if s > t:
                     lb -= c
-                    for comp in tables[i].comps[k]:
+                    for comp in tab.comps[k]:
                         lb += comp.cost(s)
         if not moved_costs or self.ended[moved] or lb >= z:
             return lb, None

@@ -209,6 +209,15 @@ class TestSolveCommand:
         assert payload["solution"]["objective_value"] == 10
         assert out.exists()
 
+    def test_json_still_prints_parse_warnings(self, tmp_path, capsys):
+        doc = json.loads(data_text("junction_instance.json"))
+        doc["extra"] = 1
+        path = write_file(tmp_path, "extra.json", json.dumps(doc))
+        assert cli.main(["solve", "--json", path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["objective"] == 10
+        assert "warning: /extra" in captured.err
+
     def test_infeasible_instance(self, tmp_path, capsys):
         path = write_file(tmp_path, "blocked.json", INFEASIBLE_DOC)
         assert cli.main(["solve", path]) == 1

@@ -391,6 +391,11 @@ class TestParseAssignment:
         with pytest.raises(ValueError, match="line 1"):
             parse_assignment("x0_0 one\n")
 
+    def test_name_given_twice_reports_both_lines(self):
+        with pytest.raises(ValueError,
+                           match=r"line 3: x0_0 is given again \(first on line 1\)"):
+            parse_assignment("x0_0 1\nt0_0 4\nx0_0 0\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_number_reports_line(self, value):
         with pytest.raises(ValueError, match="line 2: .* not a finite number"):

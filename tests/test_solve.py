@@ -72,6 +72,13 @@ def chain(*durations, resources=(), lb=0, ub=None):
     return ops
 
 
+def dist_ahead(tab, last) -> int:
+    """The shortest min_duration sum from a train's next operations to its
+    exit, read from `dist`: the entry's before the train starts, else the
+    last started operation's less its own duration."""
+    return tab.dist[0] if last is None else tab.dist[last] - tab.dur[last]
+
+
 def pinned_crossing() -> Instance:
     """Two trains forced to start at 0 on the same resource: no schedule."""
     def train():
@@ -728,6 +735,34 @@ class TestSolveExact:
                     avoided += not unavoidable
         assert charged > 200 and avoided > 200
 
+    def test_dist_gives_the_shortest_sum_to_an_unavoidable_operation(self):
+        """The charge's lag: for every route prefix and every operation k on
+        all routes through it, the shortest min_duration sum from the next
+        operations to k, found by enumerating routes, is the shortest sum to
+        the exit less dist[k]. Skip arcs and forks make many such k lie at
+        different depths along the routes (`forked`)."""
+        rng = random.Random(23)
+        trains = [random_train(rng, 8) for _ in range(60)]
+        trains += [random_reduced_train(rng, 8) for _ in range(60)]
+        checked = forked = 0
+        for ops in trains:
+            instance = build_instance([ops])
+            tab = _Dispatcher(instance).tables[0]
+            routes = enumerate_routes(instance.trains[0]).routes
+            prefixes = {route[:m] for route in routes
+                        for m in range(len(route))}
+            for prefix in sorted(prefixes):
+                through = [r[len(prefix):] for r in routes
+                           if r[:len(prefix)] == prefix]
+                last = prefix[-1] if prefix else None
+                for k in set(through[0]).intersection(*through):
+                    shortest = min(sum(tab.dur[o] for o in r[:r.index(k)])
+                                   for r in through)
+                    assert shortest == dist_ahead(tab, last) - tab.dist[k]
+                    checked += 1
+                    forked += len({r.index(k) for r in through}) > 1
+        assert checked > 1000 and forked > 200
+
     def test_bound_never_falls_along_a_path(self):
         """A truncated run reports the root's bound, which is valid because
         the bound never falls from a node to its child: check that on random
@@ -831,9 +866,10 @@ class TestSolveExact:
                     assert disp._charge(z)[0] <= b
                 children += 1
                 tight += charge == b > disp.z_partial
-                lags = disp._lags
+                tabs = disp.tables
                 floor_binds += any(
-                    disp.floor + lags[i][disp.last_op[i]][k] > t
+                    disp.floor + dist_ahead(tabs[i], disp.last_op[i])
+                    - tabs[i].dist[k] > t
                     for i, _, starts in parent if i != disp.events[-1][1]
                     for k, t, _ in starts)
         assert children > 5000 and tight > 1000 and floor_binds > 500
