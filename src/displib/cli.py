@@ -79,8 +79,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _write_solution(args: argparse.Namespace, solution: Solution,
@@ -88,13 +87,13 @@ def _write_solution(args: argparse.Namespace, solution: Solution,
     """Write the solution to -o. With --json, print the payload plus the
     solution document instead, and still write -o unless it is stdout;
     without it, print the note to stderr."""
-    text = fileformat.write_solution(solution)
     if args.json:
-        _emit_json(dict(payload, solution=json.loads(text)))
+        _emit_json(dict(payload,
+                        solution=fileformat.solution_document(solution)))
         if args.output != "-":
-            _write_text(args.output, text)
+            _write_text(args.output, fileformat.write_solution(solution))
     else:
-        _write_text(args.output, text)
+        _write_text(args.output, fileformat.write_solution(solution))
         print(note, file=sys.stderr)
     return EXIT_OK
 

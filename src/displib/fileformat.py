@@ -236,5 +236,10 @@ def parse_solution(text: str, strict: bool = False) -> tuple[Solution, ParseDiag
     return _read(Solution, _load(text), "", strict, diags), diags
 
 
+def solution_document(solution: Solution) -> dict:
+    """The JSON object of a solution, as `write_solution` writes it."""
+    return _write(Solution, solution)
+
+
 def write_solution(solution: Solution) -> str:
-    return json.dumps(_write(Solution, solution), indent=2) + "\n"
+    return json.dumps(solution_document(solution), indent=2) + "\n"

@@ -11,10 +11,11 @@ and the release stamps of its resources. Times of already appended events
 never change, because every constraint arc points forward in the event
 order. The dispatcher owns the tables, the undo stack (`undo(depth)` takes
 back one event, the latest by default; `rewind(depth)` all events above a
-depth; `splice(depth)` the event at a depth when no later event depends on
-it), the count of its applies, the clock, and the cost lower bound of the
-partial schedule that the exact search prunes with and the heuristic stops
-at.
+depth in one loop, or to the empty schedule by a reset that costs the same
+however many events it takes back; `splice(depth)` the event at a depth
+when no later event depends on it), the count of its applies, the clock,
+and the cost lower bound of the partial schedule that the exact search
+prunes with and the heuristic stops at.
 
 The exact search needs only whether the bound reaches the incumbent's cost
 z, and most nodes of its second pass are pruned. So `bound()` keeps, per
@@ -34,19 +35,22 @@ pays for `bound()` alone.
 
 One backtracking loop, `_depth_first`, runs both passes of the exact
 search and the greedy pass; each is a move order plus a stop rule. A greedy
-level ranks its moves once and resumes from that ranking after a take-back,
-which restores the level's state exactly. `splice` checks resource states by
-identity: each write makes a fresh state tuple, so a resource still holding
-the tuple an event wrote was touched by no later event. One budget rule:
-the dispatcher reads the clock once every 256 applies and sets `expired`
-past the deadline. The search loop and each merge of the
-insertion pass read it, so they stop within 256 applies of the deadline;
-the restart loop reads the clock between passes. A report's `nodes` is the
-dispatcher's count of applies (for the exact search, in both of its
-passes; for the heuristic, in both processes when a helper ran), plus one
-when a budget stopped the exact search. Events that backtracking takes back
-were counted when applied; a retreat that splices takes back one event and
-re-applies nothing.
+level starts from the heads its parent level started with: it probes again
+only the train that moved and the trains whose candidates use a resource
+the move released or claimed, and moves every other head up to the new
+floor. It ranks its moves once and resumes from that ranking after a
+take-back, which restores the level's state exactly. `splice` checks
+resource states by identity: each write makes a fresh state tuple, so a
+resource still holding the tuple an event wrote was touched by no later
+event. One budget rule: the dispatcher reads the clock once every 256
+applies and sets `expired` past the deadline. The search loop and each
+merge of the insertion pass read it, so they stop within 256 applies of the
+deadline; the restart loop reads the clock between passes. A report's
+`nodes` is the dispatcher's count of applies (for the exact search, in both
+of its passes; for the heuristic, in both processes when a helper ran),
+plus one when a budget stopped the exact search. Events that backtracking
+takes back were counted when applied; a retreat that splices takes back one
+event and re-applies nothing.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
@@ -62,7 +66,8 @@ train1, stamp2). The holder is the one train whose latest operation claims
 it, or None. The stamps are the two best release stamps from distinct trains,
 stamp1 set by train1: a train is never delayed by its own release times, so
 train i waits for stamp2 if train1 is i, else for stamp1. The floor, cached
-on every apply and undo, is the time of the latest event, or 0 with none.
+on every apply, undo and rewind, is the time of the latest event, or 0
+with none.
 """
 
 from __future__ import annotations
@@ -307,9 +312,40 @@ class _Dispatcher:
             self.res[r] = state
 
     def rewind(self, depth: int) -> None:
-        """Take events back until `depth` remain."""
-        while len(self.events) > depth:
-            self.undo()
+        """Take events back until `depth` remain, leaving the state that as
+        many `undo()` calls leave. To depth 0 it resets every field to the
+        empty schedule's, in O(resources + trains) whatever the number of
+        events; to any other depth it restores the undo records newest
+        first in one loop."""
+        events, records = self.events, self._undo
+        if len(events) <= depth:
+            return
+        if not depth:
+            self.res.update(dict.fromkeys(self.res, _FREE))
+            n = self.n_trains
+            self.last_op[:] = [None] * n
+            self.last_time[:] = [0] * n
+            self.ended[:] = [False] * n
+            self.n_ended = self.z_partial = self.floor = 0
+            events.clear()
+            records.clear()
+            return
+        res, ended = self.res, self.ended
+        last_op, last_time = self.last_op, self.last_time
+        z = self.z_partial
+        for (_, train, _), (prev_op, prev_time, old, z_delta) in zip(
+                reversed(events[depth:]), reversed(records[depth:])):
+            if ended[train]:
+                ended[train] = False
+                self.n_ended -= 1
+            z -= z_delta
+            last_op[train] = prev_op
+            last_time[train] = prev_time
+            for r, state, _ in reversed(old):
+                res[r] = state
+        del events[depth:], records[depth:]
+        self.z_partial = z
+        self.floor = events[-1][0]
 
     def splice(self, depth: int) -> bool:
         """Take back the event at `depth` alone, leaving the events above it
@@ -787,6 +823,42 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
 _BACKTRACK_LIMIT = 256     # greedy backtracks per pass
 
 
+def _inherited_heads(disp: _Dispatcher, parent: list[tuple | None],
+                     views: list[tuple[list[int], tuple[str, ...]] | None],
+                     head: Callable[[int, list[int], int], tuple | None]
+                     ) -> list[tuple | None]:
+    """A greedy level's initial heads, one per train (None for a train that
+    ended or whose candidates all probe BLOCKED or DEAD), from `parent`, the
+    initial heads of the level above. `views` holds each train's ranked
+    candidates and the resources they use, None once it ended. Since the
+    parent, the latest event moved one train, raised the floor and changed
+    the resources in its undo record. The moved train, and every train
+    whose candidates use such a resource, gets a full `head` scan. For every
+    other train only the floor changed its probes: a BLOCKED candidate stays
+    blocked, a DEAD one dead, and a head's start t becomes max(t, floor),
+    with its key moved by as much. A head whose new start passes its
+    start_ub is DEAD, and the scan resumes at the next candidate."""
+    _, moved, _ = disp.events[-1]
+    touched = {r for r, _, _ in disp._undo[-1][2]}
+    floor, tables = disp.floor, disp.tables
+    heads: list[tuple | None] = []
+    for i, h in enumerate(parent):
+        view = views[i]
+        if view is None:
+            h = None
+        elif i == moved or not touched.isdisjoint(view[1]):
+            h = head(i, view[0], 0)
+        elif h is not None and h[4] < floor:
+            key, lb, _, op, t, cands, k = h
+            ub = tables[i].start_ub[op]
+            if ub is not None and floor > ub:
+                h = head(i, cands, k + 1)
+            else:
+                h = (key + t - floor, lb, i, op, floor, cands, k)
+        heads.append(h)
+    return heads
+
+
 def _greedy_pass(disp: _Dispatcher, rng: random.Random,
                  jitter_span: int) -> Solution | None:
     """Repeatedly start the most urgent startable operation: the smallest
@@ -799,51 +871,75 @@ def _greedy_pass(disp: _Dispatcher, rng: random.Random,
     pass. The schedule stays applied on the dispatcher; its solution, or
     None, also on expiry.
 
-    A level ranks its head moves once, in a heap. A take-back restores the
-    level's state exactly, so the level resumes from that ranking and probes
-    only the next candidate of the train whose head it yielded. Each train's
-    candidate order is sorted once per previous operation in a pass, and the
-    first sort draws the route jitter."""
+    Each train's candidate order is sorted once per previous operation in
+    a pass, next to the resources those candidates use, and the first sort
+    draws the route jitter. A level starts from its parent's initial heads
+    (`_inherited_heads`): it probes again only the train that moved and
+    the trains whose candidates use a resource the move released or
+    claimed. It ranks its heads in one heap. A take-back restores the
+    level's state exactly, so the level resumes from that ranking and
+    probes only the next candidate of the train whose head it yielded."""
     slack_jitter = [rng.randint(-jitter_span, jitter_span)
                     for _ in range(disp.n_trains)]
     route_jitter: dict[tuple[int, int], int] = {}
-    ranked: dict[tuple[int, int | None], list[int]] = {}
+    ranked: dict[tuple[int, int | None],
+                 tuple[list[int], tuple[str, ...]]] = {}
+    # By depth on the current path, the heads each level started with and
+    # each train's candidates then (None once it ended).
+    levels: list[tuple[list, list]] = []
 
     def _dj(i: int, o: int) -> int:
         if (i, o) not in route_jitter:
             route_jitter[(i, o)] = rng.randint(0, jitter_span)
         return route_jitter[(i, o)]
 
-    def candidates(i: int) -> list[int]:
-        """Train i's candidates, shortest jittered remaining path first."""
+    def candidates(i: int) -> tuple[list[int], tuple[str, ...]]:
+        """Train i's candidates, shortest jittered remaining path first,
+        and the resources they use."""
         key = (i, disp.last_op[i])
         if key not in ranked:
             tab = disp.tables[i]
-            ranked[key] = sorted(disp.candidates(i),
-                                 key=lambda o: (tab.dist[o] + _dj(i, o), o))
+            cands = sorted(disp.candidates(i),
+                           key=lambda o: (tab.dist[o] + _dj(i, o), o))
+            ranked[key] = cands, tuple(r for o in cands
+                                       for r in tab.keys[o])
         return ranked[key]
 
-    def offer(heap: list, i: int, cands: list[int], first: int) -> None:
-        """Push train i's head: its first candidate from index `first` on
-        that probes startable, keyed by urgency."""
+    def head(i: int, cands: list[int], first: int) -> tuple | None:
+        """Train i's head: its first candidate from index `first` on that
+        probes startable, keyed by urgency; None when none does."""
         tab = disp.tables[i]
         for k in range(first, len(cands)):
             op = cands[k]
             status, t = disp.probe(i, op)
             if status == _OK:
-                heapq.heappush(heap, (tab.slack[op] - t + slack_jitter[i],
-                                      tab.start_lb[op], i, op, t, cands, k))
-                return
+                return (tab.slack[op] - t + slack_jitter[i], tab.start_lb[op],
+                        i, op, t, cands, k)
+        return None
 
     def urgent_first():
-        heap: list[tuple] = []
-        for i in range(disp.n_trains):
-            if not disp.ended[i]:
-                offer(heap, i, candidates(i), 0)
+        depth = len(disp.events)
+        if depth:
+            # Only the moved train's candidates changed, and only its sort
+            # can be new in this pass: the jitter is drawn as before.
+            parent, views = levels[depth - 1]
+            views = views[:]
+            _, moved, _ = disp.events[-1]
+            views[moved] = None if disp.ended[moved] else candidates(moved)
+            heads = _inherited_heads(disp, parent, views, head)
+        else:
+            views = [candidates(i) for i in range(disp.n_trains)]
+            heads = [head(i, cands, 0) for i, (cands, _) in enumerate(views)]
+        del levels[depth:]
+        levels.append((heads, views))
+        heap = [h for h in heads if h is not None]
+        heapq.heapify(heap)
         while heap:
             _, _, i, op, t, cands, k = heapq.heappop(heap)
             yield i, op, t
-            offer(heap, i, cands, k + 1)
+            h = head(i, cands, k + 1)
+            if h is not None:
+                heapq.heappush(heap, h)
 
     _depth_first(disp, urgent_first, first_leaf=True,
                  backtrack_limit=_BACKTRACK_LIMIT)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -12,7 +14,7 @@ import pytest
 
 from builders import disrupted_corridor
 from conftest import data_text
-from displib import cli, milp
+from displib import cli, milp, solve
 from displib.fileformat import parse_instance, parse_solution, write_instance
 from displib.generate import (
     LineSpec,
@@ -529,6 +531,41 @@ class TestMapSolution:
         code = cli.main(["map-solution", junction_path, str(names), assignment])
         assert code == 2
         assert "not a name map" in capsys.readouterr().err
+
+
+class TestJsonStdout:
+    """With --json, `solve` and `map-solution` print their report and the
+    solution document as one JSON object indented by 2, the same bytes
+    whether -o names a file or stdout; the file holds that document."""
+
+    def check(self, argv, tmp_path, capsys, digest):
+        path = tmp_path / "solution.json"
+        for output in ("-", str(path)):
+            assert cli.main(argv + ["-o", output]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert json.loads(out)["solution"] == json.loads(path.read_text())
+
+    def test_solve(self, junction_path, tmp_path, capsys, monkeypatch):
+        exact = solve.solve_exact
+        monkeypatch.setattr(solve, "solve_exact", lambda *args, **kwargs: (
+            dataclasses.replace(exact(*args, **kwargs), wall_time=0.25)))
+        self.check(["solve", "--json", junction_path], tmp_path, capsys,
+                   "759b189d8b01f6ac6e9053fd68c725ba"
+                   "e1b28e8d3dde7515096ed9cb5bb9287f")
+
+    def test_map_solution(self, junction_path, tmp_path, capsys):
+        lp = tmp_path / "model.lp"
+        assert cli.main(["emit-lp", junction_path, "-o", str(lp)]) == 0
+        instance, _ = parse_instance(data_text("junction_instance.json"))
+        solution, _ = parse_solution(data_text("junction_solution.json"))
+        assignment = write_file(tmp_path, "assignment.txt", assignment_text(
+            milp.solution_assignment(milp.build_model(instance), instance,
+                                     solution)))
+        self.check(["map-solution", "--json", junction_path,
+                    f"{lp}.names.json", assignment], tmp_path, capsys,
+                   "9e8a51b971abf178600efe734208ecdc"
+                   "b34a64634189275be7211da847709ec8")
 
 
 class TestGenerateCommand:

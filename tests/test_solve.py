@@ -422,6 +422,50 @@ class TestDispatcher:
                 check_invariants(disp)
         assert accepted > 1000 and refused > 1000 and buried > 500
 
+    def test_bulk_rewind_matches_one_undo_at_a_time(self):
+        """Twin dispatchers take the same random apply, splice and undo
+        walk. At random points one rewinds in bulk and the other by `undo()`
+        calls, to a random depth or to 0. Every field of the two then
+        matches, and so does the probe of every candidate; the walk goes on,
+        so later splices also see the states a rewind restored."""
+        rng = random.Random(47)
+        to_zero = partial = 0
+        for _ in range(400):
+            instance = random_instance(rng, max_trains=5, max_ops=8)
+            bulk, single = _Dispatcher(instance), _Dispatcher(instance)
+            for _ in range(80):
+                moves = startable(bulk)
+                roll = rng.random()
+                if moves and (roll < 0.6 or not bulk.events):
+                    move = rng.choice(moves)
+                    bulk.apply(*move)
+                    single.apply(*move)
+                elif not bulk.events:
+                    break
+                elif roll < 0.7:
+                    bulk.undo()
+                    single.undo()
+                elif roll < 0.85:
+                    depth = rng.randrange(len(bulk.events))
+                    assert bulk.splice(depth) == single.splice(depth)
+                else:
+                    depth = rng.choice((0, rng.randint(0, len(bulk.events))))
+                    to_zero += depth == 0 < len(bulk.events)
+                    partial += 0 < depth < len(bulk.events)
+                    bulk.rewind(depth)
+                    while len(single.events) > depth:
+                        single.undo()
+                    assert len(bulk.events) == depth
+                    for field in ("res", "last_op", "last_time", "ended",
+                                  "n_ended", "floor", "z_partial", "events",
+                                  "_undo"):
+                        assert getattr(bulk, field) == getattr(single, field)
+                    check_invariants(bulk)
+                    for i in range(bulk.n_trains):
+                        for op in bulk.candidates(i):
+                            assert bulk.probe(i, op) == single.probe(i, op)
+        assert to_zero > 2000 and partial > 500
+
     def test_released_waits_for_the_best_stamp_of_another_train(self):
         """Fold random (train, stamp) releases into one resource state. After
         each, every train waits for the largest stamp any other train
@@ -1069,6 +1113,57 @@ class TestSolveHeuristic:
         pass alone (no restart) and two restarts at seed 1 on 60 random
         instances, six of whose greedy passes backtrack and eleven fail."""
         assert greedy_digest() == GREEDY_DIGEST
+
+    def test_inherited_heads_equal_a_full_reprobe(self, monkeypatch):
+        """At every greedy level, the heads a level inherits from its parent
+        equal a full scan of every unended train's ranked candidates, and
+        each train's candidates are its current successors. Run on random
+        instances (some with start_ub windows), transitively reduced ones
+        and the 10x8 corridor. Each shortcut is taken and matters: a train
+        re-scanned because the move changed a resource its candidates use,
+        whose head differs from its parent's; a head moved up to the floor;
+        and a head the floor pushed past its start_ub, so the scan resumed
+        at a later candidate."""
+        inherited = displib.solve._inherited_heads
+        fired = {"touched": 0, "floor": 0, "dead": 0}
+
+        def checked(disp, parent, views, head):
+            heads = inherited(disp, parent, views, head)
+            _, moved, _ = disp.events[-1]
+            touched = {r for r, _, _ in disp._undo[-1][2]}
+            for i, view in enumerate(views):
+                if disp.ended[i]:
+                    assert view is None and heads[i] is None
+                    continue
+                cands, uses = view
+                assert sorted(cands) == list(disp.candidates(i))
+                assert set(uses) == {r for op in cands
+                                     for r in disp.tables[i].keys[op]}
+                assert heads[i] == head(i, cands, 0)
+                before = parent[i]
+                if i == moved or before == heads[i]:
+                    continue
+                if touched.intersection(uses):
+                    fired["touched"] += 1
+                elif heads[i] is not None and heads[i][6] == before[6]:
+                    assert before[4] < heads[i][4] == disp.floor
+                    fired["floor"] += 1
+                else:
+                    assert heads[i] is None or heads[i][6] > before[6]
+                    fired["dead"] += 1
+            return heads
+
+        monkeypatch.setattr(displib.solve, "_inherited_heads", checked)
+        monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
+        rng = random.Random(53)
+        instances = [draw(rng, max_trains=6, max_ops=8) for _ in range(100)
+                     for draw in (random_instance, random_reduced_instance)]
+        instances.append(generate_line(LineSpec(num_stations=10,
+                                                num_trains=8,
+                                                seed=7)).instance)
+        for instance in instances:
+            solve_heuristic(instance, max_restarts=4, seed=1)
+        assert min(fired.values()) > 50, fired
 
     @pytest.mark.parametrize("stations, trains, objective, nodes",
                              [(10, 8, 10367, 9455), (20, 14, 56032, 56027)],
