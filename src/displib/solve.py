@@ -12,10 +12,10 @@ never change, because every constraint arc points forward in the event
 order. The dispatcher owns the tables, the undo stack (`undo(depth)` takes
 back one event, the latest by default; `rewind(depth)` all events above a
 depth in one loop, or to the empty schedule by a reset that costs the same
-however many events it takes back; `splice(depth)` the event at a depth
-when no later event depends on it), the count of its applies, the clock,
-and the cost lower bound of the partial schedule that the exact search
-prunes with and the heuristic stops at.
+however many events it takes back; `splice(depth)` the event at a depth and
+the later events from the first one that depends on it), the count of its
+applies, the clock, and the cost lower bound of the partial schedule that
+the exact search prunes with and the heuristic stops at.
 
 The exact search needs only whether the bound reaches the incumbent's cost
 z, and most nodes of its second pass are pruned. So `bound()` keeps, per
@@ -42,15 +42,26 @@ floor. It ranks its moves once and resumes from that ranking after a
 take-back, which restores the level's state exactly. `splice` checks
 resource states by identity: each write makes a fresh state tuple, so a
 resource still holding the tuple an event wrote was touched by no later
-event. One budget rule: the dispatcher reads the clock once every 256
+event, and only otherwise scans the later events for the first dependent.
+One budget rule: the dispatcher reads the clock once every 256
 applies and sets `expired` past the deadline. The search loop and each
 merge of the insertion pass read it, so they stop within 256 applies of the
 deadline; the restart loop reads the clock between passes. A report's
 `nodes` is the dispatcher's count of applies (for the exact search, in both
 of its passes; for the heuristic, in both processes when a helper ran),
 plus one when a budget stopped the exact search. Events that backtracking
-takes back were counted when applied; a retreat that splices takes back one
-event and re-applies nothing.
+takes back were counted when applied; a retreat that splices re-applies only
+the later events that depended on the one it took back.
+
+A truncated exact search reports the larger of the root's bound and, with
+at least 3 trains, the pair bound (`_pair_bound`): the optima of disjoint
+two-train sub-instances, each solved by `solve_exact` (or its own bound
+where the budget ran out), plus the single-train bounds of the trains left
+over. The pair searches share the run's budget (node_limit applies in all,
+and the deadline), and their applies are not counted in `nodes`. With a
+second CPU they run in a forked `_Helper` beside the main search once that
+has made `_PAIR_FORK_NODES` applies; a one-core run pays for them after its
+search, and gets the same report without a deadline.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
@@ -102,8 +113,13 @@ class SolveReport:
     """Outcome of one solve. `nodes` counts the dispatcher's applies,
     including events that backtracking took back, plus one when a budget
     stopped the exact search (a capped run reports node_limit + 1). A retreat
-    that splices takes back one event and re-applies nothing. The search loop
-    and each merge stop within 256 applies of the deadline."""
+    that splices re-applies only the events that depended on the one it took
+    back. The search loop and each merge stop within 256 applies of the
+    deadline. `bound` is a lower bound on the optimum: the optimum itself
+    when the exact search closed, and on a truncated exact run the larger of
+    the root's bound and the pair bound, whose pair searches share the run's
+    budget and are not counted in `nodes` (see `solve_exact`); None from the
+    heuristic and on Infeasible."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -295,9 +311,10 @@ class _Dispatcher:
             self.expired = _time.monotonic() > self.deadline
 
     def undo(self, depth: int = -1) -> None:
-        """Take back the event at `depth`, the latest by default (an earlier
-        one only as `splice` allows). An ended train takes no further event,
-        so an ended train here was ended by that event."""
+        """Take back the event at `depth`, the latest by default; an earlier
+        one only when no later event depends on it, as `splice` ensures. An
+        ended train takes no further event, so an ended train here was ended
+        by that event."""
         events = self.events
         _, train, _ = events.pop(depth)
         prev_op, prev_time, old, z_delta = self._undo.pop(depth)
@@ -347,30 +364,40 @@ class _Dispatcher:
         self.z_partial = z
         self.floor = events[-1][0]
 
-    def splice(self, depth: int) -> bool:
-        """Take back the event at `depth` alone, leaving the events above it
-        applied; False, with nothing changed, unless every later event would
-        probe to the same start without it: none is of the same train (the
-        event is its train's latest), none touches a resource the event
-        claimed or released (each such resource still holds the very state
-        tuple the event wrote), and the next one starts strictly later (so
-        the floor the event set bound none). The check costs O(resources of
-        the event). The undo records of the events above stay exact."""
-        events = self.events
+    def splice(self, depth: int) -> int:
+        """Take back the event at `depth`, and with it the later events from
+        the first one that depends on it: a later event of the same train,
+        one whose undo record touches a resource the event wrote (claimed or
+        released), or the next event when it starts at the same time (the
+        floor the event set may have bound it). Each event in between probes
+        to the same start without it, so it stays applied and its undo
+        record stays exact. Returns how many later events it took back, 0
+        when none depended on it. When the event is its train's latest and
+        each resource it wrote still holds the very state tuple it wrote, no
+        later event depends on it but perhaps the next one, and the check
+        costs O(resources of the event); otherwise the events above it are
+        scanned up to the first dependent."""
+        events, records = self.events, self._undo
         t, train, op = events[depth]
-        if depth + 1 < len(events) and events[depth + 1][0] <= t:
-            return False
-        if self.last_op[train] != op:
-            return False
-        # The state each resource ended at in this apply: the last one
-        # written where the event released and claimed the same resource.
-        written = {r: new for r, _, new in self._undo[depth][2]}
-        res = self.res
-        for r, new in written.items():
-            if res[r] is not new:
-                return False
+        cut = len(events)
+        if depth + 1 < cut and events[depth + 1][0] <= t:
+            cut = depth + 1
+        else:
+            # The state each resource ended at in this apply: the last one
+            # written where the event released and claimed the same resource.
+            written = {r: new for r, _, new in records[depth][2]}
+            res = self.res
+            if self.last_op[train] != op or any(
+                    res[r] is not new for r, new in written.items()):
+                for k in range(depth + 1, cut):
+                    if events[k][1] == train or any(
+                            r in written for r, _, _ in records[k][2]):
+                        cut = k
+                        break
+        taken = len(events) - cut
+        self.rewind(cut)
         self.undo(depth)
-        return True
+        return taken
 
     def _train_bound(self, i: int) -> tuple[int, list[tuple[int, int, int]]]:
         """Cost lower bound of train i's unscheduled components: the earliest
@@ -653,43 +680,144 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     Optimal only when the second is exhausted. node_limit and time_limit
     cover both passes, and `nodes` is the dispatcher's count of applies in
     both, plus one when a budget stopped the search. A budget-limited run
-    degrades to Feasible or TimeoutNoSolution, and its bound is a valid
-    lower bound on the optimum: the bound of the empty schedule, which no
-    node below it undercuts because every term of the bound only grows
-    along a path. Deterministic for a fixed node_limit.
+    degrades to Feasible or TimeoutNoSolution. Its bound is the larger of
+    two valid lower bounds on the optimum: the bound of the empty schedule,
+    which no node below it undercuts because every term of the bound only
+    grows along a path, and, with at least 3 trains, the pair bound
+    (`_pair_bound`), whose pair searches share the run's budget and are
+    not counted in `nodes`. When a second CPU is usable, those searches
+    run in a forked `_Helper` beside the main search, forked once the main
+    search has made `_PAIR_FORK_NODES` applies without closing; the parent
+    waits for it only when its own search was truncated and kills it
+    otherwise. Without a helper, or when it fails, the parent runs them
+    after its search. So without a time limit the report is the same on
+    one core and on two. Deterministic for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
     disp = _Dispatcher(instance, deadline)
     z: int | None = None
     solution: Solution | None = None
+    pairs = helper = None
+    fork_at = _INF              # applies at which the helper is forked
+    if (len(instance.trains) >= 3 and disp.comp_trains
+            and (node_limit is not None or deadline is not None)):
+        # The root's bound of each costly train alone.
+        singles = {i: disp._train_bound(i)[0] for i in disp.comp_trains}
+        pairs = functools.partial(_pair_bound, instance, singles,
+                                  node_limit, deadline)
+        if _can_fork():
+            fork_at = _PAIR_FORK_NODES
+
+    def fork_helper():
+        nonlocal helper, fork_at
+        fork_at = _INF
+        parent = os.getpid()
+        # Once the parent is gone the helper stops before its next pair.
+        helper = _Helper.fork(lambda: pairs(
+            stop=lambda: os.getppid() != parent))
+
+    def index_order():
+        if disp.applies >= fork_at:
+            fork_helper()
+        return iter(_branch_moves(disp, None))
 
     def earliest_first():
         nonlocal z, solution
+        if disp.applies >= fork_at:
+            fork_helper()
         if disp.done() and disp.z_partial < z:
             z, solution = disp.z_partial, disp.to_solution()
         return iter(_branch_moves(disp, z))
 
-    truncated = _depth_first(disp, lambda: iter(_branch_moves(disp, None)),
-                             first_leaf=True, node_limit=node_limit)
-    if disp.done():
-        z, solution = disp.z_partial, disp.to_solution()
-        disp.rewind(0)
-        truncated = _depth_first(disp, earliest_first, first_leaf=False,
+    try:
+        truncated = _depth_first(disp, index_order, first_leaf=True,
                                  node_limit=node_limit)
-    if truncated:
-        # Every move is undone again, so this is the bound of the root.
-        bound: int | None = disp.bound()
-        status = (SolveStatus.FEASIBLE if solution is not None
-                  else SolveStatus.TIMEOUT_NO_SOLUTION)
-    elif solution is not None:
-        bound, status = z, SolveStatus.OPTIMAL
-    else:
-        bound, status = None, SolveStatus.INFEASIBLE
+        if disp.done():
+            z, solution = disp.z_partial, disp.to_solution()
+            disp.rewind(0)
+            truncated = _depth_first(disp, earliest_first, first_leaf=False,
+                                     node_limit=node_limit)
+        if truncated:
+            # Every move is undone again, so this is the bound of the root.
+            bound: int | None = disp.bound()
+            if pairs is not None:
+                pair = None if helper is None else helper.join()
+                bound = max(bound, pairs() if pair is None else pair)
+            status = (SolveStatus.FEASIBLE if solution is not None
+                      else SolveStatus.TIMEOUT_NO_SOLUTION)
+        elif solution is not None:
+            bound, status = z, SolveStatus.OPTIMAL
+        else:
+            bound, status = None, SolveStatus.INFEASIBLE
+    finally:
+        if helper is not None:
+            helper.close()
     return SolveReport(status=status, solution=solution,
                        nodes=disp.applies + truncated,
                        wall_time=_time.monotonic() - start,
                        bound=bound)
+
+
+def _pair_instance(instance: Instance, i: int, j: int) -> Instance:
+    """Trains i and j alone, as trains 0 and 1, with their objective
+    components in instance order."""
+    index = {i: 0, j: 1}
+    return Instance(
+        trains=(instance.trains[i], instance.trains[j]),
+        objective=tuple(
+            ObjectiveComponent(index[c.train], c.operation, c.threshold,
+                               c.coeff, c.increment)
+            for c in instance.objective if c.train in index))
+
+
+def _pair_bound(instance: Instance, singles: dict[int, int],
+                node_limit: int | None, deadline: float | None, *,
+                stop: Callable[[], bool] = lambda: False) -> int:
+    """A lower bound on the optimum from two-train sub-instances, after the
+    decomposition view of Lamorgese & Mannino (2015) and the pairwise
+    conflicts of Mascis & Pacciarelli (2002). Dropping trains only removes
+    resource claims and release stamps, so any schedule, cut down to trains
+    i and j, is one of their pair instance, and costs at least its optimum.
+    So for disjoint pairs, the sum of their optima, plus `singles[k]` (the
+    root's bound of train k alone, 0 for a train without components) for
+    every train k in no pair, bounds the optimum from below.
+
+    Each pair with a costly train is solved by `solve_exact` in (i, j)
+    order; all of them together apply at most node_limit events and stop
+    at the deadline, and they stop early once `stop()` is true. A pair
+    stopped by its budget counts at its own reported bound, and a pair
+    proven infeasible is skipped. The pairs are matched greedily, largest
+    gain over their two singles first (ties in (i, j) order)."""
+    budget = node_limit
+    gains: list[tuple[int, int, int]] = []
+    for i, j in itertools.combinations(range(len(instance.trains)), 2):
+        if i not in singles and j not in singles:
+            continue
+        if budget is not None and budget <= 0 or stop():
+            break
+        time_limit = None
+        if deadline is not None:
+            time_limit = deadline - _time.monotonic()
+            if time_limit <= 0:
+                break
+        report = solve_exact(_pair_instance(instance, i, j),
+                             node_limit=budget, time_limit=time_limit)
+        truncated = report.status in (SolveStatus.FEASIBLE,
+                                      SolveStatus.TIMEOUT_NO_SOLUTION)
+        if budget is not None:
+            budget -= report.nodes - truncated
+        if report.status is not SolveStatus.INFEASIBLE:
+            gain = report.bound - singles.get(i, 0) - singles.get(j, 0)
+            if gain > 0:
+                gains.append((gain, i, j))
+    gains.sort(key=lambda g: -g[0])
+    bound, matched = sum(singles.values()), set()
+    for gain, i, j in gains:
+        if i not in matched and j not in matched:
+            matched.update((i, j))
+            bound += gain
+    return bound
 
 
 def _pick_route(tab: _OpTable, rng: random.Random,
@@ -731,7 +859,9 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
     fixed event. A fixed event blocked by a resource the new train holds is
     resolved by starting the train's next operation, which releases it;
     failing that, the train's latest placement retreats behind the blocked
-    event and the replay resumes. Returns the merged order, left applied on
+    event: `splice` takes it back together with the fixed events above it
+    from the first one that depended on it, and the replay resumes at that
+    one, re-applying only those. Returns the merged order, left applied on
     the dispatcher; None, with the dispatcher empty again, when no
     interleaving was found or the dispatcher expired. The dispatcher must
     be empty on entry.
@@ -756,18 +886,17 @@ def _merge_route(disp: _Dispatcher, fixed: list[tuple[int, int]], train: int,
         if st_f == _BLOCKED and st_r != _OK:
             # Only the new train can block a fixed event (the fixed order is
             # feasible on its own); push its latest placement behind the
-            # blocked position and resume. Splicing it out leaves the fixed
-            # events above it where a replay would put them again; when it
-            # cannot, they are taken back too and replayed.
+            # blocked position and resume. The splice takes back with it only
+            # the fixed events from the first one that depends on it, which a
+            # replay would move; the ones below it stay where a replay would
+            # put them again.
             if retreats >= max_retreats or not rp:
                 break
             blocked_at = fp
             depth = len(disp.events) - 1
             while disp.events[depth][1] != train:
                 depth -= 1
-            if not disp.splice(depth):
-                fp -= len(disp.events) - 1 - depth
-                disp.rewind(depth)
+            fp -= disp.splice(depth)
             rp -= 1
             barrier[rp] = blocked_at + 1
             retreats += 1
@@ -1011,6 +1140,12 @@ def _dealt(side: int, sides: int, max_restarts: int | None) -> Iterator[int]:
 # 2 shared cores with a 27 MiB parent (CPython 3.11); a first pass shorter
 # than that leaves too little work to share.
 _FORK_COST = 0.0029
+# Applies of the exact search before it forks the pair-bound helper. Its
+# applies and those of the pair searches each take about 10 us (the six
+# pairs of the 5x4 seed-42 corridor: 32,330 applies in 0.34 s, same machine),
+# so a search that closes sooner, or a node budget under this, leaves at most
+# about 10 ms of pair work, a few forks' worth, which the parent spends inline.
+_PAIR_FORK_NODES = 1_000
 
 
 def _can_fork() -> bool:
@@ -1031,19 +1166,23 @@ class _Helper:
     result back through a pipe as one pickle and reads nothing from the
     parent. It always ends in `os._exit`, so it runs no exit handler and
     never flushes the parent's stdio. `join` waits for it; `close` kills
-    it unless reaped. If the parent dies first, the solve's helper stops
-    before its next pass (see `solve_heuristic`).
-    The modules only a helper needs are imported where it uses them, so a
-    process that never forks one does not load them."""
+    it unless reaped. It serves two solves: `solve_heuristic`'s helper runs
+    every other pair of restarts, and `solve_exact`'s the pair searches of
+    `_pair_bound`, whose bound it returns; the exact search's parent joins
+    it only when its own search was truncated, and kills it when the search
+    closed. If the parent dies first, the helper stops before its next
+    restart or pair search. The modules only a helper needs are imported
+    where it uses them, so a process that never forks one does not load
+    them."""
 
     def __init__(self, pid: int, results_fd: int):
         self.pid = pid
         self._results = os.fdopen(results_fd, "rb")
         self._reaped = False
-        self.results: list[_Attempt] | None = None
+        self.results: list[_Attempt] | int | None = None
 
     @classmethod
-    def fork(cls, run: Callable[[], list[_Attempt]]) -> "_Helper | None":
+    def fork(cls, run: Callable[[], list[_Attempt] | int]) -> "_Helper | None":
         """Start a helper; None when the fork fails."""
         results_r, results_w = os.pipe()
         try:
@@ -1066,7 +1205,7 @@ class _Helper:
         finally:
             os._exit(code)
 
-    def poll(self) -> list[_Attempt] | None:
+    def poll(self) -> list[_Attempt] | int | None:
         """The helper's results once it has sent them, without waiting for
         them; None before, and when it failed."""
         import select
@@ -1074,7 +1213,7 @@ class _Helper:
             self._collect()
         return self.results
 
-    def join(self) -> list[_Attempt] | None:
+    def join(self) -> list[_Attempt] | int | None:
         """Wait for the helper's results and reap it. None when it failed:
         a non-zero exit or a truncated payload."""
         if not self._reaped:

@@ -3,6 +3,7 @@ brute-force reference, and the greedy heuristic."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -167,6 +168,45 @@ def bound_from_events(instance, events, honour_stamps=True):
     return cost
 
 
+def sub_instance(instance, *trains):
+    """The given trains of the instance alone, re-indexed in that order,
+    with their objective components."""
+    index = {i: k for k, i in enumerate(trains)}
+    return build_instance(
+        [instance.trains[i].operations for i in trains],
+        [replace(c, train=index[c.train]) for c in instance.objective
+         if c.train in index])
+
+
+def pair_bound_oracle(instance, cap):
+    """The pair bound of a run capped at `cap` nodes, from sub-instances:
+    each train's single bound is the root bound of the train alone; each
+    pair with a costly train is solved in (i, j) order with what the cap
+    leaves of its applies, and counts at its optimum when it closes and at
+    its own bound when it does not (skipped when infeasible). Pairs are
+    matched greedily, largest gain over their singles first, and the bound
+    is the sum of the singles plus the matched gains."""
+    n = len(instance.trains)
+    costly = {c.train for c in instance.objective}
+    single = [_Dispatcher(sub_instance(instance, i)).bound() for i in range(n)]
+    gains = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not costly & {i, j} or cap <= 0:
+                continue
+            report = solve_exact(sub_instance(instance, i, j), node_limit=cap)
+            cap -= report.nodes - (report.status not in (
+                SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE))
+            if report.status is not SolveStatus.INFEASIBLE:
+                gains.append((report.bound - single[i] - single[j], i, j))
+    matched, bound = set(), sum(single)
+    for gain, i, j in sorted(gains, key=lambda g: -g[0]):
+        if gain > 0 and not matched & {i, j}:
+            matched |= {i, j}
+            bound += gain
+    return bound
+
+
 class TestEarliestTimes:
     def test_golden_order(self, junction):
         times = earliest_times(junction, GOLDEN_ROUTES, GOLDEN_ORDER)
@@ -256,6 +296,21 @@ def rescan_allows_splice(disp, depth):
                    for k in range(depth + 1, len(events)))
 
 
+def rescan_first_dependent(disp, depth):
+    """The first event above depth that depends on the event there, by a
+    full rescan (the length of the event list when none does): one of the
+    same train, one whose undo record touches a resource the event's record
+    touches, or the next one when it starts at the same time."""
+    events, records = disp.events, disp._undo
+    t, train, _ = events[depth]
+    touched = {r for r, *_ in records[depth][2]}
+    for k in range(depth + 1, len(events)):
+        if (events[k][1] == train or k == depth + 1 and events[k][0] <= t
+                or any(r in touched for r, *_ in records[k][2])):
+            return k
+    return len(events)
+
+
 class TestDispatcher:
     def test_rewind_restores_the_replayed_state(self):
         """Walk forward by random moves, rewind to a random depth and walk on;
@@ -301,12 +356,13 @@ class TestDispatcher:
 
     def test_splice_matches_replay(self):
         """Walk forward by random moves and splice events out at random
-        depths. A splice that succeeds leaves the state of a fresh dispatcher
-        that probed every remaining event to the same time; one that refuses
-        changes nothing. Rewinding afterwards, to a random depth and to 0,
-        still restores the replayed state, so the undo records stay exact.
-        In the hand-built instance train 0 releases A to train 1, and the
-        three refusals are a later event of the same train, a later claim of
+        depths. A splice leaves the state of a fresh dispatcher that probed
+        every remaining event to the same time: those below the event and
+        those above it up to the first one it took back with it. Rewinding
+        afterwards, to a random depth and to 0, still restores the replayed
+        state, so the undo records stay exact. In the hand-built instance
+        train 0 releases A to train 1, and the three dependents taken back
+        with the event are a later event of the same train, a later claim of
         the resource the event released, and a next event at the same
         time."""
         first = [Operation(1, (1,), resources=(ResourceUsage("A", 3),)),
@@ -325,25 +381,24 @@ class TestDispatcher:
                 fresh.apply(i, op, t)
             return dispatcher_state(fresh)
 
-        refusals = (([(0, 0), (0, 1), (0, 2)], 1),          # same train
-                    ([(0, 0), (1, 0), (0, 1), (1, 1)], 2),  # released A
-                    ([(0, 0), (1, 0)], 0))                  # same time
-        for moves, depth in refusals:
+        dependents = (([(0, 0), (0, 1), (0, 2)], 1),          # same train
+                      ([(0, 0), (1, 0), (0, 1), (1, 1)], 2),  # released A
+                      ([(0, 0), (1, 0)], 0))                  # same time
+        for moves, depth in dependents:
             disp = _Dispatcher(hand_built)
             for i, op in moves:
                 status, t = disp.probe(i, op)
                 assert status == _OK
                 disp.apply(i, op, t)
-            before, records = dispatcher_state(disp), list(disp._undo)
-            assert not disp.splice(depth)
-            assert dispatcher_state(disp) == before
-            assert disp._undo == records
+            kept = disp.events[:depth]
+            assert disp.splice(depth) == 1
+            assert dispatcher_state(disp) == replayed(hand_built, kept)
 
         rng = random.Random(31)
         instances = [hand_built] * 10
         instances += [random_instance(rng, max_trains=3, max_ops=6)
                       for _ in range(150)]
-        spliced = refused = 0
+        spliced = cut = 0
         for instance in instances:
             for _ in range(4):
                 disp = _Dispatcher(instance)
@@ -357,17 +412,14 @@ class TestDispatcher:
                         if not disp.events:
                             break
                         depth = rng.randrange(len(disp.events))
-                        kept = disp.events[:depth] + disp.events[depth + 1:]
-                        before, records = dispatcher_state(disp), list(disp._undo)
-                        spliced_out = disp.splice(depth)
+                        events = list(disp.events)
+                        taken = disp.splice(depth)
                         check_invariants(disp)
-                        if spliced_out:
-                            assert dispatcher_state(disp) == replayed(instance, kept)
-                            spliced += 1
-                        else:
-                            assert dispatcher_state(disp) == before
-                            assert disp._undo == records
-                            refused += 1
+                        kept = (events[:depth]
+                                + events[depth + 1:len(events) - taken])
+                        assert dispatcher_state(disp) == replayed(instance, kept)
+                        spliced += not taken
+                        cut += taken > 0
                     depth = rng.randint(0, len(disp.events))
                     kept = disp.events[:depth]
                     if len(disp.events) > depth:
@@ -380,19 +432,23 @@ class TestDispatcher:
                 check_invariants(disp)
                 assert dispatcher_state(disp) == dispatcher_state(
                     _Dispatcher(instance))
-        assert spliced > 1000 and refused > 1000
+        assert spliced > 1000 and cut > 1000
 
     def test_splice_agrees_with_a_full_rescan(self):
-        """Drive random apply, undo and splice sequences. `splice` accepts
-        exactly when `rescan_allows_splice` does. An accepted splice leaves
-        the state a fresh `_replay` of the remaining order reaches, resource
-        states compared by value; a refused one changes nothing. Over 500
-        of the accepted splices leave events above the one taken back."""
+        """Drive random apply, undo and splice sequences. `splice` returns 0
+        exactly when `rescan_allows_splice` accepts, and otherwise the
+        number of events from `rescan_first_dependent` on. In every case it
+        leaves the state a fresh `_replay` of the remaining order reaches,
+        resource states compared by value, and that order is the old one
+        without the event and without the events it took back. Over 500 of
+        the splices that take back nothing else leave events above the one
+        taken back, and over 250 of those that take back more keep some
+        events above it."""
         rng = random.Random(43)
-        accepted = refused = buried = 0
+        accepted = refused = buried = kept_above = 0
         for _ in range(800):
             instance = random_instance(rng, max_trains=5, max_ops=8)
-            disp = _Dispatcher(instance)
+            disp, fresh = _Dispatcher(instance), _Dispatcher(instance)
             for _ in range(100):
                 moves = startable(disp)
                 roll = rng.random()
@@ -405,22 +461,26 @@ class TestDispatcher:
                 else:
                     depth = rng.randrange(len(disp.events))
                     allowed = rescan_allows_splice(disp, depth)
-                    before, records = dispatcher_state(disp), list(disp._undo)
-                    above = len(disp.events) - 1 - depth
-                    assert disp.splice(depth) == allowed
+                    cut = rescan_first_dependent(disp, depth)
+                    events = list(disp.events)
+                    taken = disp.splice(depth)
+                    assert (taken == 0) == allowed
+                    assert taken == len(events) - cut
+                    assert disp.events == events[:depth] + events[depth + 1:cut]
+                    # A rewind to 0 leaves the empty schedule (see
+                    # test_bulk_rewind_matches_one_undo_at_a_time).
+                    fresh.rewind(0)
+                    assert _replay(fresh, [(i, op) for _, i, op in disp.events])
+                    assert dispatcher_state(disp) == dispatcher_state(fresh)
                     if allowed:
-                        fresh = _Dispatcher(instance)
-                        assert _replay(fresh, [(i, op)
-                                               for _, i, op in disp.events])
-                        assert dispatcher_state(disp) == dispatcher_state(fresh)
                         accepted += 1
-                        buried += above > 0
+                        buried += cut > depth + 1
                     else:
-                        assert dispatcher_state(disp) == before
-                        assert disp._undo == records
                         refused += 1
+                        kept_above += cut > depth + 1
                 check_invariants(disp)
-        assert accepted > 1000 and refused > 1000 and buried > 500
+        assert accepted > 1000 and refused > 1000
+        assert buried > 500 and kept_above > 250
 
     def test_bulk_rewind_matches_one_undo_at_a_time(self):
         """Twin dispatchers take the same random apply, splice and undo
@@ -706,12 +766,15 @@ class TestSolveExact:
 
     def test_capped_desk_scale_corridor_reaches_the_optimum(self):
         """At 100k nodes the 5x4 seed-42 corridor, which the search cannot
-        close, holds the optimum HiGHS proves on its integer program."""
+        close, holds the optimum HiGHS proves on its integer program. Its
+        root bound is 0; the pair bound proves 265: all six pairs close, and
+        the matching {2, 3} + {0, 1} adds 218 + 47."""
         golden = json.loads(data_text("line_5x4_seed42.json"))
         line = generate_line(LineSpec(**golden["line"]))
         report = solve_exact(line.instance, node_limit=100_000)
         assert report.status is SolveStatus.FEASIBLE
-        assert (report.nodes, report.bound) == (100_001, 0)
+        assert (report.nodes, report.bound) == (100_001, 265)
+        assert _Dispatcher(line.instance).bound() == 0
         assert report.solution.objective_value == golden["optimal_objective"]
         verdict = verify(line.instance, report.solution)
         assert verdict.feasible
@@ -720,7 +783,11 @@ class TestSolveExact:
     def test_budget_in_each_pass(self):
         """A node cap inside the first pass (the dive to the first complete
         schedule) leaves no solution; one inside the second pass leaves a
-        solution no worse than that first leaf. Neither claims certainty."""
+        solution no worse than that first leaf. Neither claims certainty.
+        Each reports the larger of the root bound and the pair bound, which
+        the test computes from the three two-train sub-instances
+        (`pair_bound_oracle`). It rises above the root bound at the two
+        largest caps."""
         line = generate_line(LineSpec(num_stations=3, num_trains=3, seed=0))
         disp = _Dispatcher(line.instance)
         _depth_first(disp, lambda: iter(_branch_moves(disp, None)),
@@ -728,26 +795,132 @@ class TestSolveExact:
         first_leaf, dive_nodes = disp.z_partial, disp.applies
         full = solve_exact(line.instance)
         root = _Dispatcher(line.instance).bound()
+        assert root == 0
         assert 0 < dive_nodes < full.nodes
         assert full.solution.objective_value < first_leaf
+        rose = 0
         for cap in (0, 1, dive_nodes // 2, dive_nodes - 1):
             report = solve_exact(line.instance, node_limit=cap)
             assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
             assert report.solution is None
-            assert (report.nodes, report.bound) == (cap + 1, root)
+            expected = max(root, pair_bound_oracle(line.instance, cap))
+            assert (report.nodes, report.bound) == (cap + 1, expected)
+            rose += expected > root
         for cap in (dive_nodes, dive_nodes + 1, (dive_nodes + full.nodes) // 2,
                     full.nodes - 1):
             report = solve_exact(line.instance, node_limit=cap)
             assert report.status is SolveStatus.FEASIBLE
-            assert (report.nodes, report.bound) == (cap + 1, root)
+            expected = max(root, pair_bound_oracle(line.instance, cap))
+            assert (report.nodes, report.bound) == (cap + 1, expected)
+            assert report.bound <= full.solution.objective_value
+            rose += expected > root
             assert report.solution.objective_value <= first_leaf
             verdict = verify(line.instance, report.solution)
             assert verdict.feasible
             assert verdict.computed_objective == report.solution.objective_value
             if cap == dive_nodes:
                 assert report.solution.objective_value == first_leaf
+        assert rose >= 2
         assert solve_exact(line.instance,
                            node_limit=full.nodes).same_outcome(full)
+
+    def test_pair_bound_never_passes_the_optimum(self):
+        """The pair bound, its pairs solved without a budget, never exceeds
+        the optimum that the exact search proves, and neither does the bound
+        of a run capped at 100 nodes, which equals the larger of the root
+        bound and `pair_bound_oracle`. The cases are the 3x3 corridors of
+        seeds 0-7 and the 4x3 ones of seeds 0 and 2, and 3- and 4-train
+        random draws; 4-train and 5-station corridors of seeds 0-7 do not
+        close in 60,000 nodes (the 5x4 seed-42 bound is checked against the
+        HiGHS optimum in the desk-scale test above). The optimum comes from
+        a run capped at 13,000 nodes:
+        one that ends Optimal is the unbudgeted run, and a draw that does
+        not close by then is not counted. The pair bound lies strictly above
+        the root bound on every corridor, whose root bound is 0, and on at
+        least 2 draws. A stop that fires at once solves no pair and leaves
+        the sum of the single-train bounds, the root bound."""
+        corridors = [generate_line(LineSpec(num_stations=stations,
+                                            num_trains=3, seed=seed)).instance
+                     for stations, seeds in ((3, range(8)), (4, (0, 2)))
+                     for seed in seeds]
+        rng = random.Random(61)
+        draws = []
+        while len(draws) < 64:
+            draw = random_reduced_instance if len(draws) % 2 else random_instance
+            instance = draw(rng, max_trains=4, max_ops=5)
+            if len(instance.trains) >= 3:
+                draws.append(instance)
+        checked = tighter = 0
+        for instance in corridors + draws:
+            full = solve_exact(instance, node_limit=13_000)
+            if full.status is not SolveStatus.OPTIMAL:
+                assert instance in draws
+                continue
+            disp = _Dispatcher(instance)
+            root = disp.bound()
+            singles = {i: disp._train_bound(i)[0] for i in disp.comp_trains}
+            assert sum(singles.values()) == root
+            pair = displib.solve._pair_bound(instance, singles, None, None)
+            assert root <= pair <= full.solution.objective_value
+            assert displib.solve._pair_bound(instance, singles, None, None,
+                                             stop=lambda: True) == root
+            capped = solve_exact(instance, node_limit=100)
+            if capped.nodes > 100:
+                assert capped.bound == max(root,
+                                           pair_bound_oracle(instance, 100))
+                assert capped.bound <= full.solution.objective_value
+            checked += 1
+            tighter += pair > root
+            if instance in corridors:
+                assert root == 0 < pair
+        assert checked >= 65 and tighter >= len(corridors) + 2
+
+    def test_capped_reports_are_the_same_with_and_without_the_helper(
+            self, monkeypatch, forks):
+        """With `_can_fork` patched to False and to True, capped reports are
+        the same. The helper forks once the search has made
+        `_PAIR_FORK_NODES` applies without closing, so not at a cap one
+        below that, and never when `_can_fork` is False. It is killed when
+        the search closes, falls back to the parent when it fails, and no
+        child is left."""
+        fork_at = displib.solve._PAIR_FORK_NODES
+        cases = [(generate_line(LineSpec(num_stations=stations,
+                                         num_trains=trains,
+                                         seed=seed)).instance, cap)
+                 for stations, trains, seed in ((3, 4, 0), (4, 4, 1),
+                                                (5, 3, 1))
+                 for cap in (fork_at - 1, fork_at)]
+        closes = generate_line(LineSpec(num_stations=3, num_trains=3,
+                                        seed=0)).instance
+        cases.append((closes, 1_000_000))
+        reports, rose = [], 0
+        for instance, cap in cases:
+            monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
+            inline = solve_exact(instance, node_limit=cap)
+            assert not forks
+            monkeypatch.setattr(displib.solve, "_can_fork", lambda: True)
+            shared = solve_exact(instance, node_limit=cap)
+            assert len(forks) == (cap >= fork_at)
+            forks.clear()
+            assert shared.same_outcome(inline)
+            reports.append(inline)
+            rose += inline.bound > _Dispatcher(instance).bound()
+        assert reports[-1].same_outcome(solve_exact(closes))
+        assert reports[-1].nodes > fork_at
+        assert rose >= 5
+        fork = os.fork
+
+        def failing():
+            pid = fork()
+            if not pid:
+                os._exit(3)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing)
+        instance, cap = cases[-2]
+        assert solve_exact(instance, node_limit=cap).same_outcome(reports[-2])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_deterministic(self, junction):
         assert solve_exact(junction).same_outcome(solve_exact(junction))
@@ -866,7 +1039,13 @@ class TestSolveExact:
         """One digest of (status, nodes, bound, objective, events) pins the
         exact search's reports, capped and uncapped: a faster prune must
         keep every one of them."""
-        assert exact_digest() == EXACT_DIGEST
+        assert exact_digests()[0] == EXACT_DIGEST
+
+    def test_exact_reports_but_bounds_are_pinned(self):
+        """One digest of (status, nodes, objective, events), without bound,
+        over the same reports: the pair bound raised 3 of the 212 capped
+        bounds there and changed nothing else."""
+        assert exact_digests()[1] == EXACT_OUTCOME_DIGEST
 
     def test_charge_never_exceeds_the_bound(self):
         """On random walks that call `bound()` at every node they visit and
@@ -962,14 +1141,18 @@ class TestSolveExact:
 
 
 EXACT_DIGEST = (
-    "a6202c024b35ede58377b83d186818a6b1805fad739caec0714005df8469f56a")
+    "8e628a54589f5cafc7ba8a71ca7661d7d731e46979d941f667b5563b3dcb02d8")
+EXACT_OUTCOME_DIGEST = (
+    "edc227d5bd36ff49e764a19c5b6e3fdf44d202872a8a5df2219f771433208e25")
 
 
-def exact_digest() -> str:
-    """The digest `test_exact_reports_are_pinned` pins: 150 draws each of
-    `random_instance` and `random_reduced_instance`, solved at node caps 5,
-    50 and 500 and without one."""
-    digest = hashlib.sha256()
+@functools.cache
+def exact_digests() -> tuple[str, str]:
+    """The digests `test_exact_reports_are_pinned` and
+    `test_exact_reports_but_bounds_are_pinned` pin, from one pass over 150
+    draws each of `random_instance` and `random_reduced_instance`, solved
+    at node caps 5, 50 and 500 and without one."""
+    digest, outcome = hashlib.sha256(), hashlib.sha256()
     for seed in (11, 1, 7):
         rng = random.Random(seed)
         for k in range(100):
@@ -978,12 +1161,14 @@ def exact_digest() -> str:
             for cap in (5, 50, 500, None):
                 report = solve_exact(instance, node_limit=cap)
                 solution = report.solution
-                digest.update(repr((
-                    report.status.value, report.nodes, report.bound,
-                    solution and solution.objective_value,
-                    solution and [(e.time, e.train, e.operation)
-                                  for e in solution.events])).encode())
-    return digest.hexdigest()
+                rest = (solution and solution.objective_value,
+                        solution and [(e.time, e.train, e.operation)
+                                      for e in solution.events])
+                digest.update(repr((report.status.value, report.nodes,
+                                    report.bound, *rest)).encode())
+                outcome.update(repr((report.status.value, report.nodes,
+                                     *rest)).encode())
+    return digest.hexdigest(), outcome.hexdigest()
 
 
 GREEDY_DIGEST = (
@@ -1005,6 +1190,35 @@ def greedy_digest() -> str:
                 solution and solution.objective_value,
                 solution and [(e.time, e.train, e.operation)
                               for e in solution.events])).encode())
+    return digest.hexdigest()
+
+
+HEURISTIC_OUTCOME_DIGEST = (
+    "7470a4b44fc07658562f6995c04690e07c1d2fefff39371058cb1bee1b0f079c")
+
+
+def heuristic_outcome_digest() -> str:
+    """The digest `test_heuristic_outcomes_are_pinned` pins: the draws of
+    `greedy_digest` and the 10x8, 20x14 and 30x20 seed-7 corridors."""
+    rng = random.Random(16)
+    instances = []
+    for _ in range(60):
+        instance = random_instance(rng, max_trains=5, max_ops=8)
+        instances += [(instance, {"max_restarts": 0}),
+                      (instance, {"max_restarts": 2, "seed": 1})]
+    instances += [(generate_line(LineSpec(num_stations=stations,
+                                          num_trains=trains,
+                                          seed=7)).instance,
+                   {"max_restarts": 16, "seed": 0})
+                  for stations, trains in ((10, 8), (20, 14), (30, 20))]
+    digest = hashlib.sha256()
+    for instance, kwargs in instances:
+        report = solve_heuristic(instance, **kwargs)
+        solution = report.solution
+        digest.update(repr((
+            report.status.value, solution and solution.objective_value,
+            solution and [(e.time, e.train, e.operation)
+                          for e in solution.events])).encode())
     return digest.hexdigest()
 
 
@@ -1114,6 +1328,13 @@ class TestSolveHeuristic:
         instances, six of whose greedy passes backtrack and eleven fail."""
         assert greedy_digest() == GREEDY_DIGEST
 
+    def test_heuristic_outcomes_are_pinned(self):
+        """One digest of (status, objective, events), without nodes, pins
+        the solutions of `greedy_digest`'s draws and of the seed-7 ladder
+        corridors at 16 restarts: work saved in the dispatcher must leave
+        every solution as it was."""
+        assert heuristic_outcome_digest() == HEURISTIC_OUTCOME_DIGEST
+
     def test_inherited_heads_equal_a_full_reprobe(self, monkeypatch):
         """At every greedy level, the heads a level inherits from its parent
         equal a full scan of every unended train's ranked candidates, and
@@ -1166,7 +1387,7 @@ class TestSolveHeuristic:
         assert min(fired.values()) > 50, fired
 
     @pytest.mark.parametrize("stations, trains, objective, nodes",
-                             [(10, 8, 10367, 9455), (20, 14, 56032, 56027)],
+                             [(10, 8, 10367, 9287), (20, 14, 56032, 48536)],
                              ids=["10-8-10367", "20-14-56032"])
     def test_ladder_corridor_objective(self, tmp_path, stations, trains,
                                        objective, nodes):
