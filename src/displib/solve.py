@@ -1,4 +1,4 @@
-"""Schedulers: earliest-times evaluation, exact search, greedy heuristic.
+"""Schedulers: earliest-times evaluation, exact search, restart heuristic.
 
 All three drive one incremental dispatcher, `_Dispatcher`, and read the
 instance only through its per-train `_OpTable`s: predecessors, successors,
@@ -34,15 +34,14 @@ after a run of nodes that were not pruned, so a search that rarely prunes
 pays for `bound()` alone.
 
 One backtracking loop, `_depth_first`, runs both passes of the exact
-search and the greedy pass; each is a move order plus a stop rule. A greedy
-level starts from the heads its parent level started with: it probes again
-only the train that moved and the trains whose candidates use a resource
-the move released or claimed, and moves every other head up to the new
-floor. It ranks its moves once and resumes from that ranking after a
-take-back, which restores the level's state exactly. `splice` checks
-resource states by identity: each write makes a fresh state tuple, so a
-resource still holding the tuple an event wrote was touched by no later
-event, and only otherwise scans the later events for the first dependent.
+search and the heuristic's dive; each is an order of the `_branch_moves`
+plus a stop rule. The exact search's first pass takes them in train-index
+order, its second earliest start first; the dive also goes earliest start
+first, with each train's starts jittered and ties going to the shorter
+remaining duration. `splice` checks resource states by identity: each
+write makes a fresh state tuple, so a resource still holding the tuple an
+event wrote was touched by no later event, and only otherwise scans the
+later events for the first dependent.
 One budget rule: the dispatcher reads the clock once every 256
 applies and sets `expired` past the deadline. The search loop and each
 merge of the insertion pass read it, so they stop within 256 applies of the
@@ -61,7 +60,8 @@ over. The pair searches share the run's budget (node_limit applies in all,
 and the deadline), and their applies are not counted in `nodes`. With a
 second CPU they run in a forked `_Helper` beside the main search once that
 has made `_PAIR_FORK_NODES` applies; a one-core run pays for them after its
-search, and gets the same report without a deadline.
+search, which a time limit then stops at half of it, and gets the same
+report without a deadline.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
@@ -84,7 +84,6 @@ with none.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import os
 import random
@@ -154,14 +153,11 @@ class _OpTable:
     """Static per-operation data of one train, indexed by operation and
     built once per dispatcher, so that the hot loops index plain tuples
     instead of following Operation and ResourceUsage attributes. `comps`
-    holds each operation's objective components in instance order; `dist`
-    the shortest remaining min_duration sum to the exit, the one
-    shortest-path table the searches read, and `slack` the tightest cost
-    threshold along that shortest path, shifted so that an operation
-    started at t has slack[op] - t left (inf with none). Ties between
-    shortest successors go to the lowest index."""
+    holds each operation's objective components in instance order, and
+    `dist` the shortest remaining min_duration sum to the exit, the one
+    shortest-path table the searches read."""
     __slots__ = ("preds", "dur", "start_lb", "start_ub", "keys", "release",
-                 "far", "succ", "comps", "dist", "slack")
+                 "far", "succ", "comps", "dist")
 
     def __init__(self, train: Train,
                  comps: Sequence[tuple[ObjectiveComponent, ...]]):
@@ -178,17 +174,10 @@ class _OpTable:
         self.succ = tuple(tuple(sorted(op.successors)) for op in ops)
         self.comps = tuple(comps)
         dist = [0] * len(ops)
-        slack: list[float] = [_INF] * len(ops)
         for k in range(len(ops) - 1, -1, -1):
-            s = min((c.threshold for c in comps[k] if c.coeff or c.increment),
-                    default=_INF)
             if self.succ[k]:
-                nxt = min(self.succ[k], key=dist.__getitem__)
-                dist[k] = self.dur[k] + dist[nxt]
-                s = min(s, slack[nxt] - self.dur[k])
-            slack[k] = s
+                dist[k] = self.dur[k] + min(dist[s] for s in self.succ[k])
         self.dist = tuple(dist)
-        self.slack = tuple(slack)
 
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
@@ -593,14 +582,16 @@ def _depth_first(disp: _Dispatcher,
                  first_leaf: bool, node_limit: int | None = None,
                  backtrack_limit: int | None = None) -> bool:
     """Depth-first search from the empty schedule, the one backtracking
-    loop of the schedulers. It keeps one iterator of moves (train, op,
-    start) per level on a stack instead of recursion; `moves()` gives the
-    current level's, in the order to try them. An exhausted level takes
-    back the latest event. With `first_leaf` the loop stops at the first
-    complete schedule and leaves it applied; otherwise it ends rewound to
-    the empty schedule, as it does when a budget stops it: the deadline or
-    `node_limit` applies, checked before each apply, or `backtrack_limit`
-    take-backs, checked before each. True when a budget stopped it."""
+    loop of the schedulers: both passes of the exact search and the
+    heuristic's dive (`_dive_pass`) run on it. It keeps one iterator of
+    moves (train, op, start) per level on a stack instead of recursion;
+    `moves()` gives the current level's, in the order to try them. An
+    exhausted level takes back the latest event. With `first_leaf` the
+    loop stops at the first complete schedule and leaves it applied;
+    otherwise it ends rewound to the empty schedule, as it does when a
+    budget stops it: the deadline or `node_limit` applies, checked before
+    each apply, or `backtrack_limit` take-backs, checked before each. True
+    when a budget stopped it."""
     levels = [moves()]
     undos = 0
     while levels:
@@ -690,8 +681,10 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     search has made `_PAIR_FORK_NODES` applies without closing; the parent
     waits for it only when its own search was truncated and kills it
     otherwise. Without a helper, or when it fails, the parent runs them
-    after its search. So without a time limit the report is the same on
-    one core and on two. Deterministic for a fixed node_limit.
+    after its search; on one core a time limit stops the search at half of
+    it, so that the pairs get the rest. So without a time limit the report
+    is the same on one core and on two. Deterministic for a fixed
+    node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -708,6 +701,9 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
                                   node_limit, deadline)
         if _can_fork():
             fork_at = _PAIR_FORK_NODES
+        elif deadline is not None:
+            # The pairs run after the search: they get the second half.
+            disp.deadline = start + time_limit / 2
 
     def fork_helper():
         nonlocal helper, fork_at
@@ -919,13 +915,13 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
                     jitter_span: int) -> Solution | None:
     """Schedule trains one at a time in jittered entry order, interleaving
     each train's route into the order built so far, a strategy immune to the
-    head-on wedges that can trap greedy dispatch on dense single-track
-    traffic. The order built so far stays applied between trains. A train
-    whose merge fails is appended whole on top of that order, re-applied
-    first because a failed merge leaves the dispatcher empty. Once the
-    dispatcher has expired every merge would fail at once, so each
-    remaining train is appended without one. The final order stays applied
-    on the dispatcher; its solution, or None."""
+    head-on wedges that can trap the earliest-start dive (`_dive_pass`) on
+    dense single-track traffic. The order built so far stays applied
+    between trains. A train whose merge fails is appended whole on top of
+    that order, re-applied first because a failed merge leaves the
+    dispatcher empty. Once the dispatcher has expired every merge would
+    fail at once, so each remaining train is appended without one. The
+    final order stays applied on the dispatcher; its solution, or None."""
     n = disp.n_trains
     jolt = [rng.randint(-jitter_span, jitter_span) for _ in range(n)]
     priority = sorted(range(n), key=lambda i: (
@@ -949,128 +945,27 @@ def _insertion_pass(disp: _Dispatcher, rng: random.Random,
     return disp.to_solution()
 
 
-_BACKTRACK_LIMIT = 256     # greedy backtracks per pass
+_BACKTRACK_LIMIT = 256     # take-backs per dive
 
 
-def _inherited_heads(disp: _Dispatcher, parent: list[tuple | None],
-                     views: list[tuple[list[int], tuple[str, ...]] | None],
-                     head: Callable[[int, list[int], int], tuple | None]
-                     ) -> list[tuple | None]:
-    """A greedy level's initial heads, one per train (None for a train that
-    ended or whose candidates all probe BLOCKED or DEAD), from `parent`, the
-    initial heads of the level above. `views` holds each train's ranked
-    candidates and the resources they use, None once it ended. Since the
-    parent, the latest event moved one train, raised the floor and changed
-    the resources in its undo record. The moved train, and every train
-    whose candidates use such a resource, gets a full `head` scan. For every
-    other train only the floor changed its probes: a BLOCKED candidate stays
-    blocked, a DEAD one dead, and a head's start t becomes max(t, floor),
-    with its key moved by as much. A head whose new start passes its
-    start_ub is DEAD, and the scan resumes at the next candidate."""
-    _, moved, _ = disp.events[-1]
-    touched = {r for r, _, _ in disp._undo[-1][2]}
-    floor, tables = disp.floor, disp.tables
-    heads: list[tuple | None] = []
-    for i, h in enumerate(parent):
-        view = views[i]
-        if view is None:
-            h = None
-        elif i == moved or not touched.isdisjoint(view[1]):
-            h = head(i, view[0], 0)
-        elif h is not None and h[4] < floor:
-            key, lb, _, op, t, cands, k = h
-            ub = tables[i].start_ub[op]
-            if ub is not None and floor > ub:
-                h = head(i, cands, k + 1)
-            else:
-                h = (key + t - floor, lb, i, op, floor, cands, k)
-        heads.append(h)
-    return heads
+def _dive_pass(disp: _Dispatcher, rng: random.Random,
+               jitter_span: int) -> Solution | None:
+    """Dive earliest start first, the non-delay order of Giffler and
+    Thompson (1960): `_depth_first` runs `_branch_moves` without an
+    incumbent, each level's moves sorted by start jittered per train, then
+    by the shortest remaining duration (`dist`), train and operation, to
+    the first complete schedule, taking back at most _BACKTRACK_LIMIT
+    events. The schedule stays applied on the dispatcher; its solution, or
+    None, also on expiry."""
+    jolt = [rng.randint(-jitter_span, jitter_span)
+            for _ in range(disp.n_trains)]
+    tables = disp.tables
 
+    def earliest_first():
+        return iter(sorted(_branch_moves(disp, None), key=lambda m: (
+            m[2] + jolt[m[0]], tables[m[0]].dist[m[1]], m[0], m[1])))
 
-def _greedy_pass(disp: _Dispatcher, rng: random.Random,
-                 jitter_span: int) -> Solution | None:
-    """Repeatedly start the most urgent startable operation: the smallest
-    slack to the nearest cost threshold along the shortest remaining path,
-    jittered per train; ties by start_lb, then train, then operation index.
-    Each train offers only its head candidate, the successor with the
-    smallest jittered remaining min_duration sum that is not yet tried at
-    that depth and probes startable. `_depth_first` runs this order to the
-    first complete schedule, taking back at most _BACKTRACK_LIMIT events per
-    pass. The schedule stays applied on the dispatcher; its solution, or
-    None, also on expiry.
-
-    Each train's candidate order is sorted once per previous operation in
-    a pass, next to the resources those candidates use, and the first sort
-    draws the route jitter. A level starts from its parent's initial heads
-    (`_inherited_heads`): it probes again only the train that moved and
-    the trains whose candidates use a resource the move released or
-    claimed. It ranks its heads in one heap. A take-back restores the
-    level's state exactly, so the level resumes from that ranking and
-    probes only the next candidate of the train whose head it yielded."""
-    slack_jitter = [rng.randint(-jitter_span, jitter_span)
-                    for _ in range(disp.n_trains)]
-    route_jitter: dict[tuple[int, int], int] = {}
-    ranked: dict[tuple[int, int | None],
-                 tuple[list[int], tuple[str, ...]]] = {}
-    # By depth on the current path, the heads each level started with and
-    # each train's candidates then (None once it ended).
-    levels: list[tuple[list, list]] = []
-
-    def _dj(i: int, o: int) -> int:
-        if (i, o) not in route_jitter:
-            route_jitter[(i, o)] = rng.randint(0, jitter_span)
-        return route_jitter[(i, o)]
-
-    def candidates(i: int) -> tuple[list[int], tuple[str, ...]]:
-        """Train i's candidates, shortest jittered remaining path first,
-        and the resources they use."""
-        key = (i, disp.last_op[i])
-        if key not in ranked:
-            tab = disp.tables[i]
-            cands = sorted(disp.candidates(i),
-                           key=lambda o: (tab.dist[o] + _dj(i, o), o))
-            ranked[key] = cands, tuple(r for o in cands
-                                       for r in tab.keys[o])
-        return ranked[key]
-
-    def head(i: int, cands: list[int], first: int) -> tuple | None:
-        """Train i's head: its first candidate from index `first` on that
-        probes startable, keyed by urgency; None when none does."""
-        tab = disp.tables[i]
-        for k in range(first, len(cands)):
-            op = cands[k]
-            status, t = disp.probe(i, op)
-            if status == _OK:
-                return (tab.slack[op] - t + slack_jitter[i], tab.start_lb[op],
-                        i, op, t, cands, k)
-        return None
-
-    def urgent_first():
-        depth = len(disp.events)
-        if depth:
-            # Only the moved train's candidates changed, and only its sort
-            # can be new in this pass: the jitter is drawn as before.
-            parent, views = levels[depth - 1]
-            views = views[:]
-            _, moved, _ = disp.events[-1]
-            views[moved] = None if disp.ended[moved] else candidates(moved)
-            heads = _inherited_heads(disp, parent, views, head)
-        else:
-            views = [candidates(i) for i in range(disp.n_trains)]
-            heads = [head(i, cands, 0) for i, (cands, _) in enumerate(views)]
-        del levels[depth:]
-        levels.append((heads, views))
-        heap = [h for h in heads if h is not None]
-        heapq.heapify(heap)
-        while heap:
-            _, _, i, op, t, cands, k = heapq.heappop(heap)
-            yield i, op, t
-            h = head(i, cands, k + 1)
-            if h is not None:
-                heapq.heappush(heap, h)
-
-    _depth_first(disp, urgent_first, first_leaf=True,
+    _depth_first(disp, earliest_first, first_leaf=True,
                  backtrack_limit=_BACKTRACK_LIMIT)
     return disp.to_solution() if disp.done() else None
 
@@ -1091,7 +986,7 @@ def _attempts(disp: _Dispatcher, attempts: Iterable[int], *, seed: int,
               cut: Callable[[], float] = lambda: _INF) -> list[_Attempt]:
     """Run the seeded passes `attempts`, in order, on one dispatcher that is
     rewound after each: odd attempts run `_insertion_pass`, even ones
-    `_greedy_pass`, and attempts 0 and 1 with jitter span 0. Without a
+    `_dive_pass`, and attempts 0 and 1 with jitter span 0. Without a
     deadline each is a pure function of the instance, the seed and its
     number. Stops after an attempt that reaches root_bound, and before any
     attempt but the 0th once the deadline has passed or the attempt lies
@@ -1106,7 +1001,7 @@ def _attempts(disp: _Dispatcher, attempts: Iterable[int], *, seed: int,
         applies = disp.applies
         rng = random.Random(seed * 1_000_003 + attempt)
         span = jitter_span if attempt > 1 else 0
-        run_pass = _insertion_pass if attempt % 2 else _greedy_pass
+        run_pass = _insertion_pass if attempt % 2 else _dive_pass
         solution = run_pass(disp, rng, span)
         disp.rewind(0)
         objective = None if solution is None else solution.objective_value
@@ -1246,11 +1141,13 @@ class _Helper:
 def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
                     seed: int = 0, max_restarts: int | None = None) -> SolveReport:
     """Seeded restarts of two passes over one dispatcher: even passes run
-    `_greedy_pass`, odd passes `_insertion_pass`. Restarts re-jitter
-    priorities and route choices from the seed (the first pass of each kind
-    runs with jitter span 0), keeping the best solution found, and stop
-    early once the best reaches the lower bound of the empty schedule (the
-    exact search's root bound). Deterministic for a fixed seed and restart
+    `_dive_pass`, the exact search's earliest-start order as one
+    backtracking-limited dive, and odd passes `_insertion_pass`, which
+    merges one train's route at a time. Restarts re-jitter each train's
+    start in the dive and its entry order and route choices in the
+    insertion (the first pass of each kind runs with jitter span 0),
+    keeping the best solution found, and stop early once the best reaches
+    the lower bound of the empty schedule (the exact search's root bound). Deterministic for a fixed seed and restart
     budget. Never claims optimality, not even at that bound.
 
     Pass 0 runs inline. If it took longer than forking costs

@@ -372,7 +372,7 @@ class TestPinnedBehaviour:
 
     def test_written_bytes(self, pinned_corpus):
         instances, solutions = pinned_corpus
-        assert len(solutions) == 50
+        assert len(solutions) == 51
         texts = ([write_instance(i) for i in instances]
                  + [write_solution(s) for s in solutions])
         assert _digest(texts) == WRITTEN_DIGEST
@@ -417,5 +417,5 @@ class TestPinnedBehaviour:
                                                             "/trains/0/0")
 
 
-WRITTEN_DIGEST = "d28a4d7cf3377949122ee820601421eb50a1de529727dc821ecab5988ef9188d"
-OUTCOME_DIGEST = "6f7406dbc29c03b017380ba56551119b165509483c5fca75fba8a242adb5597a"
+WRITTEN_DIGEST = "0f75f861b30127294e0faaba5f64f7a425f34df910e12b6906fdd588bb05102d"
+OUTCOME_DIGEST = "40f17e8f4135287b948bd675096ab2f1161f8cb9e4478fb4f9dda1531964fa0d"
