@@ -18,7 +18,7 @@ applies, the clock, and the cost lower bound of the partial schedule that
 the exact search prunes with and the heuristic stops at.
 
 The exact search needs only whether the bound reaches the incumbent's cost
-z, and most nodes of its second pass are pruned. So `bound()` keeps, per
+z, and most of its nodes are pruned. So `bound()` keeps, per
 depth, each train's start at every costly operation it cannot avoid, and
 `prunes(z)` at a child first charges those starts (`_charge`): it re-sweeps
 only the train that just moved, and charges every other unfinished train
@@ -33,35 +33,35 @@ recorded for the child's children; so every prune is decided as
 after a run of nodes that were not pruned, so a search that rarely prunes
 pays for `bound()` alone.
 
-One backtracking loop, `_depth_first`, runs both passes of the exact
-search and the heuristic's dive; each is an order of the `_branch_moves`
-plus a stop rule. The exact search's first pass takes them in train-index
-order, its second earliest start first; the dive also goes earliest start
-first, with each train's starts jittered and ties going to the shorter
-remaining duration. `splice` checks resource states by identity: each
-write makes a fresh state tuple, so a resource still holding the tuple an
-event wrote was touched by no later event, and only otherwise scans the
-later events for the first dependent.
+One backtracking loop, `_depth_first`, runs the exact search and the
+heuristic's dive; each is an order of the `_branch_moves` plus a stop
+rule. Both go earliest start first: the exact search with ties by train
+and then operation, from the incumbent of the heuristic's two unjittered
+passes; the dive with each train's starts jittered and ties going to the
+shorter remaining duration. `splice` checks resource states by identity:
+each write makes a fresh state tuple, so a resource still holding the
+tuple an event wrote was touched by no later event, and only otherwise
+scans the later events for the first dependent.
 One budget rule: the dispatcher reads the clock once every 256
 applies and sets `expired` past the deadline. The search loop and each
 merge of the insertion pass read it, so they stop within 256 applies of the
 deadline; the restart loop reads the clock between passes. A report's
-`nodes` is the dispatcher's count of applies (for the exact search, in both
-of its passes; for the heuristic, in both processes when a helper ran),
-plus one when a budget stopped the exact search. Events that backtracking
-takes back were counted when applied; a retreat that splices re-applies only
-the later events that depended on the one it took back.
+`nodes` is the dispatcher's count of applies (for the exact search, in its
+branch and bound, not in the warm start; for the heuristic, in both
+processes when a helper ran), plus one when a budget stopped the exact
+search. Events that backtracking takes back were counted when applied; a
+retreat that splices re-applies only the later events that depended on
+the one it took back.
 
 A truncated exact search reports the larger of the root's bound and, with
 at least 3 trains, the pair bound (`_pair_bound`): the optima of disjoint
 two-train sub-instances, each solved by `solve_exact` (or its own bound
 where the budget ran out), plus the single-train bounds of the trains left
 over. The pair searches share the run's budget (node_limit applies in all,
-and the deadline), and their applies are not counted in `nodes`. With a
-second CPU they run in a forked `_Helper` beside the main search once that
-has made `_PAIR_FORK_NODES` applies; a one-core run pays for them after its
-search, which a time limit then stops at half of it, and gets the same
-report without a deadline.
+and the deadline), and their applies are not counted in `nodes`. Wherever
+the process can fork they run in a forked `_Helper` beside the main search
+once that has made `_PAIR_FORK_NODES` applies; only when the fork fails
+does the parent run them after its search.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
@@ -111,14 +111,16 @@ class SolveStatus(str, Enum):
 class SolveReport:
     """Outcome of one solve. `nodes` counts the dispatcher's applies,
     including events that backtracking took back, plus one when a budget
-    stopped the exact search (a capped run reports node_limit + 1). A retreat
-    that splices re-applies only the events that depended on the one it took
-    back. The search loop and each merge stop within 256 applies of the
-    deadline. `bound` is a lower bound on the optimum: the optimum itself
-    when the exact search closed, and on a truncated exact run the larger of
-    the root's bound and the pair bound, whose pair searches share the run's
-    budget and are not counted in `nodes` (see `solve_exact`); None from the
-    heuristic and on Infeasible."""
+    stopped the exact search (a capped run reports node_limit + 1); for the
+    exact search only those of its branch and bound, not those of the warm
+    start that gives its first incumbent. A retreat that splices re-applies
+    only the events that depended on the one it took back. The search loop
+    and each merge stop within 256 applies of the deadline. `bound` is a
+    lower bound on the optimum: the optimum itself when the exact search
+    closed, and on a truncated exact run the larger of the root's bound and
+    the pair bound, whose pair searches share the run's budget and are not
+    counted in `nodes` (see `solve_exact`); None from the heuristic and on
+    Infeasible."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -498,7 +500,12 @@ class _Dispatcher:
         when the other trains' charges already reach z. It reads the record
         of the parent, the schedule without the latest event, and holds
         only while that record is the parent's own: in a depth-first walk
-        that calls `bound()` at every node it expands, it is.
+        that calls `bound()` at every node it expands, it is. A search
+        without an incumbent calls no `bound()`, so where its first leaf
+        turns up mid-walk the ancestors above it have no record; their
+        children then charge the fixed cost alone and leave the decision to
+        `bound()`. Such a record cannot be stale: no node at that depth
+        outside the current subtree has recorded since the walk began.
 
         Only the latest event's train moved since the parent: it is
         re-swept. Every other unfinished train keeps its last operation and
@@ -512,12 +519,13 @@ class _Dispatcher:
         t at max(t, floor + lag) never exceeds `bound()`; a start the floor
         plus the lag does not pass keeps its recorded cost."""
         lb = self.z_partial
-        if not self.events:
+        parent = self._starts.get(len(self.events) - 1)
+        if parent is None:
             return lb, None
         moved = self.events[-1][1]
         moved_costs = False         # the parent recorded the moved train
         floor, last_op, tables = self.floor, self.last_op, self.tables
-        for i, b, starts in self._starts[len(self.events) - 1]:
+        for i, b, starts in parent:
             if i == moved:
                 moved_costs = True
                 continue
@@ -582,16 +590,16 @@ def _depth_first(disp: _Dispatcher,
                  first_leaf: bool, node_limit: int | None = None,
                  backtrack_limit: int | None = None) -> bool:
     """Depth-first search from the empty schedule, the one backtracking
-    loop of the schedulers: both passes of the exact search and the
-    heuristic's dive (`_dive_pass`) run on it. It keeps one iterator of
-    moves (train, op, start) per level on a stack instead of recursion;
-    `moves()` gives the current level's, in the order to try them. An
-    exhausted level takes back the latest event. With `first_leaf` the
-    loop stops at the first complete schedule and leaves it applied;
-    otherwise it ends rewound to the empty schedule, as it does when a
-    budget stops it: the deadline or `node_limit` applies, checked before
-    each apply, or `backtrack_limit` take-backs, checked before each. True
-    when a budget stopped it."""
+    loop of the schedulers: the exact search and the heuristic's dive
+    (`_dive_pass`) run on it. It keeps one iterator of moves (train, op,
+    start) per level on a stack instead of recursion; `moves()` gives the
+    current level's, in the order to try them. An exhausted level takes
+    back the latest event. With `first_leaf` (the dive) the loop stops at
+    the first complete schedule and leaves it applied; otherwise (the exact
+    search) it ends rewound to the empty schedule, as it does when a budget
+    stops it: the deadline or `node_limit` applies, checked before each
+    apply, or `backtrack_limit` take-backs, checked before each. True when
+    a budget stopped it."""
     levels = [moves()]
     undos = 0
     while levels:
@@ -617,16 +625,13 @@ def _depth_first(disp: _Dispatcher,
 
 def _branch_moves(disp: _Dispatcher,
                   z: int | None) -> list[tuple[int, int, int]]:
-    """The exact search's moves (train, op, start) from the current partial
-    schedule, none at a complete schedule, at a dead end, or where the bound
-    reaches the incumbent's cost z. Without an incumbent (the first pass)
-    they come in train-index order, which runs the trains one after another
-    and so reaches a schedule even where opposing trains could wedge each
-    other on single track; with one, earliest start first, ties by train and
-    then operation: the non-delay order of Giffler and Thompson. Probing a
-    move costs no node. The prune is `disp.prunes(z)`, which decides as
-    `bound() >= z` does, mostly from the parent's recorded starts and at
-    most one sweep of the train that moved."""
+    """The moves (train, op, start) from the current partial schedule, in
+    train and then operation order, which each caller sorts its own way:
+    none at a complete schedule, at a dead end, or, given an incumbent's
+    cost z, where the bound reaches it. Probing a move costs no node. The
+    prune is `disp.prunes(z)`, which decides as `bound() >= z` does, mostly
+    from the parent's recorded starts and at most one sweep of the train
+    that moved."""
     if z is not None and disp.prunes(z):
         return []
     moves: list[tuple[int, int, int]] = []
@@ -645,8 +650,6 @@ def _branch_moves(disp: _Dispatcher,
             # Start windows of every remaining candidate are overrun,
             # and they can only drift later: no completion exists.
             return []
-    if z is not None:
-        moves.sort(key=_START)      # stable: ties stay in (train, op) order
     return moves
 
 
@@ -663,34 +666,38 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     prunes (see `_Dispatcher.prunes`) and never exceeds the bound, so the
     tree, and the report, are those of pruning with `bound()` alone.
 
-    The search runs `_depth_first` twice over one dispatcher. The first
-    pass dives in train-index order to the first complete schedule, the
-    incumbent; the second restarts from the empty schedule with it and
-    branches earliest start first (see `_branch_moves`). Infeasible is
-    reported only when the first pass is exhausted without a schedule,
-    Optimal only when the second is exhausted. node_limit and time_limit
-    cover both passes, and `nodes` is the dispatcher's count of applies in
-    both, plus one when a budget stopped the search. A budget-limited run
-    degrades to Feasible or TimeoutNoSolution. Its bound is the larger of
-    two valid lower bounds on the optimum: the bound of the empty schedule,
-    which no node below it undercuts because every term of the bound only
-    grows along a path, and, with at least 3 trains, the pair bound
-    (`_pair_bound`), whose pair searches share the run's budget and are
-    not counted in `nodes`. When a second CPU is usable, those searches
-    run in a forked `_Helper` beside the main search, forked once the main
-    search has made `_PAIR_FORK_NODES` applies without closing; the parent
-    waits for it only when its own search was truncated and kills it
-    otherwise. Without a helper, or when it fails, the parent runs them
-    after its search; on one core a time limit stops the search at half of
-    it, so that the pairs get the rest. So without a time limit the report
-    is the same on one core and on two. Deterministic for a fixed
-    node_limit.
+    The incumbent starts as the better schedule of the heuristic's two
+    unjittered passes (`_attempts` 0 and 1: the dive and the insertion
+    pass), run on the same dispatcher. Then one `_depth_first` pass
+    branches earliest start first, ties by train and then operation (the
+    non-delay order of Giffler and Thompson), and records every complete
+    schedule cheaper than the incumbent. Infeasible is reported when that
+    pass is exhausted without any schedule, Optimal when it is exhausted
+    with one. node_limit and time_limit cap the search, and `nodes` is the
+    dispatcher's count of its applies, not those of the warm start, plus one
+    when a budget stopped it. A budget-limited run degrades to Feasible or
+    TimeoutNoSolution. Its bound is the larger of two valid lower bounds on
+    the optimum: the bound of the empty schedule, which no node below it
+    undercuts because every term of the bound only grows along a path, and,
+    with at least 3 trains, the pair bound (`_pair_bound`), whose pair
+    searches share the run's budget and are not counted in `nodes`. They
+    run in a forked `_Helper` beside the main search, forked once the
+    search has made `_PAIR_FORK_NODES` applies without closing, whenever
+    the process can fork (`_forkable`), on one CPU too; the parent waits for
+    it only when its own search was truncated and kills it otherwise.
+    Without a helper, or when it fails, the parent runs them after its
+    search. So without a time limit the report is the same with a helper
+    and without. Deterministic for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
     disp = _Dispatcher(instance, deadline)
-    z: int | None = None
-    solution: Solution | None = None
+    root = disp.bound()
+    solution = next((a.solution for a in _attempts(
+        disp, (0, 1), seed=0, jitter_span=0, root_bound=root)
+        if a.solution is not None), None)
+    z = None if solution is None else solution.objective_value
+    disp.applies = 0            # `nodes` counts the search's applies only
     pairs = helper = None
     fork_at = _INF              # applies at which the helper is forked
     if (len(instance.trains) >= 3 and disp.comp_trains
@@ -699,44 +706,28 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
         singles = {i: disp._train_bound(i)[0] for i in disp.comp_trains}
         pairs = functools.partial(_pair_bound, instance, singles,
                                   node_limit, deadline)
-        if _can_fork():
+        if _forkable():
             fork_at = _PAIR_FORK_NODES
-        elif deadline is not None:
-            # The pairs run after the search: they get the second half.
-            disp.deadline = start + time_limit / 2
-
-    def fork_helper():
-        nonlocal helper, fork_at
-        fork_at = _INF
-        parent = os.getpid()
-        # Once the parent is gone the helper stops before its next pair.
-        helper = _Helper.fork(lambda: pairs(
-            stop=lambda: os.getppid() != parent))
-
-    def index_order():
-        if disp.applies >= fork_at:
-            fork_helper()
-        return iter(_branch_moves(disp, None))
 
     def earliest_first():
-        nonlocal z, solution
+        nonlocal z, solution, helper, fork_at
         if disp.applies >= fork_at:
-            fork_helper()
-        if disp.done() and disp.z_partial < z:
+            fork_at = _INF
+            parent = os.getpid()
+            # Once the parent is gone the helper stops before its next pair.
+            helper = _Helper.fork(lambda: pairs(
+                stop=lambda: os.getppid() != parent))
+        if disp.done() and (z is None or disp.z_partial < z):
             z, solution = disp.z_partial, disp.to_solution()
-        return iter(_branch_moves(disp, z))
+        moves = _branch_moves(disp, z)
+        moves.sort(key=_START)      # stable: ties stay in (train, op) order
+        return iter(moves)
 
     try:
-        truncated = _depth_first(disp, index_order, first_leaf=True,
+        truncated = _depth_first(disp, earliest_first, first_leaf=False,
                                  node_limit=node_limit)
-        if disp.done():
-            z, solution = disp.z_partial, disp.to_solution()
-            disp.rewind(0)
-            truncated = _depth_first(disp, earliest_first, first_leaf=False,
-                                     node_limit=node_limit)
         if truncated:
-            # Every move is undone again, so this is the bound of the root.
-            bound: int | None = disp.bound()
+            bound: int | None = root
             if pairs is not None:
                 pair = None if helper is None else helper.join()
                 bound = max(bound, pairs() if pair is None else pair)
@@ -1043,17 +1034,23 @@ _FORK_COST = 0.0029
 _PAIR_FORK_NODES = 1_000
 
 
+def _forkable() -> bool:
+    """`os.fork` exists and the process has one thread: a fork copies only
+    the calling thread, so a lock another thread holds would stay held in
+    the child."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
 def _can_fork() -> bool:
-    """A second CPU is usable, and the process has one thread: a fork copies
-    only the calling thread, so a lock another thread holds would stay held
-    in the child."""
-    if not hasattr(os, "fork"):
+    """The process is `_forkable` and a second CPU is usable, so that a
+    helper runs beside it rather than taking turns with it."""
+    if not _forkable():
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return cpus > 1 and threading.active_count() == 1
+    return cpus > 1
 
 
 class _Helper:
@@ -1147,8 +1144,10 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     start in the dive and its entry order and route choices in the
     insertion (the first pass of each kind runs with jitter span 0),
     keeping the best solution found, and stop early once the best reaches
-    the lower bound of the empty schedule (the exact search's root bound). Deterministic for a fixed seed and restart
-    budget. Never claims optimality, not even at that bound.
+    the lower bound of the empty schedule (the exact search's root bound).
+    Deterministic for a fixed seed and restart budget. Never claims
+    optimality, not even at that bound. The exact search takes its first
+    incumbent from passes 0 and 1.
 
     Pass 0 runs inline. If it took longer than forking costs
     (`_FORK_COST`), more than one CPU is usable, the process has one thread,

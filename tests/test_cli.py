@@ -551,8 +551,8 @@ class TestJsonStdout:
         monkeypatch.setattr(solve, "solve_exact", lambda *args, **kwargs: (
             dataclasses.replace(exact(*args, **kwargs), wall_time=0.25)))
         self.check(["solve", "--json", junction_path], tmp_path, capsys,
-                   "759b189d8b01f6ac6e9053fd68c725ba"
-                   "e1b28e8d3dde7515096ed9cb5bb9287f")
+                   "cca7284890fccf0fdd84349d1375f510"
+                   "fb6db7b13758cc8d8ebc3778793f59a5")
 
     def test_map_solution(self, junction_path, tmp_path, capsys):
         lp = tmp_path / "model.lp"

@@ -44,6 +44,7 @@ from displib.solve import (
     _OK,
     SolveStatus,
     _Dispatcher,
+    _attempts,
     _branch_moves,
     _depth_first,
     _insertion_pass,
@@ -579,8 +580,9 @@ class TestDispatcher:
         assert checked > 1000
 
 
-def index_order(disp):
-    """The first exact pass's move order, as `_depth_first` takes it."""
+def train_order(disp):
+    """`_branch_moves` unsorted, in train and then operation order, as
+    `_depth_first` takes them."""
     return lambda: iter(_branch_moves(disp, None))
 
 
@@ -592,21 +594,21 @@ class TestDepthFirst:
         empty = dispatcher_state(_Dispatcher(junction))
         for cap in (0, 1, 3):
             disp = _Dispatcher(junction)
-            assert _depth_first(disp, index_order(disp), first_leaf=False,
+            assert _depth_first(disp, train_order(disp), first_leaf=False,
                                 node_limit=cap)
             assert disp.applies == cap
             assert dispatcher_state(disp) == empty
 
     def test_backtrack_limit_stops_at_the_first_dead_end(self):
-        """On the pinned crossing the index-order dive applies train 0's two
-        operations and then finds train 1's window overrun: with no
+        """On the pinned crossing the dive in train order applies train 0's
+        two operations and then finds train 1's window overrun: with no
         take-back allowed the loop stops there; with any number it runs to
         exhaustion, which is not a budget stop."""
         instance = pinned_crossing()
         empty = dispatcher_state(_Dispatcher(instance))
         for limit, stopped, applies in ((0, True, 2), (None, False, 4)):
             disp = _Dispatcher(instance)
-            assert _depth_first(disp, index_order(disp), first_leaf=True,
+            assert _depth_first(disp, train_order(disp), first_leaf=True,
                                 backtrack_limit=limit) is stopped
             assert disp.applies == applies
             assert dispatcher_state(disp) == empty
@@ -614,14 +616,29 @@ class TestDepthFirst:
     def test_spent_deadline_stops_within_256_applies(self):
         instance = build_instance([chain(*[1] * 600)])
         disp = _Dispatcher(instance, time.monotonic() - 1)
-        assert _depth_first(disp, index_order(disp), first_leaf=True)
+        assert _depth_first(disp, train_order(disp), first_leaf=True)
         assert disp.applies == 256
+        assert dispatcher_state(disp) == dispatcher_state(
+            _Dispatcher(instance))
+
+    def test_levels_deeper_than_the_recursion_limit(self):
+        """The loop keeps its levels on an explicit stack, so a schedule of
+        1,500 events, deeper than Python's default recursion limit of 1,000,
+        is reached as a first leaf and, without `first_leaf`, exhausted and
+        rewound to the empty schedule."""
+        instance = build_instance([chain(*[1] * 1500)])
+        disp = _Dispatcher(instance)
+        assert not _depth_first(disp, train_order(disp), first_leaf=True)
+        assert disp.done() and len(disp.events) == 1500
+        disp = _Dispatcher(instance)
+        assert not _depth_first(disp, train_order(disp), first_leaf=False)
+        assert disp.applies == 1500
         assert dispatcher_state(disp) == dispatcher_state(
             _Dispatcher(instance))
 
     def test_first_leaf_stays_applied(self, junction):
         disp = _Dispatcher(junction)
-        assert not _depth_first(disp, index_order(disp), first_leaf=True)
+        assert not _depth_first(disp, train_order(disp), first_leaf=True)
         assert disp.done()
         check_invariants(disp)
         verdict = verify(junction, disp.to_solution())
@@ -667,12 +684,11 @@ class TestDepthFirst:
 
 class TestSolveExact:
     def test_junction_optimal(self, junction):
+        """The warm start's schedule costs the root bound, 10, so the root
+        is pruned and the search closes without a node."""
         report = solve_exact(junction)
-        assert report.status is SolveStatus.OPTIMAL
-        assert report.solution is not None
-        assert report.solution.objective_value == 10
-        assert report.bound == 10
-        assert report.nodes > 0
+        assert (report.status, report.solution.objective_value, report.nodes,
+                report.bound) == (SolveStatus.OPTIMAL, 10, 0, 10)
         verdict = verify(junction, report.solution)
         assert verdict.feasible and verdict.computed_objective == 10
 
@@ -689,17 +705,19 @@ class TestSolveExact:
         assert report.solution is None
         assert report.bound is None
 
-    def test_budget_never_claims_certainty(self, junction):
-        report = solve_exact(junction, node_limit=1)
-        assert report.status in (SolveStatus.FEASIBLE,
-                                 SolveStatus.TIMEOUT_NO_SOLUTION)
+    def test_budget_never_claims_certainty(self):
+        line = generate_line(LineSpec(num_stations=3, num_trains=3, seed=0))
+        report = solve_exact(line.instance, node_limit=1)
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.nodes == 2
         assert report.bound is not None
-        assert report.bound <= 10
+        assert report.bound <= 298
         # A capped run's bound must hold for the whole tree, including the
-        # root branches the search never reached.
+        # root branches the search never reached. The warm start closes
+        # most draws at the root, so it takes 300 of them to cap 100 runs.
         rng = random.Random(1)
         capped = 0
-        for _ in range(60):
+        for _ in range(300):
             instance = random_instance(rng, max_trains=3, max_ops=6)
             full = solve_exact(instance)
             for cap in (1, 2, 5, 10, 30):
@@ -715,19 +733,19 @@ class TestSolveExact:
                 capped += 1
         assert capped > 100
 
-    def test_search_deeper_than_the_recursion_limit(self):
-        """A full schedule of the 30x20 corridor has 1,200 events, more
-        than Python's default recursion limit; the search keeps its levels
-        on an explicit stack and returns a solution the verifier accepts."""
+    def test_capped_corridor_search_verifies(self):
+        """At 2,000 nodes the search of the 30x20 corridor, 1,200 events
+        per schedule, is truncated and returns a solution the verifier
+        accepts."""
         line = generate_line(LineSpec(num_stations=30, num_trains=20, seed=7))
         report = solve_exact(line.instance, node_limit=2000)
         assert report.status is SolveStatus.FEASIBLE
         assert (report.nodes, report.bound) == (2001, 0)
         assert len(report.solution.events) == 1200
-        assert report.solution.objective_value == 1_487_596
+        assert report.solution.objective_value == 821_494
         verdict = verify(line.instance, report.solution)
         assert verdict.feasible
-        assert verdict.computed_objective == 1_487_596
+        assert verdict.computed_objective == 821_494
 
     @pytest.mark.parametrize("stations, objective, index_order_nodes",
                              [(3, 298, 9_888), (4, 221, 78_254)])
@@ -735,8 +753,8 @@ class TestSolveExact:
             self, stations, objective, index_order_nodes):
         """The seed-0 corridors close at their optimum in at most a third of
         the nodes that a search branching in train-index order needs: in
-        2,850 and 3,522 nodes."""
-        nodes = {3: 2_850, 4: 3_522}[stations]
+        2,814 and 3,467 nodes."""
+        nodes = {3: 2_814, 4: 3_467}[stations]
         line = generate_line(LineSpec(num_stations=stations, num_trains=3,
                                       seed=0))
         report = solve_exact(line.instance)
@@ -762,46 +780,38 @@ class TestSolveExact:
         assert verdict.computed_objective == golden["optimal_objective"]
 
     def test_budget_in_each_pass(self):
-        """A node cap inside the first pass (the dive to the first complete
-        schedule) leaves no solution; one inside the second pass leaves a
-        solution no worse than that first leaf. Neither claims certainty.
-        Each reports the larger of the root bound and the pair bound, which
-        the test computes from the three two-train sub-instances
-        (`pair_bound_oracle`). It rises above the root bound at the two
-        largest caps."""
-        line = generate_line(LineSpec(num_stations=3, num_trains=3, seed=0))
+        """The warm start's passes run whatever the cap, so a cap anywhere
+        in the search, 0 included, leaves a solution no worse than the warm
+        start's, which on the 3x3 seed-1 corridor costs 439 against the
+        optimum of 372; the search improves on it below its last node.
+        No capped run claims certainty. Each reports the larger of the root
+        bound and the pair bound, which the test computes from the three
+        two-train sub-instances (`pair_bound_oracle`); it rises above the
+        root bound at least twice."""
+        line = generate_line(LineSpec(num_stations=3, num_trains=3, seed=1))
         disp = _Dispatcher(line.instance)
-        _depth_first(disp, lambda: iter(_branch_moves(disp, None)),
-                     first_leaf=True)
-        first_leaf, dive_nodes = disp.z_partial, disp.applies
+        root = disp.bound()
+        warm = min(a.objective for a in _attempts(
+            disp, (0, 1), seed=0, jitter_span=0, root_bound=root))
         full = solve_exact(line.instance)
-        root = _Dispatcher(line.instance).bound()
         assert root == 0
-        assert 0 < dive_nodes < full.nodes
-        assert full.solution.objective_value < first_leaf
-        rose = 0
-        for cap in (0, 1, dive_nodes // 2, dive_nodes - 1):
-            report = solve_exact(line.instance, node_limit=cap)
-            assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
-            assert report.solution is None
-            expected = max(root, pair_bound_oracle(line.instance, cap))
-            assert (report.nodes, report.bound) == (cap + 1, expected)
-            rose += expected > root
-        for cap in (dive_nodes, dive_nodes + 1, (dive_nodes + full.nodes) // 2,
-                    full.nodes - 1):
+        assert full.solution.objective_value == 372 < warm == 439
+        rose = improved = 0
+        for cap in (0, 1, full.nodes // 2, full.nodes - 1):
             report = solve_exact(line.instance, node_limit=cap)
             assert report.status is SolveStatus.FEASIBLE
             expected = max(root, pair_bound_oracle(line.instance, cap))
             assert (report.nodes, report.bound) == (cap + 1, expected)
             assert report.bound <= full.solution.objective_value
             rose += expected > root
-            assert report.solution.objective_value <= first_leaf
+            assert report.solution.objective_value <= warm
+            improved += report.solution.objective_value < warm
             verdict = verify(line.instance, report.solution)
             assert verdict.feasible
             assert verdict.computed_objective == report.solution.objective_value
-            if cap == dive_nodes:
-                assert report.solution.objective_value == first_leaf
-        assert rose >= 2
+            if cap == 0:
+                assert report.solution.objective_value == warm
+        assert rose >= 2 and improved >= 1
         assert solve_exact(line.instance,
                            node_limit=full.nodes).same_outcome(full)
 
@@ -858,12 +868,12 @@ class TestSolveExact:
 
     def test_capped_reports_are_the_same_with_and_without_the_helper(
             self, monkeypatch, forks):
-        """With `_can_fork` patched to False and to True, capped reports are
-        the same. The helper forks once the search has made
-        `_PAIR_FORK_NODES` applies without closing, so not at a cap one
-        below that, and never when `_can_fork` is False. It is killed when
-        the search closes, falls back to the parent when it fails, and no
-        child is left."""
+        """Capped reports are the same with `_forkable` patched to False and
+        with one usable CPU, where the helper still forks. It forks once the
+        search has made `_PAIR_FORK_NODES` applies without closing, so not
+        at a cap one below that, and never when `_forkable` is False. It is
+        killed when the search closes, falls back to the parent when it
+        fails, and no child is left."""
         fork_at = displib.solve._PAIR_FORK_NODES
         cases = [(generate_line(LineSpec(num_stations=stations,
                                          num_trains=trains,
@@ -875,11 +885,14 @@ class TestSolveExact:
                                         seed=0)).instance
         cases.append((closes, 1_000_000))
         reports, rose = [], 0
+        forkable = displib.solve._forkable
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         for instance, cap in cases:
-            monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
+            monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
             inline = solve_exact(instance, node_limit=cap)
             assert not forks
-            monkeypatch.setattr(displib.solve, "_can_fork", lambda: True)
+            monkeypatch.setattr(displib.solve, "_forkable", forkable)
             shared = solve_exact(instance, node_limit=cap)
             assert len(forks) == (cap >= fork_at)
             forks.clear()
@@ -889,37 +902,40 @@ class TestSolveExact:
         assert reports[-1].same_outcome(solve_exact(closes))
         assert reports[-1].nodes > fork_at
         assert rose >= 5
-        fork = os.fork
-
-        def failing():
-            pid = fork()
-            if not pid:
-                os._exit(3)
-            return pid
-
-        monkeypatch.setattr(os, "fork", failing)
+        failing_forks(monkeypatch)
         instance, cap = cases[-2]
         assert solve_exact(instance, node_limit=cap).same_outcome(reports[-2])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_one_core_time_limit_leaves_the_pairs_half(self, monkeypatch,
-                                                       forks):
-        """Without a helper a time limit stops the search at half of it, so
-        the pair searches run in the rest: on the 5x4 seed-42 corridor, whose
-        root bound is 0, a 5 s run reports a pair bound above 0 and a
-        solution that verifies."""
-        monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
+    def test_one_core_time_limit_runs_the_search_to_the_deadline(
+            self, monkeypatch, forks):
+        """With one usable CPU a time-limited run still forks the pair
+        helper, and the search runs to the deadline: on the 5x4 seed-42
+        corridor, whose root bound is 0, a 2 s run returns after 2 s with a
+        pair bound above 0 and a solution that verifies. When the helper
+        fails, the parent's pair searches after its search find the
+        deadline spent, so the run reports the root bound. No child is
+        left."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         instance = generate_line(LineSpec(num_stations=5, num_trains=4,
                                           seed=42)).instance
-        report = solve_exact(instance, time_limit=5)
-        assert not forks
+        report = solve_exact(instance, time_limit=2)
+        assert len(forks) == 1
+        assert report.wall_time > 2
         assert report.status is SolveStatus.FEASIBLE
         assert report.bound > 0 == _Dispatcher(instance).bound()
         assert report.bound <= report.solution.objective_value
         verdict = verify(instance, report.solution)
         assert verdict.feasible
         assert verdict.computed_objective == report.solution.objective_value
+        failing_forks(monkeypatch)
+        report = solve_exact(instance, time_limit=1)
+        assert report.wall_time > 1
+        assert report.status is SolveStatus.FEASIBLE and report.bound == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_deterministic(self, junction):
         assert solve_exact(junction).same_outcome(solve_exact(junction))
@@ -1042,8 +1058,9 @@ class TestSolveExact:
 
     def test_exact_reports_but_bounds_are_pinned(self):
         """One digest of (status, nodes, objective, events), without bound,
-        over the same reports: the pair bound raised 3 of the 212 capped
-        bounds there and changed nothing else."""
+        over the same reports, so that a change to the bounds alone moves
+        only the other digest: the pair bound raises 4 of the 57 capped
+        bounds there."""
         assert exact_digests()[1] == EXACT_OUTCOME_DIGEST
 
     def test_charge_never_exceeds_the_bound(self):
@@ -1096,6 +1113,70 @@ class TestSolveExact:
                     for k, t, _ in starts)
         assert children > 5000 and tight > 1000 and floor_binds > 500
 
+    def test_charge_reads_no_record_above_a_late_first_leaf(
+            self, monkeypatch):
+        """Draw 27 of `random_instance(Random(97), 6, 8)` gets no schedule
+        from the warm start, so the search's first leaf turns up mid-walk,
+        below ancestors that never called `bound()`. Their children find no
+        parent record, and `_charge` then charges the fixed cost alone (81
+        of its 86 charges here). Every charge stays at or below the bound
+        of the same schedule on a fresh dispatcher, every prune decides as
+        that bound does, and the search closes at Z 0 in 114 nodes."""
+        rng = random.Random(97)
+        for _ in range(28):
+            instance = random_instance(rng, max_trains=6, max_ops=8)
+        disp = _Dispatcher(instance)
+        assert all(a.solution is None for a in _attempts(
+            disp, (0, 1), seed=0, jitter_span=0, root_bound=disp.bound()))
+
+        def fresh_bound(disp):
+            fresh = _Dispatcher(instance)
+            for _, i, op in disp.events:
+                fresh.apply(i, op, fresh.probe(i, op)[1])
+            return fresh.bound()
+
+        missing = []
+        charge, prunes = _Dispatcher._charge, _Dispatcher.prunes
+
+        def checked_charge(disp, z):
+            missing.append(len(disp.events) - 1 not in disp._starts)
+            lb, swept = charge(disp, z)
+            assert lb <= fresh_bound(disp)
+            return lb, swept
+
+        def checked_prunes(disp, z):
+            pruned = prunes(disp, z)
+            assert pruned == (fresh_bound(disp) >= z)
+            return pruned
+
+        monkeypatch.setattr(_Dispatcher, "_charge", checked_charge)
+        monkeypatch.setattr(_Dispatcher, "prunes", checked_prunes)
+        report = solve_exact(instance)
+        assert (report.status, report.solution.objective_value,
+                report.nodes) == (SolveStatus.OPTIMAL, 0, 114)
+        assert (len(missing), sum(missing)) == (86, 81)
+
+    def test_random_corpus_coverage_is_pinned(self):
+        """Statuses of the search at 5,000 nodes on the first 120 draws of
+        `random_instance(Random(97), 6, 8)`, each solution verified. Before
+        the warm start, whose insertion pass schedules draws on which the
+        search alone wedges, they were 96 Optimal, 23 TimeoutNoSolution
+        and 1 Infeasible."""
+        rng = random.Random(97)
+        statuses = []
+        for _ in range(120):
+            instance = random_instance(rng, max_trains=6, max_ops=8)
+            report = solve_exact(instance, node_limit=5_000)
+            statuses.append(report.status)
+            if report.solution is not None:
+                verdict = verify(instance, report.solution)
+                assert verdict.feasible
+                assert verdict.computed_objective == \
+                    report.solution.objective_value
+        assert [statuses.count(status) for status in (
+            SolveStatus.OPTIMAL, SolveStatus.TIMEOUT_NO_SOLUTION,
+            SolveStatus.INFEASIBLE)] == [106, 13, 1]
+
     def test_charge_waits_for_a_prune_and_pauses_after_expansions(
             self, monkeypatch):
         """`prunes` charges the parent's record only from the first prune
@@ -1140,9 +1221,9 @@ class TestSolveExact:
 
 
 EXACT_DIGEST = (
-    "8e628a54589f5cafc7ba8a71ca7661d7d731e46979d941f667b5563b3dcb02d8")
+    "7cbefecca23dc130a8917b0ea655ea226f7e3ea01615d2cf3ca26302df88c843")
 EXACT_OUTCOME_DIGEST = (
-    "edc227d5bd36ff49e764a19c5b6e3fdf44d202872a8a5df2219f771433208e25")
+    "acb5a6655573768904e4e9dd4e438d5a2e6354814c7456a2a10ea729d50a9e40")
 
 
 @functools.cache
@@ -1394,6 +1475,20 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return calls
+
+
+def failing_forks(monkeypatch) -> None:
+    """Make each fork start a child that exits with status 3 at once, a
+    helper that fails."""
+    fork = os.fork
+
+    def failing():
+        pid = fork()
+        if not pid:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing)
 
 
 def use_helper(monkeypatch, on: bool) -> None:
