@@ -60,6 +60,13 @@ def _one_stdin(*paths: str) -> None:
         raise _Fail(EXIT_USAGE, "only one input can come from stdin (-)")
 
 
+def _one_stdout(*paths: str) -> None:
+    """Reject a command whose outputs name stdout twice: the documents
+    would run together into one stream that neither reader can parse."""
+    if paths.count("-") > 1:
+        raise _Fail(EXIT_USAGE, "only one output can go to stdout (-)")
+
+
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[TextIO]:
     """A text handle on path, or stdout for -."""
@@ -253,6 +260,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
+    _one_stdout(args.output, args.name_map)
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     model = milp.build_model(instance)

@@ -29,9 +29,7 @@ That never exceeds the child's own bound, since an unmoved train keeps its
 last operation and start while the floor and the release stamps only grow.
 Where it stays below z the full bound runs, reusing that sweep, and is
 recorded for the child's children; so every prune is decided as
-`bound() >= z` decides it. The charge starts at the first prune and pauses
-after a run of nodes that were not pruned, so a search that rarely prunes
-pays for `bound()` alone.
+`bound() >= z` decides it.
 
 One backtracking loop, `_depth_first`, runs the exact search and the
 heuristic's dive; each is an order of the `_branch_moves` plus a stop
@@ -57,11 +55,13 @@ A truncated exact search reports the larger of the root's bound and, with
 at least 3 trains, the pair bound (`_pair_bound`): the optima of disjoint
 two-train sub-instances, each solved by `solve_exact` (or its own bound
 where the budget ran out), plus the single-train bounds of the trains left
-over. The pair searches share the run's budget (node_limit applies in all,
-and the deadline), and their applies are not counted in `nodes`. Wherever
-the process can fork they run in a forked `_Helper` beside the main search
-once that has made `_PAIR_FORK_NODES` applies; only when the fork fails
-does the parent run them after its search.
+over. The pair searches share the run's deadline, and node_limit caps the
+applies of their branch and bound in all; the warm start of each pair runs
+outside that cap, and none of their applies are counted in `nodes`. Unless
+the warm incumbent already meets the root bound, they run in a `_Helper`
+forked at the root, beside the main search, wherever the process can fork;
+only when it cannot or the fork fails does the parent run them after its
+search.
 
 The heuristic's restarts are independent seeded passes, so after the first
 one `solve_heuristic` may fork one `_Helper` that runs every other pair of
@@ -118,9 +118,9 @@ class SolveReport:
     and each merge stop within 256 applies of the deadline. `bound` is a
     lower bound on the optimum: the optimum itself when the exact search
     closed, and on a truncated exact run the larger of the root's bound and
-    the pair bound, whose pair searches share the run's budget and are not
-    counted in `nodes` (see `solve_exact`); None from the heuristic and on
-    Infeasible."""
+    the pair bound, whose pair searches share the run's deadline and
+    node_limit, their warm starts aside, and are not counted in `nodes`
+    (see `solve_exact`); None from the heuristic and on Infeasible."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -184,9 +184,6 @@ class _OpTable:
 
 _OK, _BLOCKED, _DEAD = 0, 1, 2
 _CLOCK_PERIOD = 256         # dispatcher applies between two reads of the clock
-# Nodes in a row that `prunes` lets through before it stops charging the
-# parent's record, until a node is pruned again.
-_EXPANDED_RUN = 8
 _ENTRY = (0,)               # the only candidate of a train not yet started
 _START = itemgetter(2)      # the start time of a (train, op, start) move
 
@@ -228,9 +225,6 @@ class _Dispatcher:
         self._undo: list[tuple] = []
         # By depth, the (train, bound, starts) of the latest `bound` there.
         self._starts: dict[int, list[tuple[int, int, list]]] = {}
-        # Nodes `prunes` let through since it last pruned; it charges the
-        # parent's record only from the first prune on.
-        self._expanded = _EXPANDED_RUN
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -478,26 +472,16 @@ class _Dispatcher:
     def prunes(self, z: int) -> bool:
         """Whether `bound() >= z`: from the charge of the parent's record
         (`_charge`) where that reaches z, else from `bound()`, reusing the
-        charge's sweep of the moved train. The charge waits for the first
-        prune, and after `_EXPANDED_RUN` nodes in a row were not pruned it
-        is skipped until one is: a search that rarely prunes then pays for
-        `bound()` alone."""
-        swept = None
-        if self._expanded < _EXPANDED_RUN:
-            charge, swept = self._charge(z)
-            if charge >= z:
-                self._expanded = 0
-                return True
-        if self.bound(swept) >= z:
-            self._expanded = 0
-            return True
-        self._expanded += 1
-        return False
+        charge's sweep of the moved train. It keeps no state of its own, so
+        every node is charged alike."""
+        charge, swept = self._charge(z)
+        return charge >= z or self.bound(swept) >= z
 
     def _charge(self, z: float) -> tuple[int, tuple[int, tuple] | None]:
         """A lower bound on `bound()` from at most one sweep, and that sweep
         as `bound(swept)` takes it (None when none was made): none is made
-        when the other trains' charges already reach z. It reads the record
+        when the other trains' charges already reach z. `prunes` calls it
+        at every node of a search with an incumbent. It reads the record
         of the parent, the schedule without the latest event, and holds
         only while that record is the parent's own: in a depth-first walk
         that calls `bound()` at every node it expands, it is. A search
@@ -680,14 +664,17 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     the optimum: the bound of the empty schedule, which no node below it
     undercuts because every term of the bound only grows along a path, and,
     with at least 3 trains, the pair bound (`_pair_bound`), whose pair
-    searches share the run's budget and are not counted in `nodes`. They
-    run in a forked `_Helper` beside the main search, forked once the
-    search has made `_PAIR_FORK_NODES` applies without closing, whenever
-    the process can fork (`_forkable`), on one CPU too; the parent waits for
-    it only when its own search was truncated and kills it otherwise.
-    Without a helper, or when it fails, the parent runs them after its
-    search. So without a time limit the report is the same with a helper
-    and without. Deterministic for a fixed node_limit.
+    searches share the run's deadline and whose branch and bound applies
+    at most node_limit events in all; each pair's warm start runs outside
+    that cap, and none of their applies are counted in `nodes`. A capped
+    run forks them into a `_Helper` at the root, right after the warm
+    start, whenever the process can fork (`_forkable`), on one CPU too,
+    unless the warm incumbent meets the root bound: the search then closes
+    at once. The parent waits for the helper only when its own search was
+    truncated and kills it otherwise. Without a helper, or when it fails,
+    the parent runs the pair searches after its search. So without a time
+    limit the report is the same with a helper and without. Deterministic
+    for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -699,24 +686,20 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     z = None if solution is None else solution.objective_value
     disp.applies = 0            # `nodes` counts the search's applies only
     pairs = helper = None
-    fork_at = _INF              # applies at which the helper is forked
     if (len(instance.trains) >= 3 and disp.comp_trains
             and (node_limit is not None or deadline is not None)):
         # The root's bound of each costly train alone.
         singles = {i: disp._train_bound(i)[0] for i in disp.comp_trains}
         pairs = functools.partial(_pair_bound, instance, singles,
                                   node_limit, deadline)
-        if _forkable():
-            fork_at = _PAIR_FORK_NODES
-
-    def earliest_first():
-        nonlocal z, solution, helper, fork_at
-        if disp.applies >= fork_at:
-            fork_at = _INF
+        if _forkable() and (z is None or z > root):
             parent = os.getpid()
             # Once the parent is gone the helper stops before its next pair.
             helper = _Helper.fork(lambda: pairs(
                 stop=lambda: os.getppid() != parent))
+
+    def earliest_first():
+        nonlocal z, solution
         if disp.done() and (z is None or disp.z_partial < z):
             z, solution = disp.z_partial, disp.to_solution()
         moves = _branch_moves(disp, z)
@@ -771,9 +754,10 @@ def _pair_bound(instance: Instance, singles: dict[int, int],
     every train k in no pair, bounds the optimum from below.
 
     Each pair with a costly train is solved by `solve_exact` in (i, j)
-    order; all of them together apply at most node_limit events and stop
-    at the deadline, and they stop early once `stop()` is true. A pair
-    stopped by its budget counts at its own reported bound, and a pair
+    order; their branch and bound applies at most node_limit events in
+    all, and they stop at the deadline, or early once `stop()` is true.
+    Each pair's warm start (see `solve_exact`) runs outside that cap. A
+    pair stopped by its budget counts at its own reported bound, and a pair
     proven infeasible is skipped. The pairs are matched greedily, largest
     gain over their two singles first (ties in (i, j) order)."""
     budget = node_limit
@@ -1026,12 +1010,6 @@ def _dealt(side: int, sides: int, max_restarts: int | None) -> Iterator[int]:
 # 2 shared cores with a 27 MiB parent (CPython 3.11); a first pass shorter
 # than that leaves too little work to share.
 _FORK_COST = 0.0029
-# Applies of the exact search before it forks the pair-bound helper. Its
-# applies and those of the pair searches each take about 10 us (the six
-# pairs of the 5x4 seed-42 corridor: 32,330 applies in 0.34 s, same machine),
-# so a search that closes sooner, or a node budget under this, leaves at most
-# about 10 ms of pair work, a few forks' worth, which the parent spends inline.
-_PAIR_FORK_NODES = 1_000
 
 
 def _forkable() -> bool:
@@ -1059,13 +1037,13 @@ class _Helper:
     parent. It always ends in `os._exit`, so it runs no exit handler and
     never flushes the parent's stdio. `join` waits for it; `close` kills
     it unless reaped. It serves two solves: `solve_heuristic`'s helper runs
-    every other pair of restarts, and `solve_exact`'s the pair searches of
-    `_pair_bound`, whose bound it returns; the exact search's parent joins
-    it only when its own search was truncated, and kills it when the search
-    closed. If the parent dies first, the helper stops before its next
-    restart or pair search. The modules only a helper needs are imported
-    where it uses them, so a process that never forks one does not load
-    them."""
+    every other pair of restarts, and `solve_exact`'s, forked at the root
+    of a capped search, the pair searches of `_pair_bound`, whose bound it
+    returns; the exact search's parent joins it only when its own search
+    was truncated, and kills it when the search closed. If the parent dies
+    first, the helper stops before its next restart or pair search. The
+    modules only a helper needs are imported where it uses them, so a
+    process that never forks one does not load them."""
 
     def __init__(self, pid: int, results_fd: int):
         self.pid = pid

@@ -296,6 +296,17 @@ class TestEmitLp:
         assert cli.main(["emit-lp", junction_path]) == 0
         assert capsys.readouterr().out == data_text("junction.lp")
 
+    def test_stdout_named_twice_is_a_usage_error(self, junction_path,
+                                                 capsys):
+        """The LP and the name map both to stdout would run together, so
+        the command refuses before writing either."""
+        for args in (["-o", "-", "--name-map", "-"], ["--name-map", "-"]):
+            assert cli.main(["emit-lp", junction_path, *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ("error: only one output can go to "
+                                    "stdout (-)\n")
+            assert captured.out == ""
+
     def test_sidecar_is_the_name_map(self, tmp_path):
         line = generate_line(LineSpec(num_stations=5, num_trains=4, seed=42))
         path = write_file(tmp_path, "line.json", write_instance(line.instance))

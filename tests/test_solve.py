@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -39,7 +40,6 @@ from displib.core import (
 from displib.fileformat import parse_instance
 from displib.generate import LineSpec, generate_line
 from displib.solve import (
-    _EXPANDED_RUN,
     _FREE,
     _OK,
     SolveStatus,
@@ -869,18 +869,18 @@ class TestSolveExact:
     def test_capped_reports_are_the_same_with_and_without_the_helper(
             self, monkeypatch, forks):
         """Capped reports are the same with `_forkable` patched to False and
-        with one usable CPU, where the helper still forks. It forks once the
-        search has made `_PAIR_FORK_NODES` applies without closing, so not
-        at a cap one below that, and never when `_forkable` is False. It is
-        killed when the search closes, falls back to the parent when it
-        fails, and no child is left."""
-        fork_at = displib.solve._PAIR_FORK_NODES
+        with one usable CPU, where the helper still forks, once per run at
+        the root, and never when `_forkable` is False. It is killed when the
+        search closes, here after more applies than either cap of the
+        truncated runs, falls back to the parent when it fails, and no child
+        is left."""
+        caps = (999, 1_000)
         cases = [(generate_line(LineSpec(num_stations=stations,
                                          num_trains=trains,
                                          seed=seed)).instance, cap)
                  for stations, trains, seed in ((3, 4, 0), (4, 4, 1),
                                                 (5, 3, 1))
-                 for cap in (fork_at - 1, fork_at)]
+                 for cap in caps]
         closes = generate_line(LineSpec(num_stations=3, num_trains=3,
                                         seed=0)).instance
         cases.append((closes, 1_000_000))
@@ -894,19 +894,39 @@ class TestSolveExact:
             assert not forks
             monkeypatch.setattr(displib.solve, "_forkable", forkable)
             shared = solve_exact(instance, node_limit=cap)
-            assert len(forks) == (cap >= fork_at)
+            assert len(forks) == 1
             forks.clear()
             assert shared.same_outcome(inline)
             reports.append(inline)
             rose += inline.bound > _Dispatcher(instance).bound()
         assert reports[-1].same_outcome(solve_exact(closes))
-        assert reports[-1].nodes > fork_at
+        assert reports[-1].nodes > max(caps)
         assert rose >= 5
         failing_forks(monkeypatch)
         instance, cap = cases[-2]
         assert solve_exact(instance, node_limit=cap).same_outcome(reports[-2])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_warm_start_at_the_root_bound_forks_no_helper(self, forks):
+        """Three costly trains on their own resources: the warm start's
+        schedule costs the root bound, 10, so a capped run closes at the
+        root without a node, and forks no pair helper that it would only
+        kill."""
+        comps = [ObjectiveComponent(0, 1, threshold=0, coeff=1),
+                 ObjectiveComponent(1, 1, threshold=0, coeff=1),
+                 ObjectiveComponent(2, 0, threshold=0, coeff=0, increment=1)]
+        instance = build_instance(
+            [chain(2, 3, lb=4, resources=(ResourceUsage("A"),)),
+             chain(1, 1, lb=2, resources=(ResourceUsage("B"),)),
+             chain(5, resources=(ResourceUsage("C"),))], comps)
+        assert _Dispatcher(instance).bound() == 10
+        for cap in (0, 1_000):
+            report = solve_exact(instance, node_limit=cap, time_limit=60)
+            assert (report.status, report.solution.objective_value,
+                    report.nodes, report.bound) == (
+                        SolveStatus.OPTIMAL, 10, 0, 10)
+        assert not forks
 
     def test_one_core_time_limit_runs_the_search_to_the_deadline(
             self, monkeypatch, forks):
@@ -1118,8 +1138,8 @@ class TestSolveExact:
         """Draw 27 of `random_instance(Random(97), 6, 8)` gets no schedule
         from the warm start, so the search's first leaf turns up mid-walk,
         below ancestors that never called `bound()`. Their children find no
-        parent record, and `_charge` then charges the fixed cost alone (81
-        of its 86 charges here). Every charge stays at or below the bound
+        parent record, and `_charge` then charges the fixed cost alone (82
+        of its 87 charges here). Every charge stays at or below the bound
         of the same schedule on a fresh dispatcher, every prune decides as
         that bound does, and the search closes at Z 0 in 114 nodes."""
         rng = random.Random(97)
@@ -1154,7 +1174,7 @@ class TestSolveExact:
         report = solve_exact(instance)
         assert (report.status, report.solution.objective_value,
                 report.nodes) == (SolveStatus.OPTIMAL, 0, 114)
-        assert (len(missing), sum(missing)) == (86, 81)
+        assert (len(missing), sum(missing)) == (87, 82)
 
     def test_random_corpus_coverage_is_pinned(self):
         """Statuses of the search at 5,000 nodes on the first 120 draws of
@@ -1176,29 +1196,6 @@ class TestSolveExact:
         assert [statuses.count(status) for status in (
             SolveStatus.OPTIMAL, SolveStatus.TIMEOUT_NO_SOLUTION,
             SolveStatus.INFEASIBLE)] == [106, 13, 1]
-
-    def test_charge_waits_for_a_prune_and_pauses_after_expansions(
-            self, monkeypatch):
-        """`prunes` charges the parent's record only from the first prune
-        on, and stops after `_EXPANDED_RUN` nodes in a row were not pruned,
-        so a search that never prunes pays for `bound()` alone."""
-        charged = []
-        charge = _Dispatcher._charge
-        monkeypatch.setattr(_Dispatcher, "_charge", lambda disp, z: (
-            charged.append(len(disp.events)) or charge(disp, z)))
-        line = generate_line(LineSpec(num_stations=4, num_trains=3, seed=0))
-        disp = _Dispatcher(line.instance)
-        assert not disp.prunes(math.inf)
-        for _ in range(_EXPANDED_RUN + 3):
-            disp.apply(*startable(disp)[0])
-            assert not disp.prunes(math.inf)
-        assert charged == []
-        assert disp.prunes(0)
-        depth = len(disp.events)
-        for _ in range(_EXPANDED_RUN + 3):
-            disp.apply(*startable(disp)[0])
-            assert not disp.prunes(math.inf)
-        assert charged == list(range(depth + 1, depth + 1 + _EXPANDED_RUN))
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
@@ -1624,6 +1621,36 @@ class TestHelper:
         assert report.solution.objective_value == 10
         assert report.nodes == sum(range(2))
         assert report.wall_time < 1
+
+    def test_a_second_thread_forks_no_helper(self, monkeypatch, forks):
+        """While another thread runs, a fork would copy a lock it holds
+        into the child still held, so neither solve forks a helper, with
+        two usable CPUs and no first pass too short to share: a capped
+        exact run and a heuristic run give the reports of runs with
+        `_forkable` patched to False. Once the thread has ended, the same
+        two runs fork one helper each."""
+        instance = generate_line(LineSpec(num_stations=3, num_trains=4,
+                                          seed=0)).instance
+
+        def solves():
+            return (solve_exact(instance, node_limit=1_000),
+                    solve_heuristic(instance, max_restarts=16, seed=0))
+
+        use_helper(monkeypatch, True)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            threaded = solves()
+        finally:
+            release.set()
+            thread.join()
+        assert not forks
+        assert all(a.same_outcome(b) for a, b in zip(threaded, solves()))
+        assert len(forks) == 2
+        monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
+        assert all(a.same_outcome(b) for a, b in zip(threaded, solves()))
+        assert len(forks) == 2
 
     def test_keeps_the_pinned_greedy_digest(self, monkeypatch, forks):
         """At most two restarts leave the helper no pair, so none starts."""
