@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -65,6 +66,19 @@ def _one_stdout(*paths: str) -> None:
     would run together into one stream that neither reader can parse."""
     if paths.count("-") > 1:
         raise _Fail(EXIT_USAGE, "only one output can go to stdout (-)")
+
+
+def _distinct_files(*paths: str | None) -> None:
+    """Reject a command whose outputs resolve to one file: the later
+    document would overwrite the earlier one."""
+    seen: set[str] = set()
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        resolved = os.path.realpath(path)
+        if resolved in seen:
+            raise _Fail(EXIT_USAGE, f"two outputs name the same file: {path}")
+        seen.add(resolved)
 
 
 @contextlib.contextmanager
@@ -261,6 +275,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
     _one_stdout(args.output, args.name_map)
+    _distinct_files(args.output, args.name_map)
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     model = milp.build_model(instance)
@@ -270,7 +285,8 @@ def _cmd_emit_lp(args: argparse.Namespace) -> int:
     if map_path is None and args.output != "-":
         map_path = args.output + ".names.json"
     if map_path is not None:
-        _write_text(map_path, json.dumps(milp.name_map(model)) + "\n")
+        with _output(map_path) as handle:
+            milp.write_name_map(model, handle)
     print(f"model: {len(model.variables)} variables, {rows} rows, "
           f"horizon {model.horizon}", file=sys.stderr)
     return EXIT_OK
@@ -483,7 +499,10 @@ def _add_output_flag(parser: argparse.ArgumentParser, what: str) -> None:
                         metavar="PATH", help=f"{what} (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps no
+    state between calls, and each call starts from the defaults."""
     parser = argparse.ArgumentParser(
         prog="displib",
         description="Toolkit for the train dispatching problem: validate and "

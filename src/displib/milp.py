@@ -45,22 +45,32 @@ flow, arcs (ya, yb, yf, dur), handovers (rel, zxa, zxb, zf), ranks (ord),
 pair ranks (ordz), costs (thr, cost), then the gated windows (lb, ub).
 
 build_model declares only the variables and the objective, which is all that
-solution_assignment, map_solution and name_map read. The rows are generated
-on demand: iter_rows yields them one at a time, section by section, and
-write_lp formats each as it is made and writes it to a text handle, so no
-row outlives its line. MilpModel.rows is the list of all rows, built on its
-first read. Row and Variable are named tuples; within a pass each
-operation's t, x and u names and each arc's y name are formatted once, and
-every row that refers to the variable shares that string.
+solution_assignment, map_solution and name_map read, and formats every
+variable name once. model.variables lists them in the order the rows take
+them up: t, x and u of each operation, y of each arc, z of each pair side
+that releases (a's side, then b's), then v and w of each component. The
+model holds no per-pair table.
+
+The rows are generated on demand. iter_rows yields them one at a time as
+plain (name, terms, sense, rhs) tuples, section by section; it reads every
+variable name from model.variables, walking the z names in step with the
+pairs, and builds one per-operation table of release times per pass.
+write_lp formats each row as it is made and writes the lines _BLOCK at a
+time, so no row outlives its block, and only a line over _WRAP_AT
+characters goes through the wrapper. MilpModel.rows is the list of all rows
+as Row named tuples, built on its first read. In the same way,
+write_name_map writes the text of name_map _BLOCK variables at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .core import (
     ConflictPair,
@@ -71,7 +81,6 @@ from .core import (
     Train,
     conflict_pairs,
     predecessors,
-    shared_resources,
     time_horizon,
     total_operations,
 )
@@ -95,6 +104,9 @@ NON_FINITE_VALUE = "NonFiniteValue"
 FAILED_VERIFICATION = "FailedVerification"
 
 BINARY_TOLERANCE = 1e-6
+
+_WRAP_AT = 200        # LP lines longer than this are wrapped
+_BLOCK = 4096         # LP lines or name-map entries per write call
 
 
 class MappingError(ValueError):
@@ -122,6 +134,11 @@ class Row(NamedTuple):
     rhs: int
 
 
+# Variable's generated __new__ is a Python function; tuple.__new__ builds the
+# same value in C, for the one variable per pair side.
+_variable = functools.partial(tuple.__new__, Variable)
+
+
 @dataclass
 class MilpModel:
     instance: Instance
@@ -134,7 +151,7 @@ class MilpModel:
     @functools.cached_property
     def rows(self) -> list[Row]:
         """Every row, in iter_rows order, built on first read."""
-        return list(iter_rows(self))
+        return list(map(Row._make, iter_rows(self)))
 
 
 def _t(i: int, a: int) -> str:
@@ -147,10 +164,6 @@ def _x(i: int, a: int) -> str:
 
 def _y(i: int, a: int, b: int) -> str:
     return f"y{i}_{a}_{b}"
-
-
-def _z(i: int, a: int, j: int, b: int) -> str:
-    return f"z{i}_{a}_{j}_{b}"
 
 
 def _u(i: int, a: int) -> str:
@@ -171,16 +184,6 @@ def _jumped(train: Train) -> list[bool]:
 
 def _start_ub(op: Operation, horizon: int) -> int:
     return horizon if op.start_ub is None else min(op.start_ub, horizon)
-
-
-def _sides(instance: Instance, pair: ConflictPair) -> tuple[tuple, tuple]:
-    """Both directions (k, c, m, d, successors, z) of a conflict pair: side
-    (k, c) may hand the shared resources over to (m, d). A side without
-    successors never releases anything, so it gets no z and no rows."""
-    i, a, j, b = pair
-    return tuple((k, c, m, d, instance.trains[k].operations[c].successors,
-                  _z(k, c, m, d))
-                 for k, c, m, d in ((i, a, j, b), (j, b, i, a)))
 
 
 def build_model(instance: Instance) -> MilpModel:
@@ -209,10 +212,17 @@ def build_model(instance: Instance) -> MilpModel:
                 arc_vars.append(Variable(_y(i, a, b), BINARY, 0, 1,
                                          ROLE_SELECT_ARC, (i, a, b)))
     pairs = conflict_pairs(instance)
-    for p in pairs:
-        for k, c, m, d, successors, z in _sides(instance, p):
-            if successors:
-                z_vars.append(Variable(z, BINARY, 0, 1, ROLE_PRECEDE, (k, c, m, d)))
+    # Both sides of each pair, a's then b's; a side without successors never
+    # releases anything, so it gets no z.
+    releasing = [[bool(op.successors) for op in train.operations]
+                 for train in instance.trains]
+    for i, a, j, b in pairs:
+        if releasing[i][a]:
+            z_vars.append(_variable((f"z{i}_{a}_{j}_{b}", BINARY, 0, 1,
+                                     ROLE_PRECEDE, (i, a, j, b))))
+        if releasing[j][b]:
+            z_vars.append(_variable((f"z{j}_{b}_{i}_{a}", BINARY, 0, 1,
+                                     ROLE_PRECEDE, (j, b, i, a))))
     for c in range(len(instance.objective)):
         cost_vars.append(Variable(f"v{c}", BINARY, 0, 1, ROLE_LATE_FLAG, (c,)))
         cost_vars.append(Variable(f"w{c}", CONTINUOUS, 0, None, ROLE_COST, (c,)))
@@ -223,22 +233,37 @@ def build_model(instance: Instance) -> MilpModel:
                      pairs=pairs)
 
 
-def iter_rows(model: MilpModel) -> Iterator[Row]:
-    """Yield the model's rows one at a time, section by section in the order
-    the module docstring lists. Each section takes its own pass over the
-    trains, conflict pairs or objective components."""
+def iter_rows(model: MilpModel) -> Iterator[tuple]:
+    """Yield the model's rows one at a time as (name, terms, sense, rhs)
+    tuples, section by section in the order the module docstring lists.
+    Each section takes its own pass over the trains, conflict pairs or
+    objective components."""
     instance, horizon, order_m = model.instance, model.horizon, model.order_big_m
     trains = instance.trains
-    # Each operation's t/x/u names and the y names of the arcs out of it,
-    # formatted once for all the rows naming them.
-    ts = [[_t(i, a) for a in range(len(train.operations))]
-          for i, train in enumerate(trains)]
-    xs = [[_x(i, a) for a in range(len(train.operations))]
-          for i, train in enumerate(trains)]
-    us = [[_u(i, a) for a in range(len(train.operations))]
-          for i, train in enumerate(trains)]
-    ys = [[[_y(i, a, b) for b in op.successors] for a, op in enumerate(train.operations)]
-          for i, train in enumerate(trains)]
+    # Every variable name comes from model.variables, in build_model's
+    # order: t, x, u of each operation, the y of each arc, the z of each
+    # pair side that releases, then v, w of each component.
+    variables = model.variables
+    ts: list[list[str]] = []
+    xs: list[list[str]] = []
+    us: list[list[str]] = []
+    at = 0
+    for train in trains:
+        names = [v.name for v in variables[at:at + 3 * len(train.operations)]]
+        ts.append(names[0::3])
+        xs.append(names[1::3])
+        us.append(names[2::3])
+        at += len(names)
+    ys: list[list[list[str]]] = []   # per operation, the y of each arc out
+    for train in trains:
+        ys_i: list[list[str]] = []
+        for op in train.operations:
+            ys_i.append([v.name for v in variables[at:at + len(op.successors)]])
+            at += len(op.successors)
+        ys.append(ys_i)
+    first_z = at
+    first_cost = len(variables) - 2 * len(instance.objective)
+    successors = [[op.successors for op in train.operations] for train in trains]
 
     # Route selection: one unit of flow entry -> exit.
     for i, train in enumerate(trains):
@@ -247,15 +272,15 @@ def iter_rows(model: MilpModel) -> Iterator[Row]:
         for a, op in enumerate(train.operations):
             outs = ys[i][a]
             if n == 1:
-                yield Row(f"flow{i}_0", ((xs[i][a], 1),), "=", 1)
+                yield (f"flow{i}_0", ((xs[i][a], 1),), "=", 1)
             elif a == 0:
-                yield Row(f"flow{i}_0", tuple((y, 1) for y in outs), "=", 1)
+                yield (f"flow{i}_0", tuple([(y, 1) for y in outs]), "=", 1)
             elif a == n - 1:
-                yield Row(f"flow{i}_{a}", tuple((y, 1) for y in into[a]), "=", 1)
+                yield (f"flow{i}_{a}", tuple([(y, 1) for y in into[a]]), "=", 1)
             else:
-                yield Row(f"flow{i}_{a}",
-                          tuple([(y, 1) for y in into[a]] + [(y, -1) for y in outs]),
-                          "=", 0)
+                yield (f"flow{i}_{a}",
+                       tuple([(y, 1) for y in into[a]] + [(y, -1) for y in outs]),
+                       "=", 0)
             for b, y in zip(op.successors, outs):
                 into[b].append(y)
 
@@ -265,65 +290,80 @@ def iter_rows(model: MilpModel) -> Iterator[Row]:
         for a, op in enumerate(train.operations):
             t, x = t_i[a], x_i[a]
             for b, y in zip(op.successors, ys[i][a]):
-                yield Row(f"ya{i}_{a}_{b}", ((y, 1), (x, -1)), "<=", 0)
-                yield Row(f"yb{i}_{a}_{b}", ((y, 1), (x_i[b], -1)), "<=", 0)
-                yield Row(f"yf{i}_{a}_{b}", ((x, 1), (x_i[b], 1), (y, -1)), "<=", 1)
-                terms = [(t_i[b], 1), (t, -1)]
+                yield (f"ya{i}_{a}_{b}", ((y, 1), (x, -1)), "<=", 0)
+                yield (f"yb{i}_{a}_{b}", ((y, 1), (x_i[b], -1)), "<=", 0)
+                yield (f"yf{i}_{a}_{b}", ((x, 1), (x_i[b], 1), (y, -1)), "<=", 1)
                 if op.min_duration:
-                    terms.append((y, -op.min_duration))
-                yield Row(f"dur{i}_{a}_{b}", tuple(terms), ">=", 0)
+                    yield (f"dur{i}_{a}_{b}",
+                           ((t_i[b], 1), (t, -1), (y, -op.min_duration)), ">=", 0)
+                else:
+                    yield (f"dur{i}_{a}_{b}", ((t_i[b], 1), (t, -1)), ">=", 0)
 
     # Resource handovers; resources are numbered by first appearance.
+    releases = [[{u.resource: u.release_time for u in op.resources}
+                 for op in train.operations] for train in trains]
     resource_ids: dict[str, int] = {}
-    for p in model.pairs:
-        i, a, j, b = p
-        sides = _sides(instance, p)
-        for resource, *releases in shared_resources(instance, p):
+    z = first_z
+    for i, a, j, b in model.pairs:
+        z_a = z_b = None
+        if successors[i][a]:
+            z_a, z = variables[z].name, z + 1
+        if successors[j][b]:
+            z_b, z = variables[z].name, z + 1
+        rel_a, rel_b = releases[i][a], releases[j][b]
+        for resource in sorted(rel_a.keys() & rel_b.keys()):
             rid = resource_ids.setdefault(resource, len(resource_ids))
-            for (k, c, m, d, successors, z), release in zip(sides, releases):
-                for cbar in successors:
-                    yield Row(f"rel{k}_{c}_{cbar}_{m}_{d}_r{rid}",
-                              ((ts[k][cbar], 1), (ts[m][d], -1), (z, horizon + release)),
-                              "<=", horizon)
+            for k, c, m, d, z_kc, release in ((i, a, j, b, z_a, rel_a[resource]),
+                                              (j, b, i, a, z_b, rel_b[resource])):
+                t_k, t_md = ts[k], ts[m][d]
+                for cbar in successors[k][c]:
+                    yield (f"rel{k}_{c}_{cbar}_{m}_{d}_r{rid}",
+                           ((t_k[cbar], 1), (t_md, -1), (z_kc, horizon + release)),
+                           "<=", horizon)
         x_a, x_b = xs[i][a], xs[j][b]
-        z_terms = [(z, 1) for *_, successors, z in sides if successors]
+        pair = f"{i}_{a}_{j}_{b}"
+        z_terms = [(z_kc, 1) for z_kc in (z_a, z_b) if z_kc]
         if z_terms:
-            yield Row(f"zxa{i}_{a}_{j}_{b}", tuple(z_terms + [(x_a, -1)]), "<=", 0)
-            yield Row(f"zxb{i}_{a}_{j}_{b}", tuple(z_terms + [(x_b, -1)]), "<=", 0)
-        yield Row(f"zf{i}_{a}_{j}_{b}",
-                  tuple([(x_a, 1), (x_b, 1)] + [(z, -1) for z, _ in z_terms]),
-                  "<=", 1)
+            yield ("zxa" + pair, (*z_terms, (x_a, -1)), "<=", 0)
+            yield ("zxb" + pair, (*z_terms, (x_b, -1)), "<=", 0)
+        yield ("zf" + pair, ((x_a, 1), (x_b, 1), *[(z_kc, -1) for z_kc, _ in z_terms]),
+               "<=", 1)
 
     # Ranks follow the selected arcs ...
     for i, train in enumerate(trains):
         u_i = us[i]
         for a, op in enumerate(train.operations):
             for b, y in zip(op.successors, ys[i][a]):
-                yield Row(f"ord{i}_{a}_{b}", ((u_i[a], 1), (u_i[b], -1), (y, order_m)),
-                          "<=", order_m - 1)
+                yield (f"ord{i}_{a}_{b}", ((u_i[a], 1), (u_i[b], -1), (y, order_m)),
+                       "<=", order_m - 1)
 
     # ... and the handovers.
-    for p in model.pairs:
-        for k, c, m, d, successors, z in _sides(instance, p):
-            for cbar in successors:
-                yield Row(f"ordz{k}_{c}_{cbar}_{m}_{d}",
-                          ((us[k][cbar], 1), (us[m][d], -1), (z, order_m)),
-                          "<=", order_m - 1)
+    z = first_z
+    for i, a, j, b in model.pairs:
+        for k, c, m, d in ((i, a, j, b), (j, b, i, a)):
+            if successors[k][c]:
+                z_kc, u_k, u_md, z = variables[z].name, us[k], us[m][d], z + 1
+                for cbar in successors[k][c]:
+                    yield (f"ordz{k}_{c}_{cbar}_{m}_{d}",
+                           ((u_k[cbar], 1), (u_md, -1), (z_kc, order_m)),
+                           "<=", order_m - 1)
 
     # Delay costs.
     for c, comp in enumerate(instance.objective):
         t = ts[comp.train][comp.operation]
         x = xs[comp.train][comp.operation]
-        v, w = f"v{c}", f"w{c}"
+        v = variables[first_cost + 2 * c].name
+        w = variables[first_cost + 2 * c + 1].name
         # Strict threshold: for integral t, v is forced to 1 exactly when
         # t >= threshold (the step cost fires at equality).
         m_v = max(1, horizon - comp.threshold + 1)
-        yield Row(f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1)
+        yield (f"thr{c}", ((t, 1), (v, -m_v)), "<=", comp.threshold - 1)
         gate = comp.coeff * max(0, horizon - comp.threshold) + comp.increment
-        terms = [(w, 1), (v, -comp.increment), (x, -gate)]
         if comp.coeff:
-            terms.insert(1, (t, -comp.coeff))
-        yield Row(f"cost{c}", tuple(terms), ">=", -comp.coeff * comp.threshold - gate)
+            terms = ((w, 1), (t, -comp.coeff), (v, -comp.increment), (x, -gate))
+        else:
+            terms = ((w, 1), (v, -comp.increment), (x, -gate))
+        yield (f"cost{c}", terms, ">=", -comp.coeff * comp.threshold - gate)
 
     # Windows of the operations some route avoids, gated by x.
     for i, train in enumerate(trains):
@@ -333,9 +373,9 @@ def iter_rows(model: MilpModel) -> Iterator[Row]:
             t, x = ts[i][a], xs[i][a]
             lb, ub = op.start_lb, _start_ub(op, horizon)
             if lb > 0:
-                yield Row(f"lb{i}_{a}", ((t, 1), (x, -lb)), ">=", 0)
+                yield (f"lb{i}_{a}", ((t, 1), (x, -lb)), ">=", 0)
             if ub < horizon:
-                yield Row(f"ub{i}_{a}", ((t, 1), (x, horizon - ub)), "<=", horizon)
+                yield (f"ub{i}_{a}", ((t, 1), (x, horizon - ub)), "<=", horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -343,36 +383,51 @@ def iter_rows(model: MilpModel) -> Iterator[Row]:
 
 
 def _format_terms(terms: Sequence[tuple[str, int]]) -> str:
-    parts: list[str] = []
+    text = ""
     for name, coef in terms:
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1 else f"{mag} {name}"
-        if not parts:
-            parts.append(f"- {body}" if coef < 0 else body)
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts) if parts else "0"
+        if coef == 1:
+            text += " + " + name
+        elif coef == -1:
+            text += " - " + name
+        elif coef > 0:
+            text += f" + {coef} {name}"
+        elif coef:
+            text += f" - {-coef} {name}"
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else text[1:]
 
 
-def _wrap(line: str, limit: int = 200) -> str:
-    """The line and its newline; a line over the limit is broken at spaces
-    into continuation lines indented by three spaces."""
-    if len(line) <= limit:
-        return line + "\n"
-    out: list[str] = []
-    words = line.split(" ")
-    cur = words[0]
-    for word in words[1:]:
-        if len(cur) + 1 + len(word) > limit:
-            out.append(cur)
-            cur = "   " + word
+def _wrapped(words: Iterable[str]) -> Iterator[str]:
+    """The words, space-separated, as lines of at most _WRAP_AT characters;
+    each line after the first is a continuation line indented by three
+    spaces. A word too long for any line gets a line of its own."""
+    words = iter(words)
+    line = next(words)
+    for word in words:
+        if len(line) + 1 + len(word) > _WRAP_AT:
+            yield line
+            line = "   " + word
         else:
-            cur += " " + word
-    out.append(cur)
-    return "\n".join(out) + "\n"
+            line += " " + word
+    yield line
+
+
+def _fold(line: str) -> str:
+    """The line, or for a line over _WRAP_AT characters, its wrapped lines."""
+    return line if len(line) <= _WRAP_AT else "\n".join(_wrapped(line.split(" ")))
+
+
+def _write_lines(write: Callable[[str], object], lines: Iterable[str]) -> int:
+    """Write each line and its newline, _BLOCK lines per call of write.
+    Returns the number of lines."""
+    lines = iter(lines)
+    count = 0
+    while block := list(itertools.islice(lines, _BLOCK)):
+        count += len(block)
+        block.append("")
+        write("\n".join(block))
+    return count
 
 
 def write_lp(model: MilpModel, out: TextIO) -> int:
@@ -383,27 +438,20 @@ def write_lp(model: MilpModel, out: TextIO) -> int:
     write(f"\\ dispatching model: {len(model.instance.trains)} trains, "
           f"{total_operations(model.instance)} operations, horizon {model.horizon}\n")
     write("Minimize\n")
-    write(_wrap(" obj: " + _format_terms(model.objective)))
+    write(_fold(" obj: " + _format_terms(model.objective)) + "\n")
     write("Subject To\n")
-    rows = 0
-    for name, terms, sense, rhs in iter_rows(model):
-        write(_wrap(f" {name}: {_format_terms(terms)} {sense} {rhs}"))
-        rows += 1
+    rows = _write_lines(write, (_fold(f" {name}: {_format_terms(terms)} {sense} {rhs}")
+                                for name, terms, sense, rhs in iter_rows(model)))
     write("Bounds\n")
-    for var in model.variables:
-        if var.kind == BINARY:
-            continue
-        if var.ub is not None:
-            write(f" {var.lb} <= {var.name} <= {var.ub}\n" if var.lb
-                  else f" {var.name} <= {var.ub}\n")
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
-    if generals:
-        write("Generals\n")
-        write(_wrap(" " + " ".join(generals)))
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if binaries:
-        write("Binaries\n")
-        write(_wrap(" " + " ".join(binaries)))
+    _write_lines(write, (f" {var.lb} <= {var.name} <= {var.ub}" if var.lb
+                         else f" {var.name} <= {var.ub}"
+                         for var in model.variables
+                         if var.kind != BINARY and var.ub is not None))
+    for kind, heading in ((INTEGER, "Generals\n"), (BINARY, "Binaries\n")):
+        names = [v.name for v in model.variables if v.kind == kind]
+        if names:
+            write(heading)
+            _write_lines(write, _wrapped(itertools.chain([""], names)))
     write("End\n")
     return rows
 
@@ -415,18 +463,34 @@ def emit_lp(model: MilpModel) -> str:
     return out.getvalue()
 
 
+def _name_map_document(model: MilpModel, variables: dict) -> dict:
+    # "variables" is the last key, which write_name_map relies on.
+    return {"format": "displib-lp-name-map", "version": 1,
+            "horizon": model.horizon, "variables": variables}
+
+
+def _name_map_entry(var: Variable) -> dict:
+    return {"role": var.role, "kind": var.kind, "indices": list(var.indices)}
+
+
 def name_map(model: MilpModel) -> dict:
     """JSON-ready sidecar mapping variable names to (role, indices) and back
     (the dict is keyed by name; roles plus indices identify the variable)."""
-    return {
-        "format": "displib-lp-name-map",
-        "version": 1,
-        "horizon": model.horizon,
-        "variables": {
-            v.name: {"role": v.role, "kind": v.kind, "indices": list(v.indices)}
-            for v in model.variables
-        },
-    }
+    return _name_map_document(
+        model, {v.name: _name_map_entry(v) for v in model.variables})
+
+
+def write_name_map(model: MilpModel, out: TextIO) -> None:
+    """Write json.dumps(name_map(model)) and a newline to out, encoding
+    _BLOCK variables at a time, so that neither the whole dict nor the
+    whole text is held."""
+    head = json.dumps(_name_map_document(model, {}))
+    out.write(head[:-2])            # up to the variables' opening brace
+    variables = model.variables
+    for at in range(0, len(variables), _BLOCK):
+        block = {v.name: _name_map_entry(v) for v in variables[at:at + _BLOCK]}
+        out.write((", " if at else "") + json.dumps(block)[1:-1])
+    out.write("}}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +504,19 @@ def parse_assignment(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'name value', got {raw!r}")
+        name, number = parts
         try:
-            value = float(parts[1])
+            value = float(number)
         except ValueError as e:
-            raise ValueError(f"line {lineno}: bad number {parts[1]!r}") from e
+            raise ValueError(f"line {lineno}: bad number {number!r}") from e
         if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: {parts[0]} = {parts[1]!r} is not "
+            raise ValueError(f"line {lineno}: {name} = {number!r} is not "
                              "a finite number")
-        name = parts[0]
         if name in values:
             first = next(n for n, other in enumerate(lines, start=1)
                          if other.split()[:1] == [name])
@@ -461,13 +524,6 @@ def parse_assignment(text: str) -> dict[str, float]:
                              f"(first on line {first})")
         values[name] = value
     return values
-
-
-def _near_int(value: float) -> int | None:
-    r = round(value)
-    if abs(value - r) <= BINARY_TOLERANCE:
-        return int(r)
-    return None
 
 
 def map_solution(model: MilpModel, assignment: Mapping[str, float],
@@ -478,28 +534,29 @@ def map_solution(model: MilpModel, assignment: Mapping[str, float],
     the rounded sum of the cost variables. The result is verified before it
     is returned; anything infeasible raises MappingError with the verdict.
     """
+    off_integer = None   # the first binary or integer variable that is not
+    selected: list[tuple[int, int]] = []   # (train, op) of each x = 1
     for var in model.variables:
-        if var.name not in assignment:
+        value = assignment.get(var.name)
+        if value is None:
             raise MappingError(INCOMPLETE_ASSIGNMENT,
                                f"assignment is missing variable {var.name}")
-        if not math.isfinite(assignment[var.name]):
+        if not math.isfinite(value):
             raise MappingError(NON_FINITE_VALUE,
-                               f"variable {var.name} = {assignment[var.name]} "
-                               f"is not finite")
-    picked: list[tuple[int, int, int, int]] = []  # (t, u, train, op)
-    for var in model.variables:
-        if var.kind in (BINARY, INTEGER):
-            r = _near_int(assignment[var.name])
-            if r is None or (var.kind == BINARY and r not in (0, 1)):
-                raise MappingError(NON_INTEGRAL_BINARY,
-                                   f"variable {var.name} = {assignment[var.name]} "
-                                   f"is not integral")
-    for var in model.variables:
-        if var.role == ROLE_SELECT_OP and _near_int(assignment[var.name]) == 1:
-            i, a = var.indices
-            t = int(round(assignment[_t(i, a)]))
-            u = int(round(assignment[_u(i, a)]))
-            picked.append((t, u, i, a))
+                               f"variable {var.name} = {value} is not finite")
+        if var.kind != CONTINUOUS and off_integer is None:
+            r = round(value)
+            if abs(value - r) > BINARY_TOLERANCE or (var.kind == BINARY
+                                                      and r not in (0, 1)):
+                off_integer = var
+            elif r == 1 and var.role == ROLE_SELECT_OP:
+                selected.append(var.indices)
+    if off_integer is not None:
+        raise MappingError(NON_INTEGRAL_BINARY,
+                           f"variable {off_integer.name} = "
+                           f"{assignment[off_integer.name]} is not integral")
+    picked = [(int(round(assignment[_t(i, a)])), int(round(assignment[_u(i, a)])), i, a)
+              for i, a in selected]   # (t, u, train, op)
     picked.sort()
     total = 0.0
     for name, coef in model.objective:

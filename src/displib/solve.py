@@ -3,7 +3,7 @@
 All three drive one incremental dispatcher, `_Dispatcher`, and read the
 instance only through its per-train `_OpTable`s: predecessors, successors,
 durations, start windows, resources, objective components, and the shortest
-remaining duration and tightest cost threshold along it. A partial
+remaining duration along it. A partial
 schedule is a prefix of the event list; appending an operation fixes its
 start time as the maximum of the chronological floor (times never decrease
 along the list), its start_lb, the end of the train's previous operation,

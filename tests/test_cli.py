@@ -307,6 +307,21 @@ class TestEmitLp:
                                     "stdout (-)\n")
             assert captured.out == ""
 
+    def test_one_file_named_twice_is_a_usage_error(self, junction_path,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        """The name map written over the LP would leave no LP, so the
+        command refuses before writing either, however the path is spelt."""
+        monkeypatch.chdir(tmp_path)
+        for name_map in ("x.lp", "./x.lp", str(tmp_path / "x.lp")):
+            assert cli.main(["emit-lp", junction_path, "-o", "x.lp",
+                             "--name-map", name_map]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ("error: two outputs name the same file: "
+                                    f"{name_map}\n")
+            assert captured.out == ""
+            assert not (tmp_path / "x.lp").exists()
+
     def test_sidecar_is_the_name_map(self, tmp_path):
         line = generate_line(LineSpec(num_stations=5, num_trains=4, seed=42))
         path = write_file(tmp_path, "line.json", write_instance(line.instance))
@@ -733,6 +748,29 @@ class TestTopLevel:
     def test_help_is_success(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "train dispatching" in capsys.readouterr().out
+
+    def test_each_call_starts_from_the_defaults(self, junction_path, tmp_path,
+                                                monkeypatch, capsys):
+        """The parser is built once per process. Neither an earlier call's
+        flags nor a usage error in between reach the next call."""
+        limits = []
+        exact = solve.solve_exact
+
+        def recording_solve_exact(instance, **kwargs):
+            limits.append(kwargs)
+            return exact(instance, **kwargs)
+
+        monkeypatch.setattr(solve, "solve_exact", recording_solve_exact)
+        out = str(tmp_path / "solution.json")
+        assert cli.main(["solve", junction_path, "--mode", "exact",
+                         "--node-limit", "5", "-o", out]) == 0
+        assert cli.main(["solve", junction_path, "--node-limit", "many",
+                         "-o", out]) == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        assert cli.main(["solve", junction_path, "-o", out]) == 0
+        assert limits == [{"node_limit": 5, "time_limit": None},
+                          {"node_limit": None, "time_limit": None}]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_module_entry_point(self, junction_path):
         # `python -m displib.cli` is the documented alternative to the

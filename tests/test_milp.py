@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import re
@@ -38,6 +39,7 @@ from displib.milp import (
     name_map,
     parse_assignment,
     solution_assignment,
+    write_name_map,
 )
 from displib.solve import SolveStatus, solve_exact
 from displib.verify import verify
@@ -176,7 +178,12 @@ class TestPinnedModels:
         (gated_windows_draw,
          "a5e69a0cce5de07946a370f9057d1b73c082b51f9933c9a4855383ff4b13a451",
          "3f77c1ee33dc38bcec854631f8d7244b73aca024d181326cfca300adbc9f3225"),
-    ], ids=["corridor-5x4-s42", "disrupted-10x8-s7", "gated-windows"])
+        (lambda: generate_line(LineSpec(num_stations=30, num_trains=20,
+                                        seed=7)).instance,
+         "9b4b271e4c69ba8c55ccf171a9aa4924f594ca221facb1abd2db4e28724cfa49",
+         "eca6bd28b0e31671acd30314fb8e7e235860337be99f01aa485301aabbd0027b"),
+    ], ids=["corridor-5x4-s42", "disrupted-10x8-s7", "gated-windows",
+            "corridor-30x20-s7"])
     def test_lp_and_name_map_digests(self, make, lp_digest, map_digest):
         model = build_model(make())
         if make is gated_windows_draw:
@@ -185,6 +192,52 @@ class TestPinnedModels:
         names = json.dumps(name_map(model))
         assert hashlib.sha256(text.encode()).hexdigest() == lp_digest
         assert hashlib.sha256(names.encode()).hexdigest() == map_digest
+        out = io.StringIO()
+        write_name_map(model, out)
+        assert out.getvalue() == names + "\n"
+
+
+class TestWrappedRows:
+    """A row over 200 characters is broken at spaces into continuation lines
+    indented by three spaces, and reads back as the same row."""
+
+    @staticmethod
+    def fan_model():
+        """One train whose entry forks into 30 parallel operations that all
+        join at the exit, so the entry and exit flow rows name 30 arcs each."""
+        width = 30
+        ops = [Operation(1, tuple(range(1, width + 1)),
+                         resources=(ResourceUsage("A"),))]
+        ops += [Operation(2, (width + 1,)) for _ in range(width)]
+        ops.append(Operation(0, ()))
+        other = [Operation(1, (1,), resources=(ResourceUsage("A", 3),)),
+                 Operation(0, ())]
+        comp = ObjectiveComponent(train=0, operation=width + 1, threshold=4,
+                                  coeff=1)
+        return build_model(build_instance([ops, other], [comp]))
+
+    def test_continuation_lines(self):
+        lines = emit_lp(self.fan_model()).splitlines()
+        assert max(len(line) for line in lines) <= 200
+        rows: list[list[str]] = []   # the lines of each row
+        for line in lines[lines.index("Subject To") + 1:lines.index("Bounds")]:
+            if line.startswith("   "):
+                assert line[3] != " "
+                rows[-1].append(line)
+            else:
+                rows.append([line])
+        wrapped = {row[0].split(":")[0].strip(): row for row in rows if len(row) > 1}
+        # The flow rows of the fork and of the join name 30 arcs each.
+        assert sorted(wrapped) == ["flow0_0", "flow0_31"]
+        for row in wrapped.values():
+            assert len(" ".join([row[0]] + [line[3:] for line in row[1:]])) > 200
+
+    def test_rows_read_back(self):
+        model = self.fan_model()
+        problem = read_lp(emit_lp(model))
+        assert problem.rows == [
+            (row.name, {name: coef for name, coef in row.terms if coef},
+             row.sense, row.rhs) for row in model.rows]
 
 
 class TestModelInvariants:
