@@ -10,12 +10,14 @@ along the list), its start_lb, the end of the train's previous operation,
 and the release stamps of its resources. Times of already appended events
 never change, because every constraint arc points forward in the event
 order. The dispatcher owns the tables, the undo stack (`undo(depth)` takes
-back one event, the latest by default; `rewind(depth)` all events above a
-depth in one loop, or to the empty schedule by a reset that costs the same
-however many events it takes back; `splice(depth)` the event at a depth and
-the later events from the first one that depends on it), the count of its
-applies, the clock, and the cost lower bound of the partial schedule that
-the exact search prunes with and the heuristic stops at.
+back one event, the latest by default, and is the one place that restores
+an event's state; `rewind(depth)` calls it until depth events remain, or
+goes back to the empty schedule by `_clear`, which sets it up in the first
+place and costs the same however many events it takes back; `splice(depth)`
+takes back the event at a depth and the later events from the first one
+that depends on it), the count of its applies, the clock, and the cost
+lower bound of the partial schedule that the exact search prunes with and
+the heuristic stops at.
 
 The exact search needs only whether the bound reaches the incumbent's cost
 z, and most of its nodes are pruned. So `bound()` keeps, per
@@ -77,7 +79,7 @@ train1, stamp2). The holder is the one train whose latest operation claims
 it, or None. The stamps are the two best release stamps from distinct trains,
 stamp1 set by train1: a train is never delayed by its own release times, so
 train i waits for stamp2 if train1 is i, else for stamp1. The floor, cached
-on every apply, undo and rewind, is the time of the latest event, or 0
+on every apply, undo and `_clear`, is the time of the latest event, or 0
 with none.
 """
 
@@ -89,7 +91,7 @@ import os
 import random
 import threading
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -124,13 +126,8 @@ class SolveReport:
     status: SolveStatus
     solution: Solution | None
     nodes: int
-    wall_time: float
+    wall_time: float = field(compare=False)
     bound: int | None = None
-
-    def same_outcome(self, other: "SolveReport") -> bool:
-        """Equality modulo wall time (for determinism checks)."""
-        return (self.status == other.status and self.solution == other.solution
-                and self.nodes == other.nodes and self.bound == other.bound)
 
 
 _FREE = (None, 0, None, 0)          # (holder, stamp1, train1, stamp2)
@@ -191,13 +188,13 @@ _START = itemgetter(2)      # the start time of a (train, op, start) move
 class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
     the operation tables, each resource's state tuple, a stack of applied
-    events that `undo`, `rewind` and `splice` take back, the count of its
-    applies, `expired`, the cost lower bound of the partial schedule
-    (`bound`) and, per depth, the starts it charged, which the prune at the
-    children reads (`prunes`). An event's undo record holds what the event
-    list cannot give back: the train's previous operation and start, the
-    (resource, state before, state written) triples of the apply, and the
-    cost it added."""
+    events that `undo` takes back one at a time (`rewind` and `splice` call
+    it) and `_clear` all at once, the count of its applies, `expired`, the
+    cost lower bound of the partial schedule (`bound`) and, per depth, the
+    starts it charged, which the prune at the children reads (`prunes`). An
+    event's undo record holds what the event list cannot give back: the
+    train's previous operation and start, the (resource, state before, state
+    written) triples of the apply, and the cost it added."""
 
     def __init__(self, instance: Instance, deadline: float | None = None):
         self.n_trains = len(instance.trains)
@@ -209,22 +206,27 @@ class _Dispatcher:
                        for train, c in zip(instance.trains, comps)]
         self.comp_trains = [i for i, tab in enumerate(self.tables)
                             if any(tab.comps)]
-        self.last_op: list[int | None] = [None] * self.n_trains
-        self.last_time = [0] * self.n_trains
-        self.ended = [False] * self.n_trains
-        self.n_ended = 0
-        self.floor = 0
-        self.events: list[tuple[int, int, int]] = []  # (time, train, op)
-        self.res: dict[str, tuple] = {
-            r: _FREE for tab in self.tables for keys in tab.keys for r in keys}
-        self.z_partial = 0
+        self.res = dict.fromkeys(
+            r for tab in self.tables for keys in tab.keys for r in keys)
+        self._clear()
         self.applies = 0
         self.deadline = deadline
         self.expired = False
-        # One undo record per event in `events`.
-        self._undo: list[tuple] = []
         # By depth, the (train, bound, starts) of the latest `bound` there.
         self._starts: dict[int, list[tuple[int, int, list]]] = {}
+
+    def _clear(self) -> None:
+        """Set the partial schedule to the empty one, in O(resources +
+        trains): every resource free, no event and no undo record."""
+        n = self.n_trains
+        self.res: dict[str, tuple] = dict.fromkeys(self.res, _FREE)
+        self.last_op: list[int | None] = [None] * n
+        self.last_time = [0] * n
+        self.ended = [False] * n
+        self.n_ended = self.z_partial = self.floor = 0
+        self.events: list[tuple[int, int, int]] = []  # (time, train, op)
+        # One undo record per event in `events`.
+        self._undo: list[tuple] = []
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -297,9 +299,10 @@ class _Dispatcher:
 
     def undo(self, depth: int = -1) -> None:
         """Take back the event at `depth`, the latest by default; an earlier
-        one only when no later event depends on it, as `splice` ensures. An
-        ended train takes no further event, so an ended train here was ended
-        by that event."""
+        one only when no later event depends on it, as `splice` ensures. The
+        one restore of an event's state from its undo record. An ended train
+        takes no further event, so an ended train here was ended by that
+        event."""
         events = self.events
         _, train, _ = events.pop(depth)
         prev_op, prev_time, old, z_delta = self._undo.pop(depth)
@@ -314,40 +317,14 @@ class _Dispatcher:
             self.res[r] = state
 
     def rewind(self, depth: int) -> None:
-        """Take events back until `depth` remain, leaving the state that as
-        many `undo()` calls leave. To depth 0 it resets every field to the
-        empty schedule's, in O(resources + trains) whatever the number of
-        events; to any other depth it restores the undo records newest
-        first in one loop."""
-        events, records = self.events, self._undo
-        if len(events) <= depth:
-            return
-        if not depth:
-            self.res.update(dict.fromkeys(self.res, _FREE))
-            n = self.n_trains
-            self.last_op[:] = [None] * n
-            self.last_time[:] = [0] * n
-            self.ended[:] = [False] * n
-            self.n_ended = self.z_partial = self.floor = 0
-            events.clear()
-            records.clear()
-            return
-        res, ended = self.res, self.ended
-        last_op, last_time = self.last_op, self.last_time
-        z = self.z_partial
-        for (_, train, _), (prev_op, prev_time, old, z_delta) in zip(
-                reversed(events[depth:]), reversed(records[depth:])):
-            if ended[train]:
-                ended[train] = False
-                self.n_ended -= 1
-            z -= z_delta
-            last_op[train] = prev_op
-            last_time[train] = prev_time
-            for r, state, _ in reversed(old):
-                res[r] = state
-        del events[depth:], records[depth:]
-        self.z_partial = z
-        self.floor = events[-1][0]
+        """Take events back until `depth` remain, by `undo()` calls; to
+        depth 0 by `_clear()`, which leaves the same state whatever the
+        number of events."""
+        if depth:
+            for _ in range(len(self.events) - depth):
+                self.undo()
+        else:
+            self._clear()
 
     def splice(self, depth: int) -> int:
         """Take back the event at `depth`, and with it the later events from
@@ -680,6 +657,8 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     deadline = start + time_limit if time_limit is not None else None
     disp = _Dispatcher(instance, deadline)
     root = disp.bound()
+    # The root's bound of each costly train alone, as `bound()` recorded it.
+    singles = {i: b for i, b, _ in disp._starts[0]}
     solution = next((a.solution for a in _attempts(
         disp, (0, 1), seed=0, jitter_span=0, root_bound=root)
         if a.solution is not None), None)
@@ -688,8 +667,6 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     pairs = helper = None
     if (len(instance.trains) >= 3 and disp.comp_trains
             and (node_limit is not None or deadline is not None)):
-        # The root's bound of each costly train alone.
-        singles = {i: disp._train_bound(i)[0] for i in disp.comp_trains}
         pairs = functools.partial(_pair_bound, instance, singles,
                                   node_limit, deadline)
         if _forkable() and (z is None or z > root):

@@ -187,9 +187,9 @@ class TestCostShapes:
         exact = solve_exact(line.instance)
         assert exact.status is SolveStatus.OPTIMAL
         assert exact.solution.objective_value == 0
-        greedy = solve_heuristic(line.instance, max_restarts=0)
-        assert greedy.status is SolveStatus.FEASIBLE
-        assert greedy.solution.objective_value == 0
+        dive = solve_heuristic(line.instance, max_restarts=0)
+        assert dive.status is SolveStatus.FEASIBLE
+        assert dive.solution.objective_value == 0
 
 
 class TestSpecValidation:
@@ -579,9 +579,9 @@ class TestGeneratedInstancesSolve:
         report = solve_exact(line.instance)
         assert report.status is SolveStatus.OPTIMAL
         assert verify(line.instance, report.solution).feasible
-        greedy = solve_heuristic(line.instance, max_restarts=4)
-        assert greedy.status is SolveStatus.FEASIBLE
-        assert greedy.solution.objective_value >= report.solution.objective_value
+        heuristic = solve_heuristic(line.instance, max_restarts=4)
+        assert heuristic.status is SolveStatus.FEASIBLE
+        assert heuristic.solution.objective_value >= report.solution.objective_value
 
     def test_mixed_corridors_have_heuristic_schedules(self):
         for seed in range(4):

@@ -723,7 +723,7 @@ class TestSolveExact:
             for cap in (1, 2, 5, 10, 30):
                 report = solve_exact(instance, node_limit=cap)
                 if report.nodes <= cap:
-                    assert report.same_outcome(full)
+                    assert report == full
                     continue
                 assert report.status in (SolveStatus.FEASIBLE,
                                          SolveStatus.TIMEOUT_NO_SOLUTION)
@@ -813,7 +813,7 @@ class TestSolveExact:
                 assert report.solution.objective_value == warm
         assert rose >= 2 and improved >= 1
         assert solve_exact(line.instance,
-                           node_limit=full.nodes).same_outcome(full)
+                           node_limit=full.nodes) == full
 
     def test_pair_bound_never_passes_the_optimum(self):
         """The pair bound, its pairs solved without a budget, never exceeds
@@ -896,15 +896,15 @@ class TestSolveExact:
             shared = solve_exact(instance, node_limit=cap)
             assert len(forks) == 1
             forks.clear()
-            assert shared.same_outcome(inline)
+            assert shared == inline
             reports.append(inline)
             rose += inline.bound > _Dispatcher(instance).bound()
-        assert reports[-1].same_outcome(solve_exact(closes))
+        assert reports[-1] == solve_exact(closes)
         assert reports[-1].nodes > max(caps)
         assert rose >= 5
         failing_forks(monkeypatch)
         instance, cap = cases[-2]
-        assert solve_exact(instance, node_limit=cap).same_outcome(reports[-2])
+        assert solve_exact(instance, node_limit=cap) == reports[-2]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -958,7 +958,15 @@ class TestSolveExact:
             os.waitpid(-1, os.WNOHANG)
 
     def test_deterministic(self, junction):
-        assert solve_exact(junction).same_outcome(solve_exact(junction))
+        assert solve_exact(junction) == solve_exact(junction)
+
+    def test_reports_compare_without_wall_time(self, junction):
+        """Two reports equal but for `wall_time` are equal; a different
+        `nodes` tells them apart."""
+        report = solve_exact(junction)
+        slower = replace(report, wall_time=report.wall_time + 1)
+        assert slower == report
+        assert replace(report, nodes=report.nodes + 1) != report
 
     def test_bound_charges_exactly_the_unavoidable_operations(self):
         """Below the root, the bound charges a component on operation k iff
@@ -1248,12 +1256,12 @@ def exact_digests() -> tuple[str, str]:
     return digest.hexdigest(), outcome.hexdigest()
 
 
-GREEDY_DIGEST = (
+DIVE_DIGEST = (
     "9464bc5126b37fadf3d6a450eead9406b5fca335fca0bb3f916d284d9bf9111f")
 
 
-def greedy_digest() -> str:
-    """The digest `test_greedy_order_is_pinned` pins."""
+def dive_digest() -> str:
+    """The digest `test_dive_order_is_pinned` pins."""
     rng = random.Random(16)
     digest = hashlib.sha256()
     for _ in range(60):
@@ -1276,7 +1284,7 @@ HEURISTIC_OUTCOME_DIGEST = (
 
 def heuristic_outcome_digest() -> str:
     """The digest `test_heuristic_outcomes_are_pinned` pins: the draws of
-    `greedy_digest` and the 10x8, 20x14 and 30x20 seed-7 corridors."""
+    `dive_digest` and the 10x8, 20x14 and 30x20 seed-7 corridors."""
     rng = random.Random(16)
     instances = []
     for _ in range(60):
@@ -1325,7 +1333,7 @@ class TestSolveHeuristic:
     def test_seed_determinism(self, junction):
         a = solve_heuristic(junction, seed=3)
         b = solve_heuristic(junction, seed=3)
-        assert a.same_outcome(b)
+        assert a == b
 
     def test_solutions_always_verify(self):
         rng = random.Random(91)
@@ -1382,7 +1390,7 @@ class TestSolveHeuristic:
         time-limited run stops there, as a run without restarts does."""
         assert _Dispatcher(junction).bound() == 10
         report = solve_heuristic(junction, time_limit=2.0)
-        assert report.same_outcome(solve_heuristic(junction, max_restarts=0))
+        assert report == solve_heuristic(junction, max_restarts=0)
         assert report.status is SolveStatus.FEASIBLE
         assert report.solution.objective_value == 10
 
@@ -1414,7 +1422,7 @@ class TestSolveHeuristic:
     def test_dive_backtracking_finds_the_schedule(self, monkeypatch):
         """On this instance (2 trains, 6 operations) only the dive's
         backtracking finds a schedule at two restarts."""
-        instance, _ = parse_instance(data_text("greedy_backtrack.json"))
+        instance, _ = parse_instance(data_text("dive_backtrack.json"))
         report = solve_heuristic(instance, max_restarts=2)
         assert report.status is SolveStatus.FEASIBLE
         assert report.solution.objective_value == 0
@@ -1424,16 +1432,16 @@ class TestSolveHeuristic:
         report = solve_heuristic(instance, max_restarts=2)
         assert report.status is SolveStatus.TIMEOUT_NO_SOLUTION
 
-    def test_greedy_order_is_pinned(self):
+    def test_dive_order_is_pinned(self):
         """One digest of (status, nodes, objective, events) pins the dive
         alone (no restart) and two restarts at seed 1 on 60 random
         instances, three of whose dives backtrack to a schedule and seven
         fail."""
-        assert greedy_digest() == GREEDY_DIGEST
+        assert dive_digest() == DIVE_DIGEST
 
     def test_heuristic_outcomes_are_pinned(self):
         """One digest of (status, objective, events), without nodes, pins
-        the solutions of `greedy_digest`'s draws and of the seed-7 ladder
+        the solutions of `dive_digest`'s draws and of the seed-7 ladder
         corridors at 16 restarts: work saved in the dispatcher must leave
         every solution as it was."""
         assert heuristic_outcome_digest() == HEURISTIC_OUTCOME_DIGEST
@@ -1520,7 +1528,7 @@ class TestHelper:
         use_helper(monkeypatch, True)
         shared = solve_heuristic(instance, max_restarts=16, seed=0)
         assert len(forks) == 1
-        assert shared.same_outcome(inline)
+        assert shared == inline
 
     def test_cuts_at_the_root_bound_on_either_side(self, monkeypatch, forks):
         """On 130 random instances, and three draws picked because their
@@ -1561,10 +1569,10 @@ class TestHelper:
         use_helper(monkeypatch, True)
         for instance, report, stop in zip(instances, inline, stopped_at):
             assert solve_heuristic(instance, max_restarts=48,
-                                   seed=1).same_outcome(report)
+                                   seed=1) == report
             if stop is not None:
                 timed = solve_heuristic(instance, time_limit=60, seed=1)
-                assert timed.same_outcome(report)
+                assert timed == report
                 assert timed.wall_time < 10
         # A helper starts unless the first pass reaches the root bound.
         assert len(forks) == sum((stop != 0) + (stop not in (None, 0))
@@ -1646,16 +1654,16 @@ class TestHelper:
             release.set()
             thread.join()
         assert not forks
-        assert all(a.same_outcome(b) for a, b in zip(threaded, solves()))
+        assert all(a == b for a, b in zip(threaded, solves()))
         assert len(forks) == 2
         monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
-        assert all(a.same_outcome(b) for a, b in zip(threaded, solves()))
+        assert all(a == b for a, b in zip(threaded, solves()))
         assert len(forks) == 2
 
-    def test_keeps_the_pinned_greedy_digest(self, monkeypatch, forks):
+    def test_keeps_the_pinned_dive_digest(self, monkeypatch, forks):
         """At most two restarts leave the helper no pair, so none starts."""
         use_helper(monkeypatch, True)
-        assert greedy_digest() == GREEDY_DIGEST
+        assert dive_digest() == DIVE_DIGEST
         assert not forks
 
     def test_orphaned_helper_stops_before_its_next_pass(self):
@@ -1739,7 +1747,7 @@ class TestHelper:
         report = solve_heuristic(instance, max_restarts=16, seed=0)
         assert len(forks) == (failure != "fork raises")
         assert pickle.dump is dump
-        assert report.same_outcome(inline)
+        assert report == inline
 
 
 @pytest.fixture(scope="module")
