@@ -5,7 +5,8 @@ well-formed input (solution fails verification, solver proves infeasibility
 or finds nothing within budget, mapped events fail verification), 2 usage
 and parse errors (unreadable files, malformed documents, invalid instance
 structure, bad generator specs, incomplete or non-integral assignments),
-3 unexpected internal failures.
+3 unexpected internal failures, 130 interrupted (Ctrl-C) before the command
+finished, with any solver helper process stopped and no solution written.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130
 
 
 class _Fail(Exception):
@@ -292,37 +294,14 @@ def _cmd_emit_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_name_map(path: str) -> set[str]:
-    """The variable names an emit-lp sidecar records. Only the names are
-    kept, so the parsed document is freed before the model is built."""
-    try:
-        sidecar = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise _Fail(EXIT_USAGE, f"name map is not valid JSON: {e}") from e
-    if not isinstance(sidecar, dict) \
-            or sidecar.get("format") != "displib-lp-name-map":
-        raise _Fail(EXIT_USAGE, f"{path} is not a name map file")
-    # Older sidecars record model options; only the all-false set, which is
-    # the one model emit-lp writes, still maps.
-    raw_options = sidecar.get("options", {})
-    recorded = sidecar.get("variables", {})
-    if not isinstance(raw_options, dict) or not isinstance(recorded, dict) \
-            or not all(isinstance(v, bool) for v in raw_options.values()):
-        raise _Fail(EXIT_USAGE, f"{path} is not a name map file "
-                                "(malformed options or variables)")
-    for key, value in raw_options.items():
-        if value:
-            raise _Fail(EXIT_USAGE, f"{path} was written with the "
-                                    f"removed model option {key}; re-run "
-                                    "emit-lp")
-    return set(recorded)
-
-
 def _cmd_map_solution(args: argparse.Namespace) -> int:
     _one_stdin(args.instance, args.name_map, args.assignment)
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
-    recorded = _read_name_map(args.name_map)
+    try:
+        recorded = milp.read_name_map(_read_text(args.name_map))
+    except ValueError as e:
+        raise _Fail(EXIT_USAGE, f"{args.name_map}: {e}") from e
     model = milp.build_model(instance)
     if recorded != {v.name for v in model.variables}:
         raise _Fail(EXIT_USAGE,
@@ -598,6 +577,9 @@ def main(argv: list[str] | None = None) -> int:
         return e.code
     except BrokenPipeError:
         return EXIT_OK
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as e:                       # pragma: no cover - guard rail
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

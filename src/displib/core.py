@@ -99,9 +99,6 @@ class Instance:
     trains: tuple[Train, ...]
     objective: tuple[ObjectiveComponent, ...]
 
-    def operation(self, train: int, op: int) -> Operation:
-        return self.trains[train].operations[op]
-
 
 @dataclass(frozen=True)
 class Event:
@@ -114,11 +111,6 @@ class Event:
 class Solution:
     objective_value: int
     events: tuple[Event, ...]
-
-
-class RouteSet(NamedTuple):
-    routes: tuple[tuple[int, ...], ...]
-    truncated: bool
 
 
 def _check_value(name: str, value: object, train: int, operation: int | None = None,
@@ -261,42 +253,6 @@ def is_route(train: Train, path: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_routes(train: Train, limit: int | None = None) -> RouteSet:
-    """All entry-to-exit paths in deterministic order.
-
-    Successors are explored in increasing index order, so the route list is
-    lexicographic. With a limit, at most `limit` routes are returned and
-    `truncated` reports whether more exist.
-    """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
-    exit_op = train.exit_op
-    routes: list[tuple[int, ...]] = []
-    truncated = False
-    # Iterative DFS; stack holds (path, iterator over remaining successors).
-    path = [0]
-    iters = [iter(sorted(train.operations[0].successors))]
-    if exit_op == 0:
-        routes.append((0,))
-        path, iters = [], []
-    while iters:
-        if limit is not None and len(routes) >= limit:
-            truncated = True
-            break
-        try:
-            nxt = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            path.pop()
-            continue
-        if nxt == exit_op:
-            routes.append(tuple(path) + (nxt,))
-            continue
-        path.append(nxt)
-        iters.append(iter(sorted(train.operations[nxt].successors)))
-    return RouteSet(routes=tuple(routes), truncated=truncated)
-
-
 class ConflictPair(NamedTuple):
     """Two operations of different trains that share at least one resource.
     Ordered so that (train_a, op_a) < (train_b, op_b)."""
@@ -324,16 +280,6 @@ def conflict_pairs(instance: Instance) -> list[ConflictPair]:
                     continue
                 pairs.add(ConflictPair(a[0], a[1], b[0], b[1]))
     return sorted(pairs)
-
-
-def shared_resources(instance: Instance, pair: ConflictPair) -> list[tuple[str, int, int]]:
-    """Resources both operations of a conflict pair use, with each side's
-    release time: (resource, release_a, release_b), sorted by resource."""
-    op_a = instance.operation(pair.train_a, pair.op_a)
-    op_b = instance.operation(pair.train_b, pair.op_b)
-    rel_a = {u.resource: u.release_time for u in op_a.resources}
-    rel_b = {u.resource: u.release_time for u in op_b.resources}
-    return sorted((r, rel_a[r], rel_b[r]) for r in rel_a.keys() & rel_b.keys())
 
 
 def total_operations(instance: Instance) -> int:

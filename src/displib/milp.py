@@ -59,7 +59,8 @@ write_lp formats each row as it is made and writes the lines _BLOCK at a
 time, so no row outlives its block, and only a line over _WRAP_AT
 characters goes through the wrapper. MilpModel.rows is the list of all rows
 as Row named tuples, built on its first read. In the same way,
-write_name_map writes the text of name_map _BLOCK variables at a time.
+write_name_map writes the text of name_map _BLOCK variables at a time, and
+read_name_map, which map-solution calls, keeps only the names.
 """
 
 from __future__ import annotations
@@ -463,9 +464,12 @@ def emit_lp(model: MilpModel) -> str:
     return out.getvalue()
 
 
+_NAME_MAP_FORMAT = "displib-lp-name-map"
+
+
 def _name_map_document(model: MilpModel, variables: dict) -> dict:
     # "variables" is the last key, which write_name_map relies on.
-    return {"format": "displib-lp-name-map", "version": 1,
+    return {"format": _NAME_MAP_FORMAT, "version": 1,
             "horizon": model.horizon, "variables": variables}
 
 
@@ -491,6 +495,28 @@ def write_name_map(model: MilpModel, out: TextIO) -> None:
         block = {v.name: _name_map_entry(v) for v in variables[at:at + _BLOCK]}
         out.write((", " if at else "") + json.dumps(block)[1:-1])
     out.write("}}\n")
+
+
+def read_name_map(text: str) -> set[str]:
+    """The variable names a name map records, each variable's entry dropped
+    as soon as it is decoded. Older sidecars record model options; only the
+    all-false set, the one model build_model makes, still reads. Raises
+    ValueError for any other text."""
+    try:
+        doc = json.loads(text, object_hook=lambda o: None if "role" in o else o)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"name map is not valid JSON: {e}") from e
+    if not isinstance(doc, dict) or doc.get("format") != _NAME_MAP_FORMAT:
+        raise ValueError("not a name map file")
+    options, variables = doc.get("options", {}), doc.get("variables", {})
+    if not isinstance(options, dict) or not isinstance(variables, dict) \
+            or not all(isinstance(v, bool) for v in options.values()):
+        raise ValueError("not a name map file (malformed options or variables)")
+    for key, value in options.items():
+        if value:
+            raise ValueError(f"written with the removed model option {key}; "
+                             "re-run emit-lp")
+    return set(variables)
 
 
 # ---------------------------------------------------------------------------

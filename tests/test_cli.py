@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -771,6 +773,55 @@ class TestTopLevel:
         assert limits == [{"node_limit": 5, "time_limit": None},
                           {"node_limit": None, "time_limit": None}]
         assert cli._build_parser() is cli._build_parser()
+
+    def test_broken_pipe_is_success(self, junction_path, monkeypatch):
+        """A reader that closes stdout early (`displib ... | head`) ends the
+        command with exit 0, not an internal error."""
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["validate", junction_path]) == 0
+
+    def test_ctrl_c_exits_130(self, junction_path, monkeypatch, capsys):
+        def interrupted(instance, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(solve, "solve_exact", interrupted)
+        assert cli.main(["solve", junction_path, "--mode", "exact"]) == 130
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "interrupted\n")
+
+    @pytest.mark.parametrize("spec, flags", [
+        (LineSpec(num_stations=5, num_trains=4, seed=42), ["--mode", "exact"]),
+        (LineSpec(num_stations=30, num_trains=20, seed=7),
+         ["--mode", "heuristic", "--max-restarts", "100000"]),
+    ], ids=["exact-5x4-s42", "heuristic-30x20-s7"])
+    def test_sigint_ends_the_run_and_its_helper(self, tmp_path, spec, flags):
+        """Ctrl-C, a SIGINT to the whole process group, ends a long solve
+        with exit 130 and no traceback, and leaves no process of the group
+        behind: the 30x20 heuristic runs a forked restart helper."""
+        path = write_file(tmp_path, "line.json",
+                          write_instance(generate_line(spec).instance))
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "displib.cli", "solve", path, *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+            env={**os.environ, "PYTHONPATH": package_root})
+        try:
+            time.sleep(1)
+            os.killpg(run.pid, signal.SIGINT)
+            out, err = run.communicate(timeout=60)
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait()
+        assert run.returncode == 130, err
+        assert (out, err) == ("", "interrupted\n")   # and no traceback
+        with pytest.raises(ProcessLookupError):
+            os.killpg(run.pid, 0)
 
     def test_module_entry_point(self, junction_path):
         # `python -m displib.cli` is the documented alternative to the

@@ -1,5 +1,5 @@
-"""Domain model: instance validation, route enumeration, conflict pairs,
-and the schedule horizon."""
+"""Domain model: instance validation, routes, conflict pairs, and the
+schedule horizon."""
 
 from __future__ import annotations
 
@@ -26,10 +26,8 @@ from displib.core import (
     ResourceUsage,
     build_instance,
     conflict_pairs,
-    enumerate_routes,
     is_route,
     predecessors,
-    shared_resources,
     time_horizon,
     total_operations,
     validate_instance,
@@ -204,49 +202,15 @@ class TestBuildInstance:
 
 
 class TestRoutes:
-    def test_branching_train_has_four_routes(self):
-        instance = build_instance([branching_train()])
-        routes = enumerate_routes(instance.trains[0])
-        assert routes.routes == ((0, 1, 3, 4, 6), (0, 1, 3, 5, 6),
-                                 (0, 2, 3, 4, 6), (0, 2, 3, 5, 6))
-        assert not routes.truncated
-
-    def test_junction_routes(self, junction):
-        assert enumerate_routes(junction.trains[0]).routes == ((0, 1, 3), (0, 2, 3))
-        assert enumerate_routes(junction.trains[1]).routes == ((0, 1, 2),)
-
-    def test_single_operation_route(self):
-        instance = build_instance([[Operation(0, ())]])
-        assert enumerate_routes(instance.trains[0]).routes == ((0,),)
-
-    def test_limit_truncates(self):
-        instance = build_instance([branching_train()])
-        routes = enumerate_routes(instance.trains[0], limit=2)
-        assert len(routes.routes) == 2
-        assert routes.truncated
-        assert enumerate_routes(instance.trains[0], limit=10).truncated is False
-
-    def test_limit_zero(self):
-        instance = build_instance([branching_train()])
-        routes = enumerate_routes(instance.trains[0], limit=0)
-        assert routes.routes == () and routes.truncated
-
-    def test_negative_limit_rejected(self):
-        instance = build_instance([[Operation(0, ())]])
-        with pytest.raises(ValueError):
-            enumerate_routes(instance.trains[0], limit=-1)
-
-    def test_matches_recursive_enumeration(self):
+    def test_every_oracle_path_is_a_route(self):
         rng = random.Random(11)
         for _ in range(60):
             instance = random_instance(rng, max_trains=2, max_ops=8)
             for train in instance.trains:
-                got = enumerate_routes(train)
-                assert got.routes == tuple(oracles.all_paths(train))
-                assert not got.truncated
-                for route in got.routes:
-                    assert is_route(train, route)
-                    assert route[0] == 0 and route[-1] == train.exit_op
+                paths = oracles.all_paths(train)
+                assert paths
+                for path in paths:
+                    assert is_route(train, path)
 
     def test_validated_trains_route_every_operation(self):
         """Increasing successors with a single entry and a single exit put
@@ -265,7 +229,7 @@ class TestRoutes:
             except InstanceError as err:
                 assert err.rule == MULTIPLE_ENTRIES
                 continue
-            on_route = {k for route in enumerate_routes(train).routes for k in route}
+            on_route = {k for route in oracles.all_paths(train) for k in route}
             assert on_route == set(range(n))
             accepted += 1
         assert accepted > 50
@@ -282,12 +246,18 @@ class TestRoutes:
         assert predecessors(junction.trains[0]) == [[], [0], [0], [1, 2]]
 
 
+def shared(instance, pair: ConflictPair) -> set[str]:
+    """The resources that both operations of the pair list."""
+    a, b = ({u.resource for u in instance.trains[t].operations[k].resources}
+            for t, k in ((pair.train_a, pair.op_a), (pair.train_b, pair.op_b)))
+    return a & b
+
+
 class TestConflictPairs:
     def test_junction_pairs(self, junction):
         pairs = conflict_pairs(junction)
         assert pairs == [ConflictPair(0, 0, 1, 1), ConflictPair(0, 1, 1, 0)]
-        assert shared_resources(junction, pairs[0]) == [("L", 0, 0)]
-        assert shared_resources(junction, pairs[1]) == [("R1", 0, 0)]
+        assert [shared(junction, pair) for pair in pairs] == [{"L"}, {"R1"}]
 
     def test_single_train_has_no_pairs(self):
         instance = build_instance([branching_train()])
@@ -304,7 +274,7 @@ class TestConflictPairs:
         instance = build_instance([a, b])
         pairs = conflict_pairs(instance)
         assert pairs == [ConflictPair(0, 0, 1, 0)]
-        assert shared_resources(instance, pairs[0]) == [("A", 0, 0), ("B", 0, 2)]
+        assert shared(instance, pairs[0]) == {"A", "B"}
 
     def test_no_same_train_pairs(self):
         rng = random.Random(23)
@@ -313,7 +283,7 @@ class TestConflictPairs:
             for pair in conflict_pairs(instance):
                 assert pair.train_a != pair.train_b
                 assert (pair.train_a, pair.op_a) < (pair.train_b, pair.op_b)
-                assert shared_resources(instance, pair)
+                assert shared(instance, pair)
 
 
 class TestTimeHorizon:

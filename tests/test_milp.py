@@ -23,7 +23,6 @@ from displib.core import (
     Operation,
     ResourceUsage,
     build_instance,
-    enumerate_routes,
 )
 from displib.milp import (
     FAILED_VERIFICATION,
@@ -38,6 +37,7 @@ from displib.milp import (
     map_solution,
     name_map,
     parse_assignment,
+    read_name_map,
     solution_assignment,
     write_name_map,
 )
@@ -52,7 +52,7 @@ def windows_on_forks(rng: random.Random, instance):
     route avoids; the builders put windows on mandatory operations only."""
     trains = []
     for train in instance.trains:
-        routes = enumerate_routes(train).routes
+        routes = oracles.all_paths(train)
         ops = []
         for k, op in enumerate(train.operations):
             if all(k in route for route in routes) or rng.random() < 0.3:
@@ -167,7 +167,7 @@ class TestPinnedModels:
     """Digests of the LP text and of the name map, whose insertion order
     pins the variable order, for models larger than the junction."""
 
-    @pytest.mark.parametrize("make, lp_digest, map_digest", [
+    pinned = pytest.mark.parametrize("make, lp_digest, map_digest", [
         (lambda: generate_line(LineSpec(num_stations=5, num_trains=4,
                                         seed=42)).instance,
          "4df55aa5b58c784b608c7ac8315db65dbf0fa7db4b73eec9238d17640fb05e53",
@@ -184,6 +184,8 @@ class TestPinnedModels:
          "eca6bd28b0e31671acd30314fb8e7e235860337be99f01aa485301aabbd0027b"),
     ], ids=["corridor-5x4-s42", "disrupted-10x8-s7", "gated-windows",
             "corridor-30x20-s7"])
+
+    @pinned
     def test_lp_and_name_map_digests(self, make, lp_digest, map_digest):
         model = build_model(make())
         if make is gated_windows_draw:
@@ -195,6 +197,17 @@ class TestPinnedModels:
         out = io.StringIO()
         write_name_map(model, out)
         assert out.getvalue() == names + "\n"
+
+    @pinned
+    def test_read_name_map_round_trip(self, make, lp_digest, map_digest):
+        """read_name_map gives back the names write_name_map wrote, from
+        the written text and from the same document indented."""
+        model = build_model(make())
+        out = io.StringIO()
+        write_name_map(model, out)
+        names = {v.name for v in model.variables}
+        assert read_name_map(out.getvalue()) == names
+        assert read_name_map(json.dumps(name_map(model), indent=2)) == names
 
 
 class TestWrappedRows:

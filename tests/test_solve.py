@@ -35,7 +35,6 @@ from displib.core import (
     ResourceUsage,
     Solution,
     build_instance,
-    enumerate_routes,
 )
 from displib.fileformat import parse_instance
 from displib.generate import LineSpec, generate_line
@@ -48,6 +47,8 @@ from displib.solve import (
     _branch_moves,
     _depth_first,
     _insertion_pass,
+    _merge_route,
+    _pick_route,
     _released,
     _replay,
     earliest_times,
@@ -147,7 +148,7 @@ def bound_from_events(instance, events, honour_stamps=True):
         prefix = tuple(op for _, op in done[i])
         if prefix and not ops[prefix[-1]].successors:
             continue
-        routes = [r[len(prefix):] for r in enumerate_routes(train).routes
+        routes = [r[len(prefix):] for r in oracles.all_paths(train)
                   if r[:len(prefix)] == prefix]
         starts: dict[int, int] = {}
         for rest in routes:
@@ -571,7 +572,7 @@ class TestDispatcher:
             disp = _Dispatcher(instance)
             for train, tab in zip(instance.trains, disp.tables):
                 dur = [op.min_duration for op in train.operations]
-                routes = enumerate_routes(train).routes
+                routes = oracles.all_paths(train)
                 for k in range(len(dur)):
                     suffixes = {r[r.index(k):] for r in routes if k in r}
                     assert tab.dist[k] == min(sum(dur[o] for o in s[:-1])
@@ -976,7 +977,7 @@ class TestSolveExact:
         trains += [random_reduced_train(rng, 8) for _ in range(60)]
         charged = avoided = 0
         for ops in trains:
-            routes = enumerate_routes(build_instance([ops]).trains[0]).routes
+            routes = oracles.all_paths(build_instance([ops]).trains[0])
             # Every prefix of a route, the empty one included.
             prefixes = {route[:m] for route in routes
                         for m in range(len(route))}
@@ -1008,7 +1009,7 @@ class TestSolveExact:
         for ops in trains:
             instance = build_instance([ops])
             tab = _Dispatcher(instance).tables[0]
-            routes = enumerate_routes(instance.trains[0]).routes
+            routes = oracles.all_paths(instance.trains[0])
             prefixes = {route[:m] for route in routes
                         for m in range(len(route))}
             for prefix in sorted(prefixes):
@@ -1790,3 +1791,24 @@ class TestDeadline:
         assert _replay(fresh, [(e.train, e.operation)
                                for e in solution.events])
         assert fresh.to_solution() == solution
+
+    def test_merge_stops_at_the_deadline(self, monkeypatch):
+        """With the clock read at every apply, a merge past its deadline
+        stops after its first apply and leaves the dispatcher empty; the
+        same merge without a deadline succeeds."""
+        monkeypatch.setattr(displib.solve, "_CLOCK_PERIOD", 1)
+        instance = generate_line(LineSpec(num_stations=10, num_trains=8,
+                                          seed=7)).instance
+        for deadline in (None, time.monotonic() - 1):
+            disp = _Dispatcher(instance, deadline)
+            fixed = [(0, op) for op in _pick_route(disp.tables[0],
+                                                    random.Random(0), 0)]
+            route = _pick_route(disp.tables[1], random.Random(0), 0)
+            merged = _merge_route(disp, fixed, 1, route)
+            if deadline is None:
+                assert merged is not None
+                assert len(merged) == len(fixed) + len(route)
+            else:
+                assert merged is None
+                assert disp.applies == 1
+                assert disp.events == [] and disp.expired
