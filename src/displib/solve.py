@@ -42,37 +42,11 @@ shorter remaining duration. `splice` checks resource states by identity:
 each write makes a fresh state tuple, so a resource still holding the
 tuple an event wrote was touched by no later event, and only otherwise
 scans the later events for the first dependent.
-One budget rule: the dispatcher reads the clock once every 256
-applies and sets `expired` past the deadline. The search loop and each
-merge of the insertion pass read it, so they stop within 256 applies of the
-deadline; the restart loop reads the clock between passes. A report's
-`nodes` is the dispatcher's count of applies (for the exact search, in its
-branch and bound, not in the warm start; for the heuristic, in both
-processes when a helper ran), plus one when a budget stopped the exact
-search. Events that backtracking takes back were counted when applied; a
-retreat that splices re-applies only the later events that depended on
-the one it took back.
 
-A truncated exact search reports the larger of the root's bound and, with
-at least 3 trains, the pair bound (`_pair_bound`): the optima of disjoint
-two-train sub-instances, each solved by `solve_exact` (or its own bound
-where the budget ran out), plus the single-train bounds of the trains left
-over. The pair searches share the run's deadline, and node_limit caps the
-applies of their branch and bound in all; the warm start of each pair runs
-outside that cap, and none of their applies are counted in `nodes`. Unless
-the warm incumbent already meets the root bound, they run in a `_Helper`
-forked at the root, beside the main search, wherever the process can fork;
-only when it cannot or the fork fails does the parent run them after its
-search.
-
-The heuristic's restarts are independent seeded passes, so after the first
-one `solve_heuristic` may fork one `_Helper` that runs every other pair of
-them on its copy of the dispatcher, reads nothing from the parent, and
-stops before its next pass once the parent is gone. The results are merged
-in restart order by the rule of a one-process run, so without a deadline
-the report is the same whether the helper runs, is skipped, fails, or is
-killed because the parent's share reached the root bound first and the
-parent re-runs the helper's earlier restarts.
+Each run-control rule has one home: the budget that stops every search at
+`_Dispatcher`, what a report's `nodes` and `bound` count at `SolveReport`,
+and the forked helper that runs the pair searches of `_pair_bound` or half
+of the heuristic's restarts at `_Helper`.
 
 Resource bookkeeping: each resource's state is a tuple (holder, stamp1,
 train1, stamp2). The holder is the one train whose latest operation claims
@@ -113,16 +87,17 @@ class SolveStatus(str, Enum):
 class SolveReport:
     """Outcome of one solve. `nodes` counts the dispatcher's applies,
     including events that backtracking took back, plus one when a budget
-    stopped the exact search (a capped run reports node_limit + 1); for the
-    exact search only those of its branch and bound, not those of the warm
-    start that gives its first incumbent. A retreat that splices re-applies
-    only the events that depended on the one it took back. The search loop
-    and each merge stop within 256 applies of the deadline. `bound` is a
-    lower bound on the optimum: the optimum itself when the exact search
-    closed, and on a truncated exact run the larger of the root's bound and
-    the pair bound, whose pair searches share the run's deadline and
-    node_limit, their warm starts aside, and are not counted in `nodes`
-    (see `solve_exact`); None from the heuristic and on Infeasible."""
+    stopped the exact search (a capped run reports node_limit + 1): for the
+    exact search those of its branch and bound, not those of its warm start
+    or its pair searches; for the heuristic those of both processes when a
+    helper ran. A retreat that splices re-applies only the events that
+    depended on the one it took back. `bound` is a lower bound on the
+    optimum: the optimum itself when the exact search closed; on a
+    truncated exact run the larger of the root's bound, above which every
+    term of the bound only grows, and, with at least 3 trains, the pair
+    bound (`_pair_bound`), whose searches share the run's deadline and
+    node_limit, their warm starts aside; None from the heuristic and on
+    Infeasible."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -185,6 +160,11 @@ _ENTRY = (0,)               # the only candidate of a train not yet started
 _START = itemgetter(2)      # the start time of a (train, op, start) move
 
 
+def _past(deadline: float | None) -> bool:
+    """Whether a deadline is set and the clock has passed it."""
+    return deadline is not None and _time.monotonic() > deadline
+
+
 class _Dispatcher:
     """Mutable partial schedule with O(1)-ish append and exact undo. It owns
     the operation tables, each resource's state tuple, a stack of applied
@@ -194,7 +174,14 @@ class _Dispatcher:
     starts it charged, which the prune at the children reads (`prunes`). An
     event's undo record holds what the event list cannot give back: the
     train's previous operation and start, the (resource, state before, state
-    written) triples of the apply, and the cost it added."""
+    written) triples of the apply, and the cost it added.
+
+    The one budget rule: a search stops once `expired` is set, which
+    `apply` does when the applies reach `node_limit` (see `limit`) and,
+    every 256 applies, when `_past(deadline)`. The search loop and each
+    merge read it, so they stop at the cap and within 256 applies of the
+    deadline; the restart and pair loops ask `_past` before each pass or
+    pair."""
 
     def __init__(self, instance: Instance, deadline: float | None = None):
         self.n_trains = len(instance.trains)
@@ -209,9 +196,9 @@ class _Dispatcher:
         self.res = dict.fromkeys(
             r for tab in self.tables for keys in tab.keys for r in keys)
         self._clear()
-        self.applies = 0
         self.deadline = deadline
         self.expired = False
+        self.limit(None)
         # By depth, the (train, bound, starts) of the latest `bound` there.
         self._starts: dict[int, list[tuple[int, int, list]]] = {}
 
@@ -227,6 +214,13 @@ class _Dispatcher:
         self.events: list[tuple[int, int, int]] = []  # (time, train, op)
         # One undo record per event in `events`.
         self._undo: list[tuple] = []
+
+    def limit(self, node_limit: int | None) -> None:
+        """Count applies from 0 and expire once node_limit of them are made:
+        at once for a limit at or below 0, never for None."""
+        self.applies = 0
+        self.node_limit = _INF if node_limit is None else node_limit
+        self.expired = self.expired or self.node_limit <= 0
 
     def done(self) -> bool:
         return self.n_ended == self.n_trains
@@ -294,8 +288,10 @@ class _Dispatcher:
             self.ended[train] = True
             self.n_ended += 1
         self.applies += 1
-        if self.deadline is not None and not self.applies % _CLOCK_PERIOD:
-            self.expired = _time.monotonic() > self.deadline
+        if self.applies >= self.node_limit:
+            self.expired = True
+        elif not self.applies % _CLOCK_PERIOD:
+            self.expired = _past(self.deadline)
 
     def undo(self, depth: int = -1) -> None:
         """Take back the event at `depth`, the latest by default; an earlier
@@ -548,7 +544,7 @@ def earliest_times(instance: Instance, routes: Sequence[Sequence[int]],
 
 def _depth_first(disp: _Dispatcher,
                  moves: Callable[[], Iterator[tuple[int, int, int]]], *,
-                 first_leaf: bool, node_limit: int | None = None,
+                 first_leaf: bool,
                  backtrack_limit: int | None = None) -> bool:
     """Depth-first search from the empty schedule, the one backtracking
     loop of the schedulers: the exact search and the heuristic's dive
@@ -558,9 +554,9 @@ def _depth_first(disp: _Dispatcher,
     back the latest event. With `first_leaf` (the dive) the loop stops at
     the first complete schedule and leaves it applied; otherwise (the exact
     search) it ends rewound to the empty schedule, as it does when a budget
-    stops it: the deadline or `node_limit` applies, checked before each
-    apply, or `backtrack_limit` take-backs, checked before each. True when
-    a budget stopped it."""
+    stops it: `disp.expired` (see `_Dispatcher`), read before each apply,
+    or `backtrack_limit` take-backs, checked before each. True when a
+    budget stopped it."""
     levels = [moves()]
     undos = 0
     while levels:
@@ -573,8 +569,7 @@ def _depth_first(disp: _Dispatcher,
                 disp.undo()
                 undos += 1
             continue
-        if disp.expired or (node_limit is not None
-                            and disp.applies >= node_limit):
+        if disp.expired:
             break
         disp.apply(*move)
         if first_leaf and disp.done():
@@ -634,24 +629,15 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     non-delay order of Giffler and Thompson), and records every complete
     schedule cheaper than the incumbent. Infeasible is reported when that
     pass is exhausted without any schedule, Optimal when it is exhausted
-    with one. node_limit and time_limit cap the search, and `nodes` is the
-    dispatcher's count of its applies, not those of the warm start, plus one
-    when a budget stopped it. A budget-limited run degrades to Feasible or
-    TimeoutNoSolution. Its bound is the larger of two valid lower bounds on
-    the optimum: the bound of the empty schedule, which no node below it
-    undercuts because every term of the bound only grows along a path, and,
-    with at least 3 trains, the pair bound (`_pair_bound`), whose pair
-    searches share the run's deadline and whose branch and bound applies
-    at most node_limit events in all; each pair's warm start runs outside
-    that cap, and none of their applies are counted in `nodes`. A capped
-    run forks them into a `_Helper` at the root, right after the warm
-    start, whenever the process can fork (`_forkable`), on one CPU too,
-    unless the warm incumbent meets the root bound: the search then closes
-    at once. The parent waits for the helper only when its own search was
-    truncated and kills it otherwise. Without a helper, or when it fails,
-    the parent runs the pair searches after its search. So without a time
-    limit the report is the same with a helper and without. Deterministic
-    for a fixed node_limit.
+    with one, and Feasible or TimeoutNoSolution when node_limit or
+    time_limit stopped it (see `_Dispatcher`), with the bound that
+    `SolveReport` states. Unless the warm incumbent meets the root bound,
+    so that the search closes at once, a capped run forks its pair
+    searches into a `_Helper` right after the warm start wherever the
+    process can fork (`_forkable`), on one CPU too. Without a helper a
+    timed run solves them before its search, and a run capped by
+    node_limit alone after it, only when truncated, as after a helper that
+    fails. Deterministic for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -663,17 +649,16 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
         disp, (0, 1), seed=0, jitter_span=0, root_bound=root)
         if a.solution is not None), None)
     z = None if solution is None else solution.objective_value
-    disp.applies = 0            # `nodes` counts the search's applies only
-    pairs = helper = None
-    if (len(instance.trains) >= 3 and disp.comp_trains
-            and (node_limit is not None or deadline is not None)):
+    disp.limit(node_limit)      # `nodes` counts the search's applies only
+    pairs = pair = helper = None
+    if ((z is None or z > root) and len(instance.trains) >= 3
+            and disp.comp_trains and (node_limit, deadline) != (None, None)):
         pairs = functools.partial(_pair_bound, instance, singles,
                                   node_limit, deadline)
-        if _forkable() and (z is None or z > root):
-            parent = os.getpid()
-            # Once the parent is gone the helper stops before its next pair.
-            helper = _Helper.fork(lambda: pairs(
-                stop=lambda: os.getppid() != parent))
+        if _forkable():
+            helper = _Helper.fork(lambda orphaned: pairs(stop=orphaned))
+        if helper is None and deadline is not None:
+            pair = pairs()
 
     def earliest_first():
         nonlocal z, solution
@@ -684,12 +669,11 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
         return iter(moves)
 
     try:
-        truncated = _depth_first(disp, earliest_first, first_leaf=False,
-                                 node_limit=node_limit)
+        truncated = _depth_first(disp, earliest_first, first_leaf=False)
         if truncated:
             bound: int | None = root
             if pairs is not None:
-                pair = None if helper is None else helper.join()
+                pair = pair if helper is None else helper.join()
                 bound = max(bound, pairs() if pair is None else pair)
             status = (SolveStatus.FEASIBLE if solution is not None
                       else SolveStatus.TIMEOUT_NO_SOLUTION)
@@ -731,24 +715,19 @@ def _pair_bound(instance: Instance, singles: dict[int, int],
     every train k in no pair, bounds the optimum from below.
 
     Each pair with a costly train is solved by `solve_exact` in (i, j)
-    order; their branch and bound applies at most node_limit events in
-    all, and they stop at the deadline, or early once `stop()` is true.
-    Each pair's warm start (see `solve_exact`) runs outside that cap. A
-    pair stopped by its budget counts at its own reported bound, and a pair
-    proven infeasible is skipped. The pairs are matched greedily, largest
-    gain over their two singles first (ties in (i, j) order)."""
+    order, within the run's budget (see `SolveReport`); no pair starts once
+    the budget is spent or `stop()` is true. A pair stopped by its budget
+    counts at its own reported bound, and a pair proven infeasible is
+    skipped. The pairs are matched greedily, largest gain over their two
+    singles first (ties in (i, j) order)."""
     budget = node_limit
     gains: list[tuple[int, int, int]] = []
     for i, j in itertools.combinations(range(len(instance.trains)), 2):
         if i not in singles and j not in singles:
             continue
-        if budget is not None and budget <= 0 or stop():
+        if budget is not None and budget <= 0 or stop() or _past(deadline):
             break
-        time_limit = None
-        if deadline is not None:
-            time_limit = deadline - _time.monotonic()
-            if time_limit <= 0:
-                break
+        time_limit = None if deadline is None else deadline - _time.monotonic()
         report = solve_exact(_pair_instance(instance, i, j),
                              node_limit=budget, time_limit=time_limit)
         truncated = report.status in (SolveStatus.FEASIBLE,
@@ -941,14 +920,13 @@ def _attempts(disp: _Dispatcher, attempts: Iterable[int], *, seed: int,
     `_dive_pass`, and attempts 0 and 1 with jitter span 0. Without a
     deadline each is a pure function of the instance, the seed and its
     number. Stops after an attempt that reaches root_bound, and before any
-    attempt but the 0th once the deadline has passed or the attempt lies
-    beyond `cut()`, the first attempt that is known elsewhere to reach it
-    (0 when no result of this list will be read)."""
+    attempt but the 0th once the deadline has passed (see `_Dispatcher`) or
+    the attempt lies beyond `cut()`, the first attempt that is known
+    elsewhere to reach it (0 when no result of this list will be read)."""
     results: list[_Attempt] = []
     best = None                 # the index of the result with the solution
     for attempt in attempts:
-        if attempt and (attempt > cut() or disp.deadline is not None
-                        and _time.monotonic() > disp.deadline):
+        if attempt and (attempt > cut() or _past(disp.deadline)):
             break
         applies = disp.applies
         rng = random.Random(seed * 1_000_003 + attempt)
@@ -1009,18 +987,20 @@ def _can_fork() -> bool:
 
 
 class _Helper:
-    """A forked copy of the solving process that runs `run()`, sends the
-    result back through a pipe as one pickle and reads nothing from the
-    parent. It always ends in `os._exit`, so it runs no exit handler and
-    never flushes the parent's stdio. `join` waits for it; `close` kills
-    it unless reaped. It serves two solves: `solve_heuristic`'s helper runs
-    every other pair of restarts, and `solve_exact`'s, forked at the root
-    of a capped search, the pair searches of `_pair_bound`, whose bound it
-    returns; the exact search's parent joins it only when its own search
-    was truncated, and kills it when the search closed. If the parent dies
-    first, the helper stops before its next restart or pair search. The
-    modules only a helper needs are imported where it uses them, so a
-    process that never forks one does not load them."""
+    """A forked copy of the solving process that runs `run(orphaned)`,
+    sends the result back through a pipe as one pickle and reads nothing
+    from the parent; `orphaned()` is true once the parent is gone and the
+    helper re-parented, and `run` then stops before its next restart or
+    pair search. It always ends in `os._exit`, so it runs no exit handler
+    and never flushes the parent's stdio. `join` waits for it; `close`
+    kills it unless reaped. `solve_heuristic`'s helper runs every other
+    pair of restarts, and `solve_exact`'s, forked at the root of a capped
+    search, the pair searches of `_pair_bound`, whose bound it returns; the
+    parent joins it only when its own search was truncated. Where the fork
+    or the helper fails, the parent does the helper's work itself, so
+    without a deadline no report depends on the helper. The modules only a
+    helper needs are imported where it uses them, so a process that never
+    forks one does not load them."""
 
     def __init__(self, pid: int, results_fd: int):
         self.pid = pid
@@ -1029,8 +1009,9 @@ class _Helper:
         self.results: list[_Attempt] | int | None = None
 
     @classmethod
-    def fork(cls, run: Callable[[], list[_Attempt] | int]) -> "_Helper | None":
+    def fork(cls, run: Callable[..., list[_Attempt] | int]) -> _Helper | None:
         """Start a helper; None when the fork fails."""
+        parent = os.getpid()
         results_r, results_w = os.pipe()
         try:
             pid = os.fork()
@@ -1045,7 +1026,7 @@ class _Helper:
         try:
             import pickle
             os.close(results_r)
-            results = run()
+            results = run(lambda: os.getppid() != parent)
             with os.fdopen(results_w, "wb") as pipe:
                 pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -1101,34 +1082,28 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     keeping the best solution found, and stop early once the best reaches
     the lower bound of the empty schedule (the exact search's root bound).
     Deterministic for a fixed seed and restart budget. Never claims
-    optimality, not even at that bound. The exact search takes its first
-    incumbent from passes 0 and 1.
+    optimality, not even at that bound.
 
     Pass 0 runs inline. If it took longer than forking costs
     (`_FORK_COST`), more than one CPU is usable, the process has one thread,
     neither the deadline nor the root bound has stopped the solve, and
     attempts 3 and up are in the budget, a forked `_Helper` takes every
-    other pair of attempts (see `_dealt`) on its copy of the dispatcher;
-    under a time limit both processes stride through their pairs to the
-    deadline. The helper's share stops before its next attempt once the
-    parent is gone. The parent's share stops before any attempt beyond one
-    at the root bound in the helper's results. At a bound in its own share,
-    the parent takes the helper's results if they have arrived, or else kills
-    the helper and runs the helper's attempts below the bound itself, as
-    after a helper failure: so it never waits on a running pass, and spends
-    at most about what one process spends up to that attempt. The parent
-    merges the results in attempt order by the rule of a one-process run:
-    the first strict improvement wins, `nodes` sums the applies of both
-    processes, and the run ends at the first attempt that reaches the root
-    bound. Without a deadline the report is the one a single process gives.
+    other pair of attempts (see `_dealt`); under a time limit both
+    processes stride through their pairs to the deadline. The parent's
+    share stops before any attempt beyond one at the root bound in the
+    helper's results. At a bound in its own share, the parent takes the
+    helper's results if they have arrived, or else kills the helper and
+    runs the helper's attempts below the bound itself, as after a helper
+    failure, so it never waits on a running pass. The parent merges the
+    results in attempt order by the rule of a one-process run: the first
+    strict improvement wins, and the run ends at the first attempt that
+    reaches the root bound.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
     if max_restarts is None and time_limit is None:
         max_restarts = 16
     disp = _Dispatcher(instance, deadline)
-    # No schedule costs less than the bound of the empty one, so a restart
-    # could not improve on a best that reaches it.
     root_bound = disp.bound()
     horizon_scale = max((tab.dist[0] for tab in disp.tables), default=0)
     run = functools.partial(_attempts, disp, seed=seed,
@@ -1148,14 +1123,9 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     helper = None
     if (first_pass > _FORK_COST and cut(results) == _INF
             and (max_restarts is None or max_restarts > 2)
-            and (deadline is None or _time.monotonic() <= deadline)
-            and _can_fork()):
-        parent = os.getpid()
-        # Once the parent is gone the helper is re-parented: it then stops
-        # before its next pass instead of running on to its budget.
-        helper = _Helper.fork(lambda: run(
-            _dealt(1, 2, max_restarts),
-            cut=lambda: _INF if os.getppid() == parent else 0))
+            and not _past(deadline) and _can_fork()):
+        helper = _Helper.fork(lambda orphaned: run(
+            _dealt(1, 2, max_restarts), cut=lambda: 0 if orphaned() else _INF))
     if helper is None:
         results += run(_dealt(0, 1, max_restarts), cut=lambda: cut(results))
     else:

@@ -592,13 +592,30 @@ class TestDepthFirst:
     schedule and returns True; a first leaf stays applied."""
 
     def test_node_limit_stops_before_the_next_apply(self, junction):
+        """A cap set on the dispatcher stops the loop after that many
+        applies, and at once when it is at or below 0."""
         empty = dispatcher_state(_Dispatcher(junction))
-        for cap in (0, 1, 3):
+        for cap in (-1, 0, 1, 3):
             disp = _Dispatcher(junction)
-            assert _depth_first(disp, train_order(disp), first_leaf=False,
-                                node_limit=cap)
-            assert disp.applies == cap
+            disp.limit(cap)
+            assert _depth_first(disp, train_order(disp), first_leaf=False)
+            assert disp.applies == max(cap, 0)
             assert dispatcher_state(disp) == empty
+
+    def test_cap_and_deadline_stop_through_one_flag(self, monkeypatch):
+        """With a far deadline and a cap of 600 applies, the dispatcher
+        still reads the clock at the 256th and 512th apply, and the loop
+        stops after exactly 600."""
+        instance = build_instance([chain(*[1] * 700)])
+        disp = _Dispatcher(instance, time.monotonic() + 3600)
+        disp.limit(600)
+        reads = []
+        past = displib.solve._past
+        monkeypatch.setattr(displib.solve, "_past", lambda deadline: (
+            reads.append(disp.applies), past(deadline))[1])
+        assert _depth_first(disp, train_order(disp), first_leaf=True)
+        assert disp.applies == 600
+        assert reads == [256, 512]
 
     def test_backtrack_limit_stops_at_the_first_dead_end(self):
         """On the pinned crossing the dive in train order applies train 0's
@@ -908,6 +925,30 @@ class TestSolveExact:
         assert solve_exact(instance, node_limit=cap) == reports[-2]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("no_fork", ["not forkable", "fork raises"])
+    def test_time_limit_without_a_helper_runs_the_pairs_first(
+            self, monkeypatch, forks, no_fork):
+        """Where no helper forks, a time-limited run solves its pairs
+        before its search, while the deadline still allows them: on the
+        5x4 seed-42 corridor, whose root bound is 0, a 2 s run reports the
+        pair bound of 265 and a solution that verifies."""
+        if no_fork == "not forkable":
+            monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
+        else:
+            def raising():
+                forks.append(None)
+                raise OSError("no more processes")
+            monkeypatch.setattr(os, "fork", raising)
+        instance = generate_line(LineSpec(num_stations=5, num_trains=4,
+                                          seed=42)).instance
+        report = solve_exact(instance, time_limit=2)
+        assert len(forks) == (no_fork == "fork raises")
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.bound == 265 <= report.solution.objective_value
+        verdict = verify(instance, report.solution)
+        assert verdict.feasible
+        assert verdict.computed_objective == report.solution.objective_value
 
     def test_warm_start_at_the_root_bound_forks_no_helper(self, forks):
         """Three costly trains on their own resources: the warm start's
@@ -1718,6 +1759,60 @@ class TestHelper:
             if alive_w is not None:
                 os.close(alive_w)
 
+    def test_orphaned_pair_helper_stops_before_its_next_pair(self):
+        """A time-limited exact search of the 5x4 seed-42 corridor, whose
+        six pair searches are scripted to take 0.5 s more each, forks its
+        pair helper at the root and is then killed by SIGTERM alone. The
+        helper stops before its next pair, within 2 s, instead of running
+        through the other pairs. End of file on the read end of a pipe the
+        helper inherited shows that it has exited."""
+        script = textwrap.dedent("""
+            import os, time
+            from displib import solve
+            from displib.generate import LineSpec, generate_line
+
+            pair_instance = solve._pair_instance
+
+            def slow(instance, i, j):
+                time.sleep(0.5)
+                return pair_instance(instance, i, j)
+
+            solve._pair_instance = slow
+            fork = os.fork
+
+            def reported():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            os.fork = reported
+            solve.solve_exact(generate_line(LineSpec(
+                num_stations=5, num_trains=4, seed=42)).instance,
+                time_limit=20)
+            """)
+        src = os.path.dirname(os.path.dirname(displib.solve.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        alive_r, alive_w = os.pipe()
+        try:
+            with subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE,
+                                  pass_fds=(alive_w,)) as parent:
+                os.close(alive_w)
+                alive_w = None
+                helper = int(parent.stdout.readline())
+                parent.send_signal(signal.SIGTERM)
+                parent.wait(timeout=5)
+            gone = select.select([alive_r], [], [], 2.0)[0]
+            if not gone:
+                os.kill(helper, signal.SIGKILL)
+            assert gone and os.read(alive_r, 1) == b""
+        finally:
+            os.close(alive_r)
+            if alive_w is not None:
+                os.close(alive_w)
+
     @pytest.mark.parametrize("failure", [
         "fork raises", "exits without writing", "exits non-zero",
         "truncated payload"])
@@ -1791,6 +1886,28 @@ class TestDeadline:
         assert _replay(fresh, [(e.train, e.operation)
                                for e in solution.events])
         assert fresh.to_solution() == solution
+
+    def test_past_deadline_stops_restarts_forks_and_pairs(self, monkeypatch,
+                                                          forks):
+        """With `_past` answering true, the restart loop runs attempt 0
+        only, the heuristic forks no helper, and the pair bound solves no
+        pair and leaves the sum of the single-train bounds."""
+        instance = generate_line(LineSpec(num_stations=3, num_trains=3,
+                                          seed=0)).instance
+        disp = _Dispatcher(instance)
+        singles = {i: disp._train_bound(i)[0] for i in disp.comp_trains}
+        assert displib.solve._pair_bound(instance, singles, None, None) > sum(
+            singles.values())
+        one_pass = solve_heuristic(instance, max_restarts=0)
+        use_helper(monkeypatch, True)
+        monkeypatch.setattr(displib.solve, "_past", lambda deadline: True)
+        attempts = _attempts(disp, range(4), seed=0, jitter_span=8,
+                             root_bound=-1)
+        assert [a.attempt for a in attempts] == [0]
+        assert solve_heuristic(instance, max_restarts=16) == one_pass
+        assert not forks
+        assert displib.solve._pair_bound(instance, singles, None,
+                                         None) == sum(singles.values())
 
     def test_merge_stops_at_the_deadline(self, monkeypatch):
         """With the clock read at every apply, a merge past its deadline
