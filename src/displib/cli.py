@@ -26,6 +26,7 @@ from .core import (
     Instance,
     Solution,
     conflict_pairs,
+    resource_names,
     time_horizon,
     total_operations,
 )
@@ -63,16 +64,12 @@ def _one_stdin(*paths: str) -> None:
         raise _Fail(EXIT_USAGE, "only one input can come from stdin (-)")
 
 
-def _one_stdout(*paths: str) -> None:
-    """Reject a command whose outputs name stdout twice: the documents
-    would run together into one stream that neither reader can parse."""
+def _distinct_outputs(*paths: str | None) -> None:
+    """Reject outputs that name stdout twice, whose documents would run
+    together into one stream that neither reader can parse, or that resolve
+    to one file, where the later document would overwrite the earlier one."""
     if paths.count("-") > 1:
         raise _Fail(EXIT_USAGE, "only one output can go to stdout (-)")
-
-
-def _distinct_files(*paths: str | None) -> None:
-    """Reject a command whose outputs resolve to one file: the later
-    document would overwrite the earlier one."""
     seen: set[str] = set()
     for path in paths:
         if path is None or path == "-":
@@ -134,12 +131,6 @@ def _print_warnings(diags: fileformat.ParseDiagnostics) -> None:
         print(f"warning: {path}: {message}", file=sys.stderr)
 
 
-def _resource_count(instance: Instance) -> int:
-    return len({usage.resource
-                for train in instance.trains
-                for op in train.operations for usage in op.resources})
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -160,7 +151,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "valid": True,
         "trains": len(instance.trains),
         "operations": total_operations(instance),
-        "resources": _resource_count(instance),
+        "resources": len(resource_names(instance)),
         "objective_components": len(instance.objective),
     }
     if args.json:
@@ -185,7 +176,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "trains": len(instance.trains),
         "operations": total_operations(instance),
         "arcs": arcs,
-        "resources": _resource_count(instance),
+        "resources": len(resource_names(instance)),
         "conflict_pairs": len(conflict_pairs(instance)),
         "objective_components": len(instance.objective),
         "time_horizon": time_horizon(instance),
@@ -199,12 +190,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _violation_doc(v: Violation) -> dict:
-    doc = {"kind": v.kind, "detail": v.detail}
-    for key in ("event", "train", "resource", "other_event", "claimed", "computed"):
-        value = getattr(v, key)
-        if value is not None:
-            doc[key] = value
-    return doc
+    return {key: value for key, value in dataclasses.asdict(v).items()
+            if value is not None}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -276,8 +263,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
-    _one_stdout(args.output, args.name_map)
-    _distinct_files(args.output, args.name_map)
+    _distinct_outputs(args.output, args.name_map)
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     model = milp.build_model(instance)
@@ -551,15 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None, metavar="N",
                    help="number of instances for --out-dir (seeds offset "
                         "by 0..N-1)")
-    p.add_argument("--num-stations", type=int, default=None, dest="num_stations")
-    p.add_argument("--tracks-per-station", type=int, default=None,
-                   dest="tracks_per_station")
-    p.add_argument("--num-trains", type=int, default=None, dest="num_trains")
-    p.add_argument("--up-fraction", type=float, default=None, dest="up_fraction")
-    p.add_argument("--headway", type=int, default=None)
-    p.add_argument("--cost-shape", choices=generate.COST_SHAPES, default=None,
-                   dest="cost_shape")
-    p.add_argument("--seed", type=int, default=None)
+    defaults = {f.name: f.default for f in dataclasses.fields(generate.LineSpec)}
+    for flag in _LINE_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=type(defaults[flag]),
+                       choices=generate.COST_SHAPES if flag == "cost_shape" else None)
     p.set_defaults(func=_cmd_generate)
     return parser
 

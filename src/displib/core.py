@@ -282,6 +282,14 @@ def conflict_pairs(instance: Instance) -> list[ConflictPair]:
     return sorted(pairs)
 
 
+def resource_names(instance: Instance) -> list[str]:
+    """Each resource name once, in order of first use by train, operation
+    and claim."""
+    return list(dict.fromkeys(usage.resource for train in instance.trains
+                              for op in train.operations
+                              for usage in op.resources))
+
+
 def total_operations(instance: Instance) -> int:
     return sum(len(train.operations) for train in instance.trains)
 

@@ -41,6 +41,7 @@ from .core import (
     Operation,
     ResourceUsage,
     build_instance,
+    resource_names,
 )
 
 COST_SHAPES = ("linear", "steps", "convex-pw")
@@ -494,9 +495,7 @@ def add_correspondence(line: GeneratedLine, feeder: int, connecting: int,
     if stop.departure is None:
         raise PatternConflict(f"station {station} is the connecting train's "
                               f"destination; it has no departing segment")
-    existing = {usage.resource
-                for t in line.instance.trains for op in t.operations
-                for usage in op.resources}
+    existing = set(resource_names(line.instance))
     n = 0
     while f"CORR{n}" in existing:
         n += 1

@@ -71,7 +71,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (Instance, Event, ObjectiveComponent, Solution, Train,
-                   is_route, predecessors)
+                   is_route, predecessors, resource_names)
 
 _INF = float("inf")
 
@@ -193,8 +193,7 @@ class _Dispatcher:
                        for train, c in zip(instance.trains, comps)]
         self.comp_trains = [i for i, tab in enumerate(self.tables)
                             if any(tab.comps)]
-        self.res = dict.fromkeys(
-            r for tab in self.tables for keys in tab.keys for r in keys)
+        self.res = dict.fromkeys(resource_names(instance))
         self._clear()
         self.deadline = deadline
         self.expired = False

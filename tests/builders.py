@@ -29,6 +29,19 @@ from displib.generate import (
 
 RESOURCE_POOL = ("Q0", "Q1", "Q2", "Q3", "Q4")
 
+# The open exact run: a corridor whose exact search closes neither at 100k
+# nodes nor in a 2 s time limit. Its root bound is 0 and its pair bound
+# OPEN_EXACT_PAIR_BOUND, so a bound above 0 shows that the pair searches
+# ran. Every test that needs a search that runs to its budget uses this
+# spec, and test_open_exact_run_stays_open checks that it stays open. The
+# CI workflow names the same corridor in its OPEN_EXACT variable.
+OPEN_EXACT = LineSpec(num_stations=6, num_trains=5, seed=7)
+OPEN_EXACT_PAIR_BOUND = 371
+
+
+def open_exact() -> Instance:
+    return generate_line(OPEN_EXACT).instance
+
 
 def random_train(rng: random.Random, max_ops: int) -> list[Operation]:
     n = rng.randint(1, max_ops)

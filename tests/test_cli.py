@@ -14,11 +14,13 @@ import time
 
 import pytest
 
-from builders import disrupted_corridor
+from builders import OPEN_EXACT, disrupted_corridor
 from conftest import data_text
 from displib import cli, milp, solve
+from displib.core import resource_names
 from displib.fileformat import parse_instance, parse_solution, write_instance
 from displib.generate import (
+    COST_SHAPES,
     LineSpec,
     PerturbSpec,
     add_cancellation,
@@ -137,6 +139,12 @@ class TestStats:
     def test_json(self, junction_path, capsys):
         assert cli.main(["stats", "--json", junction_path]) == 0
         assert json.loads(capsys.readouterr().out) == self.EXPECTED
+
+    def test_resources_count_the_resource_names(self, junction, junction_path,
+                                                capsys):
+        assert cli.main(["stats", "--json", junction_path]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["resources"] == len(resource_names(junction)) == 3
 
 
 class TestVerifyCommand:
@@ -597,6 +605,28 @@ class TestJsonStdout:
 
 
 class TestGenerateCommand:
+    def test_line_flags_follow_line_spec(self):
+        """The line flags are exactly _LINE_FLAGS, in that order, unset by
+        default, and each parses to the type of its LineSpec field."""
+        defaults = {f.name: f.default for f in dataclasses.fields(LineSpec)}
+        parse = cli._build_parser().parse_args
+        unset = vars(parse(["generate"]))
+        assert [k for k in unset if k in defaults] == list(cli._LINE_FLAGS)
+        assert all(unset[k] is None for k in cli._LINE_FLAGS)
+        argv = ["generate"]
+        for flag in cli._LINE_FLAGS:
+            argv += ["--" + flag.replace("_", "-"),
+                     "steps" if flag == "cost_shape" else "3"]
+        parsed = parse(argv)
+        for flag in cli._LINE_FLAGS:
+            assert type(getattr(parsed, flag)) is type(defaults[flag]), flag
+        assert parsed.up_fraction == 3.0 and parsed.cost_shape == "steps"
+
+    def test_cost_shape_outside_the_list_is_rejected(self, capsys):
+        assert "wavy" not in COST_SHAPES
+        assert cli.main(["generate", "--cost-shape", "wavy"]) == 2
+        assert "invalid choice: 'wavy'" in capsys.readouterr().err
+
     def test_flags_only(self, tmp_path, capsys):
         out = tmp_path / "line.json"
         code = cli.main(["generate", "--num-stations", "3", "--num-trains", "2",
@@ -794,10 +824,10 @@ class TestTopLevel:
         assert (captured.out, captured.err) == ("", "interrupted\n")
 
     @pytest.mark.parametrize("spec, flags", [
-        (LineSpec(num_stations=5, num_trains=4, seed=42), ["--mode", "exact"]),
+        (OPEN_EXACT, ["--mode", "exact"]),
         (LineSpec(num_stations=30, num_trains=20, seed=7),
          ["--mode", "heuristic", "--max-restarts", "100000"]),
-    ], ids=["exact-5x4-s42", "heuristic-30x20-s7"])
+    ], ids=["exact-6x5-s7", "heuristic-30x20-s7"])
     def test_sigint_ends_the_run_and_its_helper(self, tmp_path, spec, flags):
         """Ctrl-C, a SIGINT to the whole process group, ends a long solve
         with exit 130 and no traceback, and leaves no process of the group

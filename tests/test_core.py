@@ -28,11 +28,13 @@ from displib.core import (
     conflict_pairs,
     is_route,
     predecessors,
+    resource_names,
     time_horizon,
     total_operations,
     validate_instance,
 )
 from builders import random_instance
+from displib.generate import LineSpec, add_correspondence, generate_line
 
 
 def branching_train() -> list[Operation]:
@@ -284,6 +286,25 @@ class TestConflictPairs:
                 assert pair.train_a != pair.train_b
                 assert (pair.train_a, pair.op_a) < (pair.train_b, pair.op_b)
                 assert shared(instance, pair)
+
+
+class TestResourceNames:
+    def test_junction(self, junction):
+        """Train 0 claims L, R1 and R2; train 1 claims only names already
+        listed."""
+        assert resource_names(junction) == ["L", "R1", "R2"]
+
+    def test_each_name_once_in_order_of_first_use(self):
+        """The correspondence resource CORR0 is listed where the connecting
+        train 0 first claims it, with SEG1 on its departure from station 1,
+        although the feeder, train 1, claims it from its first operation.
+        S0T1 comes last: train 1's first operation is its first user."""
+        line = add_correspondence(
+            generate_line(LineSpec(num_stations=4, num_trains=3, seed=0)),
+            1, 0, 1)
+        assert resource_names(line.instance) == [
+            "S0T0", "SEG0", "S1T0", "S1T1", "SEG1", "CORR0", "S2T0", "S2T1",
+            "SEG2", "S3T0", "S3T1", "S0T1"]
 
 
 class TestTimeHorizon:

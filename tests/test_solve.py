@@ -23,7 +23,8 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from builders import (random_instance, random_reduced_instance,
+from builders import (OPEN_EXACT, OPEN_EXACT_PAIR_BOUND, open_exact,
+                      random_instance, random_reduced_instance,
                       random_reduced_train, random_train)
 from conftest import data_text
 import displib.solve
@@ -797,6 +798,23 @@ class TestSolveExact:
         assert verdict.feasible
         assert verdict.computed_objective == golden["optimal_objective"]
 
+    def test_open_exact_run_stays_open(self):
+        """The open exact run, the one stand-in for a search that runs to
+        its budget, stays open: its root bound is 0, and at 100k nodes the
+        search is truncated and Feasible, with the pair bound above the
+        root and no solution below it. A search change that closes it fails
+        here first; the tests that use it need a corridor that stays open."""
+        instance = open_exact()
+        assert _Dispatcher(instance).bound() == 0, "the root bound moved"
+        report = solve_exact(instance, node_limit=100_000)
+        assert report.nodes == 100_001, (
+            f"{OPEN_EXACT} closed within 100k nodes: name a corridor that "
+            f"stays open in builders.OPEN_EXACT and the workflow's OPEN_EXACT")
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.bound == OPEN_EXACT_PAIR_BOUND > 0
+        assert report.solution.objective_value >= OPEN_EXACT_PAIR_BOUND
+        assert verify(instance, report.solution).feasible
+
     def test_budget_in_each_pass(self):
         """The warm start's passes run whatever the cap, so a cap anywhere
         in the search, 0 included, leaves a solution no worse than the warm
@@ -931,8 +949,8 @@ class TestSolveExact:
             self, monkeypatch, forks, no_fork):
         """Where no helper forks, a time-limited run solves its pairs
         before its search, while the deadline still allows them: on the
-        5x4 seed-42 corridor, whose root bound is 0, a 2 s run reports the
-        pair bound of 265 and a solution that verifies."""
+        open exact corridor, whose root bound is 0, a 2 s run reports the
+        pair bound and a solution that verifies."""
         if no_fork == "not forkable":
             monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
         else:
@@ -940,12 +958,12 @@ class TestSolveExact:
                 forks.append(None)
                 raise OSError("no more processes")
             monkeypatch.setattr(os, "fork", raising)
-        instance = generate_line(LineSpec(num_stations=5, num_trains=4,
-                                          seed=42)).instance
+        instance = open_exact()
         report = solve_exact(instance, time_limit=2)
         assert len(forks) == (no_fork == "fork raises")
         assert report.status is SolveStatus.FEASIBLE
-        assert report.bound == 265 <= report.solution.objective_value
+        assert (report.bound == OPEN_EXACT_PAIR_BOUND
+                <= report.solution.objective_value)
         verdict = verify(instance, report.solution)
         assert verdict.feasible
         assert verdict.computed_objective == report.solution.objective_value
@@ -973,7 +991,7 @@ class TestSolveExact:
     def test_one_core_time_limit_runs_the_search_to_the_deadline(
             self, monkeypatch, forks):
         """With one usable CPU a time-limited run still forks the pair
-        helper, and the search runs to the deadline: on the 5x4 seed-42
+        helper, and the search runs to the deadline: on the open exact
         corridor, whose root bound is 0, a 2 s run returns after 2 s with a
         pair bound above 0 and a solution that verifies. When the helper
         fails, the parent's pair searches after its search find the
@@ -981,8 +999,7 @@ class TestSolveExact:
         left."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        instance = generate_line(LineSpec(num_stations=5, num_trains=4,
-                                          seed=42)).instance
+        instance = open_exact()
         report = solve_exact(instance, time_limit=2)
         assert len(forks) == 1
         assert report.wall_time > 2
@@ -1760,13 +1777,13 @@ class TestHelper:
                 os.close(alive_w)
 
     def test_orphaned_pair_helper_stops_before_its_next_pair(self):
-        """A time-limited exact search of the 5x4 seed-42 corridor, whose
-        six pair searches are scripted to take 0.5 s more each, forks its
+        """A time-limited exact search of the open exact corridor, whose
+        ten pair searches are scripted to take 0.5 s more each, forks its
         pair helper at the root and is then killed by SIGTERM alone. The
         helper stops before its next pair, within 2 s, instead of running
         through the other pairs. End of file on the read end of a pipe the
         helper inherited shows that it has exited."""
-        script = textwrap.dedent("""
+        script = textwrap.dedent(f"""
             import os, time
             from displib import solve
             from displib.generate import LineSpec, generate_line
@@ -1787,9 +1804,8 @@ class TestHelper:
                 return pid
 
             os.fork = reported
-            solve.solve_exact(generate_line(LineSpec(
-                num_stations=5, num_trains=4, seed=42)).instance,
-                time_limit=20)
+            solve.solve_exact(generate_line({OPEN_EXACT!r}).instance,
+                              time_limit=20)
             """)
         src = os.path.dirname(os.path.dirname(displib.solve.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
