@@ -4,9 +4,10 @@ Exit codes: 0 success (and feasible/solved outcomes), 1 negative verdicts on
 well-formed input (solution fails verification, solver proves infeasibility
 or finds nothing within budget, mapped events fail verification), 2 usage
 and parse errors (unreadable files, malformed documents, invalid instance
-structure, bad generator specs, incomplete or non-integral assignments),
-3 unexpected internal failures, 130 interrupted (Ctrl-C) before the command
-finished, with any solver helper process stopped and no solution written.
+structure, bad generator specs, incomplete or non-integral assignments,
+an output that names one of the command's inputs), 3 unexpected internal
+failures, 130 interrupted (Ctrl-C) before the command finished, with any
+solver helper process stopped and no solution written.
 """
 
 from __future__ import annotations
@@ -64,17 +65,25 @@ def _one_stdin(*paths: str) -> None:
         raise _Fail(EXIT_USAGE, "only one input can come from stdin (-)")
 
 
-def _distinct_outputs(*paths: str | None) -> None:
+def _distinct_outputs(*paths: str | None,
+                      inputs: tuple[str | None, ...] = ()) -> None:
     """Reject outputs that name stdout twice, whose documents would run
-    together into one stream that neither reader can parse, or that resolve
-    to one file, where the later document would overwrite the earlier one."""
+    together into one stream that neither reader can parse, that resolve
+    to one file, where the later document would overwrite the earlier one,
+    or that resolve to one of the command's inputs, which writing would
+    replace. Called before anything is read or written; - never collides
+    with a file."""
     if paths.count("-") > 1:
         raise _Fail(EXIT_USAGE, "only one output can go to stdout (-)")
+    read = {os.path.realpath(path) for path in inputs
+            if path is not None and path != "-"}
     seen: set[str] = set()
     for path in paths:
         if path is None or path == "-":
             continue
         resolved = os.path.realpath(path)
+        if resolved in read:
+            raise _Fail(EXIT_USAGE, f"an output names an input file: {path}")
         if resolved in seen:
             raise _Fail(EXIT_USAGE, f"two outputs name the same file: {path}")
         seen.add(resolved)
@@ -224,6 +233,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                         ("--max-restarts", args.max_restarts)):
         if value is not None and not value >= 0:
             raise _Fail(EXIT_USAGE, f"{flag} must be non-negative")
+    _distinct_outputs(args.output, inputs=(args.instance,))
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     mode = args.mode
@@ -263,15 +273,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
-    _distinct_outputs(args.output, args.name_map)
+    map_path = args.name_map
+    if map_path is None and args.output != "-":
+        map_path = args.output + ".names.json"
+    _distinct_outputs(args.output, map_path, inputs=(args.instance,))
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     model = milp.build_model(instance)
     with _output(args.output) as handle:
         rows = milp.write_lp(model, handle)
-    map_path = args.name_map
-    if map_path is None and args.output != "-":
-        map_path = args.output + ".names.json"
     if map_path is not None:
         with _output(map_path) as handle:
             milp.write_name_map(model, handle)
@@ -282,6 +292,8 @@ def _cmd_emit_lp(args: argparse.Namespace) -> int:
 
 def _cmd_map_solution(args: argparse.Namespace) -> int:
     _one_stdin(args.instance, args.name_map, args.assignment)
+    _distinct_outputs(args.output,
+                      inputs=(args.instance, args.name_map, args.assignment))
     instance, diags = _load_instance(args.instance)
     _print_warnings(diags)
     try:
@@ -411,6 +423,19 @@ def _generate_one(config: dict, args: argparse.Namespace,
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.count is not None and args.count < 0:
+        raise _Fail(EXIT_USAGE, "--count must be non-negative")
+    if args.out_dir is not None:
+        if args.output != "-":
+            raise _Fail(EXIT_USAGE, "give either -o or --out-dir, not both")
+        count = 1 if args.count is None else args.count
+        outputs = [os.path.join(args.out_dir, f"instance_{offset:04d}.json")
+                   for offset in range(count)]
+    elif args.count is not None and args.count != 1:
+        raise _Fail(EXIT_USAGE, "--count needs --out-dir to name the files")
+    else:
+        outputs = [args.output]
+    _distinct_outputs(*outputs, inputs=(args.config,))
     if args.config is not None:
         try:
             config = json.loads(_read_text(args.config))
@@ -425,22 +450,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise _Fail(EXIT_USAGE, "config: patterns must be an array")
     else:
         config = {"line": {}}
-    if args.count is not None and args.count < 0:
-        raise _Fail(EXIT_USAGE, "--count must be non-negative")
     if args.out_dir is not None:
-        count = 1 if args.count is None else args.count
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as e:
             raise _Fail(EXIT_USAGE, f"cannot create {args.out_dir}: {e}") from e
-        for offset in range(count):
+        for offset, path in enumerate(outputs):
             line = _generate_one(config, args, offset)
-            path = os.path.join(args.out_dir, f"instance_{offset:04d}.json")
             _write_text(path, fileformat.write_instance(line.instance))
             print(f"wrote {path}", file=sys.stderr)
         return EXIT_OK
-    if args.count is not None and args.count != 1:
-        raise _Fail(EXIT_USAGE, "--count needs --out-dir to name the files")
     line = _generate_one(config, args, 0)
     _write_text(args.output, fileformat.write_instance(line.instance))
     print(f"generated: {len(line.instance.trains)} trains, "

@@ -95,9 +95,10 @@ class SolveReport:
     optimum: the optimum itself when the exact search closed; on a
     truncated exact run the larger of the root's bound, above which every
     term of the bound only grows, and, with at least 3 trains, the pair
-    bound (`_pair_bound`), whose searches share the run's deadline and
-    node_limit, their warm starts aside; None from the heuristic and on
-    Infeasible."""
+    bound (`_pair_bound`), whose searches share the run's node_limit, their
+    warm starts aside, and its deadline, or, where no helper runs them
+    beside the search, the first half of its time; None from the heuristic
+    and on Infeasible."""
     status: SolveStatus
     solution: Solution | None
     nodes: int
@@ -632,11 +633,11 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     time_limit stopped it (see `_Dispatcher`), with the bound that
     `SolveReport` states. Unless the warm incumbent meets the root bound,
     so that the search closes at once, a capped run forks its pair
-    searches into a `_Helper` right after the warm start wherever the
-    process can fork (`_forkable`), on one CPU too. Without a helper a
-    timed run solves them before its search, and a run capped by
-    node_limit alone after it, only when truncated, as after a helper that
-    fails. Deterministic for a fixed node_limit.
+    searches into a `_Helper` right after the warm start where `_can_fork`
+    allows. Without a helper a timed run solves them before its search,
+    with their deadline at the midpoint of the time left, and a run capped
+    by node_limit alone after it, only when truncated, as after a helper
+    that fails. Deterministic for a fixed node_limit.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -652,12 +653,13 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     pairs = pair = helper = None
     if ((z is None or z > root) and len(instance.trains) >= 3
             and disp.comp_trains and (node_limit, deadline) != (None, None)):
-        pairs = functools.partial(_pair_bound, instance, singles,
-                                  node_limit, deadline)
-        if _forkable():
-            helper = _Helper.fork(lambda orphaned: pairs(stop=orphaned))
+        pairs = functools.partial(_pair_bound, instance, singles, node_limit)
+        if _can_fork():
+            helper = _Helper.fork(
+                lambda orphaned: pairs(deadline, stop=orphaned))
         if helper is None and deadline is not None:
-            pair = pairs()
+            now = _time.monotonic()
+            pair = pairs(now + (deadline - now) / 2)
 
     def earliest_first():
         nonlocal z, solution
@@ -673,7 +675,7 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
             bound: int | None = root
             if pairs is not None:
                 pair = pair if helper is None else helper.join()
-                bound = max(bound, pairs() if pair is None else pair)
+                bound = max(bound, pairs(deadline) if pair is None else pair)
             status = (SolveStatus.FEASIBLE if solution is not None
                       else SolveStatus.TIMEOUT_NO_SOLUTION)
         elif solution is not None:
@@ -966,17 +968,13 @@ def _dealt(side: int, sides: int, max_restarts: int | None) -> Iterator[int]:
 _FORK_COST = 0.0029
 
 
-def _forkable() -> bool:
-    """`os.fork` exists and the process has one thread: a fork copies only
-    the calling thread, so a lock another thread holds would stay held in
-    the child."""
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
 def _can_fork() -> bool:
-    """The process is `_forkable` and a second CPU is usable, so that a
-    helper runs beside it rather than taking turns with it."""
-    if not _forkable():
+    """The one fork rule of both solvers: a `_Helper` forks only where
+    `os.fork` exists, the process has one thread (a fork copies only the
+    calling thread, so a lock another thread holds would stay held in the
+    child) and a second CPU is usable, so that the helper runs beside the
+    process instead of taking turns with it."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -992,14 +990,15 @@ class _Helper:
     helper re-parented, and `run` then stops before its next restart or
     pair search. It always ends in `os._exit`, so it runs no exit handler
     and never flushes the parent's stdio. `join` waits for it; `close`
-    kills it unless reaped. `solve_heuristic`'s helper runs every other
-    pair of restarts, and `solve_exact`'s, forked at the root of a capped
-    search, the pair searches of `_pair_bound`, whose bound it returns; the
-    parent joins it only when its own search was truncated. Where the fork
-    or the helper fails, the parent does the helper's work itself, so
-    without a deadline no report depends on the helper. The modules only a
-    helper needs are imported where it uses them, so a process that never
-    forks one does not load them."""
+    kills it unless reaped. Both solvers fork one only where `_can_fork`
+    allows. `solve_heuristic`'s helper runs every other pair of restarts,
+    and `solve_exact`'s, forked at the root of a capped search, the pair
+    searches of `_pair_bound`, whose bound it returns; the parent joins it
+    only when its own search was truncated. Where the fork or the helper
+    fails, the parent does the helper's work itself, so without a deadline
+    no report depends on the helper. The modules only a helper needs are
+    imported where it uses them, so a process that never forks one does
+    not load them."""
 
     def __init__(self, pid: int, results_fd: int):
         self.pid = pid
@@ -1084,19 +1083,18 @@ def solve_heuristic(instance: Instance, *, time_limit: float | None = None,
     optimality, not even at that bound.
 
     Pass 0 runs inline. If it took longer than forking costs
-    (`_FORK_COST`), more than one CPU is usable, the process has one thread,
-    neither the deadline nor the root bound has stopped the solve, and
-    attempts 3 and up are in the budget, a forked `_Helper` takes every
-    other pair of attempts (see `_dealt`); under a time limit both
-    processes stride through their pairs to the deadline. The parent's
-    share stops before any attempt beyond one at the root bound in the
-    helper's results. At a bound in its own share, the parent takes the
-    helper's results if they have arrived, or else kills the helper and
-    runs the helper's attempts below the bound itself, as after a helper
-    failure, so it never waits on a running pass. The parent merges the
-    results in attempt order by the rule of a one-process run: the first
-    strict improvement wins, and the run ends at the first attempt that
-    reaches the root bound.
+    (`_FORK_COST`), `_can_fork` allows, neither the deadline nor the root
+    bound has stopped the solve, and attempts 3 and up are in the budget,
+    a forked `_Helper` takes every other pair of attempts (see `_dealt`);
+    under a time limit both processes stride through their pairs to the
+    deadline. The parent's share stops before any attempt beyond one at
+    the root bound in the helper's results. At a bound in its own share,
+    the parent takes the helper's results if they have arrived, or else
+    kills the helper and runs the helper's attempts below the bound
+    itself, as after a helper failure, so it never waits on a running
+    pass. The parent merges the results in attempt order by the rule of a
+    one-process run: the first strict improvement wins, and the run ends
+    at the first attempt that reaches the root bound.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None

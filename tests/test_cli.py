@@ -604,6 +604,73 @@ class TestJsonStdout:
                    "b34a64634189275be7211da847709ec8")
 
 
+class TestOutputsNeverReplaceInputs:
+    """An output that resolves to one of the command's inputs, however it
+    is spelt, is a usage error raised before anything is read or written:
+    every file stays as it was and none is added."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        instance_text = data_text("junction_instance.json")
+        for name in ("line.json", "m.lp.names.json"):
+            write_file(tmp_path, name, instance_text)
+        os.symlink("line.json", tmp_path / "link.json")
+        assert cli.main(["emit-lp", "line.json", "-o", "model.lp"]) == 0
+        instance, _ = parse_instance(instance_text)
+        solution, _ = parse_solution(data_text("junction_solution.json"))
+        values = milp.solution_assignment(milp.build_model(instance),
+                                          instance, solution)
+        write_file(tmp_path, "a.txt", assignment_text(values))
+        config = '{"line": {"num_stations": 3, "num_trains": 2}}'
+        write_file(tmp_path, "cfg.json", config)
+        (tmp_path / "batch").mkdir()
+        write_file(tmp_path / "batch", "instance_0000.json", config)
+        return tmp_path
+
+    @staticmethod
+    def contents(root):
+        return {path: path.read_bytes() for path in root.rglob("*")
+                if path.is_file()}
+
+    @pytest.mark.parametrize("argv, named", [
+        ("solve line.json -o line.json", "line.json"),
+        ("solve line.json --json -o ./line.json", "./line.json"),
+        ("solve line.json -o link.json", "link.json"),
+        ("emit-lp line.json -o line.json", "line.json"),
+        ("emit-lp line.json --name-map link.json", "link.json"),
+        ("emit-lp m.lp.names.json -o m.lp", "m.lp.names.json"),
+        ("map-solution line.json model.lp.names.json a.txt -o line.json",
+         "line.json"),
+        ("map-solution line.json model.lp.names.json a.txt "
+         "-o model.lp.names.json", "model.lp.names.json"),
+        ("map-solution line.json model.lp.names.json a.txt -o a.txt",
+         "a.txt"),
+        ("generate cfg.json -o cfg.json", "cfg.json"),
+        ("generate batch/instance_0000.json --out-dir batch",
+         os.path.join("batch", "instance_0000.json")),
+    ], ids=["solve", "solve-json-spelt", "solve-symlink", "emit-lp",
+            "emit-lp-name-map", "emit-lp-default-name-map", "map-instance",
+            "map-name-map", "map-assignment", "generate-config",
+            "generate-out-dir"])
+    def test_output_naming_an_input_is_a_usage_error(self, files, capsys,
+                                                     argv, named):
+        before = self.contents(files)
+        capsys.readouterr()
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: an output names an input file: {named}\n"
+        assert captured.out == ""
+        assert self.contents(files) == before
+
+    def test_stdin_and_stdout_never_collide(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(data_text("junction_instance.json")))
+        assert cli.main(["solve", "-", "-o", "-"]) == 0
+        solution, _ = parse_solution(capsys.readouterr().out)
+        assert solution.objective_value == 10
+
+
 class TestGenerateCommand:
     def test_line_flags_follow_line_spec(self):
         """The line flags are exactly _LINE_FLAGS, in that order, unset by
@@ -708,6 +775,20 @@ class TestGenerateCommand:
     def test_count_needs_out_dir(self, tmp_path, capsys):
         assert cli.main(["generate", "--count", "2"]) == 2
         assert "--out-dir" in capsys.readouterr().err
+
+    def test_output_with_out_dir_is_a_usage_error(self, tmp_path, capsys):
+        """--out-dir names its own files, so an explicit -o beside it would
+        never be written: the command refuses and writes nothing. -o -, the
+        default, goes with --out-dir."""
+        out, out_dir = tmp_path / "line.json", tmp_path / "batch"
+        assert cli.main(["generate", "-o", str(out),
+                         "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: give either -o or --out-dir, not both\n")
+        assert not out.exists() and not out_dir.exists()
+        assert cli.main(["generate", "-o", "-", "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out_dir.iterdir()] == ["instance_0000.json"]
 
     def test_out_dir_under_a_file(self, tmp_path, capsys):
         blocker = write_file(tmp_path, "plain.txt", "")

@@ -904,10 +904,10 @@ class TestSolveExact:
 
     def test_capped_reports_are_the_same_with_and_without_the_helper(
             self, monkeypatch, forks):
-        """Capped reports are the same with `_forkable` patched to False and
-        with one usable CPU, where the helper still forks, once per run at
-        the root, and never when `_forkable` is False. It is killed when the
-        search closes, here after more applies than either cap of the
+        """Capped reports are the same with `_can_fork` patched to False,
+        with one usable CPU, where no helper forks either, and with two,
+        where the helper forks once per run at the root. It is killed when
+        the search closes, here after more applies than either cap of the
         truncated runs, falls back to the parent when it fails, and no child
         is left."""
         caps = (999, 1_000)
@@ -921,14 +921,16 @@ class TestSolveExact:
                                         seed=0)).instance
         cases.append((closes, 1_000_000))
         reports, rose = [], 0
-        forkable = displib.solve._forkable
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+        can_fork = displib.solve._can_fork
         for instance, cap in cases:
-            monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
+            monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
             inline = solve_exact(instance, node_limit=cap)
             assert not forks
-            monkeypatch.setattr(displib.solve, "_forkable", forkable)
+            monkeypatch.setattr(displib.solve, "_can_fork", can_fork)
+            use_helper(monkeypatch, False)
+            assert solve_exact(instance, node_limit=cap) == inline
+            assert not forks
+            use_helper(monkeypatch, True)
             shared = solve_exact(instance, node_limit=cap)
             assert len(forks) == 1
             forks.clear()
@@ -952,8 +954,10 @@ class TestSolveExact:
         open exact corridor, whose root bound is 0, a 2 s run reports the
         pair bound and a solution that verifies."""
         if no_fork == "not forkable":
-            monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
+            monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
         else:
+            use_helper(monkeypatch, True)
+
             def raising():
                 forks.append(None)
                 raise OSError("no more processes")
@@ -964,6 +968,26 @@ class TestSolveExact:
         assert report.status is SolveStatus.FEASIBLE
         assert (report.bound == OPEN_EXACT_PAIR_BOUND
                 <= report.solution.objective_value)
+        verdict = verify(instance, report.solution)
+        assert verdict.feasible
+        assert verdict.computed_objective == report.solution.objective_value
+
+    def test_time_limit_without_a_helper_leaves_the_search_half(
+            self, monkeypatch, forks):
+        """Without a helper the pairs of a time-limited run stop at the
+        midpoint of the time left, so they cannot take the whole limit:
+        on the 10x8 seed-7 corridor, whose pairs reach the pair bound of
+        188 within 0.1 s, a 2 s run forks nothing, makes more than 2,000
+        search nodes and reports that bound with a solution that
+        verifies."""
+        monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
+        instance = generate_line(LineSpec(num_stations=10, num_trains=8,
+                                          seed=7)).instance
+        report = solve_exact(instance, time_limit=2)
+        assert not forks
+        assert report.status is SolveStatus.FEASIBLE
+        assert report.nodes > 2_000
+        assert report.bound == 188 <= report.solution.objective_value
         verdict = verify(instance, report.solution)
         assert verdict.feasible
         assert verdict.computed_objective == report.solution.objective_value
@@ -990,25 +1014,28 @@ class TestSolveExact:
 
     def test_one_core_time_limit_runs_the_search_to_the_deadline(
             self, monkeypatch, forks):
-        """With one usable CPU a time-limited run still forks the pair
-        helper, and the search runs to the deadline: on the open exact
-        corridor, whose root bound is 0, a 2 s run returns after 2 s with a
-        pair bound above 0 and a solution that verifies. When the helper
-        fails, the parent's pair searches after its search find the
-        deadline spent, so the run reports the root bound. No child is
-        left."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+        """With one usable CPU a time-limited run forks nothing: its pairs
+        take the first half of the time and its search runs to the
+        deadline. With two the pair helper forks beside the search. On the
+        open exact corridor, whose root bound is 0, a 2 s run returns after
+        2 s with the pair bound and a solution that verifies, either way.
+        When the helper fails, the parent's pair searches after its search
+        find the deadline spent, so the run reports the root bound. No
+        child is left."""
         instance = open_exact()
-        report = solve_exact(instance, time_limit=2)
-        assert len(forks) == 1
-        assert report.wall_time > 2
-        assert report.status is SolveStatus.FEASIBLE
-        assert report.bound > 0 == _Dispatcher(instance).bound()
-        assert report.bound <= report.solution.objective_value
-        verdict = verify(instance, report.solution)
-        assert verdict.feasible
-        assert verdict.computed_objective == report.solution.objective_value
+        for on in (False, True):
+            use_helper(monkeypatch, on)
+            report = solve_exact(instance, time_limit=2)
+            assert len(forks) == on
+            assert report.wall_time > 2
+            assert report.status is SolveStatus.FEASIBLE
+            assert (report.bound == OPEN_EXACT_PAIR_BOUND
+                    > 0 == _Dispatcher(instance).bound())
+            assert report.bound <= report.solution.objective_value
+            verdict = verify(instance, report.solution)
+            assert verdict.feasible
+            assert (verdict.computed_objective
+                    == report.solution.objective_value)
         failing_forks(monkeypatch)
         report = solve_exact(instance, time_limit=1)
         assert report.wall_time > 1
@@ -1556,8 +1583,8 @@ def failing_forks(monkeypatch) -> None:
 
 
 def use_helper(monkeypatch, on: bool) -> None:
-    """Force the restart helper on (no first pass too short to share, two
-    usable CPUs) or off (one usable CPU)."""
+    """Force both helpers on (two usable CPUs, and no first pass too short
+    for the restart helper to share) or off (one usable CPU)."""
     monkeypatch.setattr("displib.solve._FORK_COST", 0)
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: {0, 1} if on else {0}, raising=False)
@@ -1694,7 +1721,7 @@ class TestHelper:
         into the child still held, so neither solve forks a helper, with
         two usable CPUs and no first pass too short to share: a capped
         exact run and a heuristic run give the reports of runs with
-        `_forkable` patched to False. Once the thread has ended, the same
+        `_can_fork` patched to False. Once the thread has ended, the same
         two runs fork one helper each."""
         instance = generate_line(LineSpec(num_stations=3, num_trains=4,
                                           seed=0)).instance
@@ -1715,7 +1742,7 @@ class TestHelper:
         assert not forks
         assert all(a == b for a, b in zip(threaded, solves()))
         assert len(forks) == 2
-        monkeypatch.setattr(displib.solve, "_forkable", lambda: False)
+        monkeypatch.setattr(displib.solve, "_can_fork", lambda: False)
         assert all(a == b for a, b in zip(threaded, solves()))
         assert len(forks) == 2
 
@@ -1795,6 +1822,7 @@ class TestHelper:
                 return pair_instance(instance, i, j)
 
             solve._pair_instance = slow
+            os.sched_getaffinity = lambda pid: {{0, 1}}
             fork = os.fork
 
             def reported():
