@@ -38,7 +38,15 @@ heuristic's dive; each is an order of the `_branch_moves` plus a stop
 rule. Both go earliest start first: the exact search with ties by train
 and then operation, from the incumbent of the heuristic's two unjittered
 passes; the dive with each train's starts jittered and ties going to the
-shorter remaining duration. `splice` checks resource states by identity:
+shorter remaining duration. The exact search also skips reorderings of
+independent events with sleep sets (Godefroid 1996, *Partial-Order Methods
+for the Verification of Concurrent Systems*): a move explored at a node is
+not tried again below a later sibling of another train that touches none of
+its resources, until an event of its train or one that touches them is
+applied (see `solve_exact`).
+Its independence test is one `&` of the `_OpTable.claims` bitmasks. The
+dive has no sleep sets: their argument needs siblings in start order, which
+its jitter breaks. `splice` checks resource states by identity:
 each write makes a fresh state tuple, so a resource still holding the
 tuple an event wrote was touched by no later event, and only otherwise
 scans the later events for the first dependent.
@@ -128,20 +136,24 @@ class _OpTable:
     """Static per-operation data of one train, indexed by operation and
     built once per dispatcher, so that the hot loops index plain tuples
     instead of following Operation and ResourceUsage attributes. `comps`
-    holds each operation's objective components in instance order, and
-    `dist` the shortest remaining min_duration sum to the exit, the one
-    shortest-path table the searches read."""
+    holds each operation's objective components in instance order, `dist`
+    the shortest remaining min_duration sum to the exit, the one
+    shortest-path table the searches read, and `claims` each operation's
+    resources as one bitmask: the sum of the distinct bits that `bits`
+    gives them."""
     __slots__ = ("preds", "dur", "start_lb", "start_ub", "keys", "release",
-                 "far", "succ", "comps", "dist")
+                 "far", "succ", "comps", "dist", "claims")
 
     def __init__(self, train: Train,
-                 comps: Sequence[tuple[ObjectiveComponent, ...]]):
+                 comps: Sequence[tuple[ObjectiveComponent, ...]],
+                 bits: dict[str, int]):
         ops = train.operations
         self.preds = tuple(tuple(p) for p in predecessors(train))
         self.dur = tuple(op.min_duration for op in ops)
         self.start_lb = tuple(op.start_lb for op in ops)
         self.start_ub = tuple(op.start_ub for op in ops)
         self.keys = tuple(tuple(u.resource for u in op.resources) for op in ops)
+        self.claims = tuple(sum(bits[r] for r in keys) for keys in self.keys)
         self.release = tuple(tuple(u.release_time for u in op.resources)
                              for op in ops)
         # Largest successor (0 at the exit) and the successors in index order.
@@ -190,11 +202,13 @@ class _Dispatcher:
             [()] * len(train.operations) for train in instance.trains]
         for comp in instance.objective:
             comps[comp.train][comp.operation] += (comp,)
-        self.tables = [_OpTable(train, c)
+        names = resource_names(instance)
+        bits = {r: 1 << k for k, r in enumerate(names)}
+        self.tables = [_OpTable(train, c, bits)
                        for train, c in zip(instance.trains, comps)]
         self.comp_trains = [i for i, tab in enumerate(self.tables)
                             if any(tab.comps)]
-        self.res = dict.fromkeys(resource_names(instance))
+        self.res = dict.fromkeys(names)
         self._clear()
         self.deadline = deadline
         self.expired = False
@@ -626,8 +640,9 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     unjittered passes (`_attempts` 0 and 1: the dive and the insertion
     pass), run on the same dispatcher. Then one `_depth_first` pass
     branches earliest start first, ties by train and then operation (the
-    non-delay order of Giffler and Thompson), and records every complete
-    schedule cheaper than the incumbent. Infeasible is reported when that
+    non-delay order of Giffler and Thompson), skips the moves asleep by the
+    rule below, and records every complete schedule cheaper than the
+    incumbent. Infeasible is reported when that
     pass is exhausted without any schedule, Optimal when it is exhausted
     with one, and Feasible or TimeoutNoSolution when node_limit or
     time_limit stopped it (see `_Dispatcher`), with the bound that
@@ -638,6 +653,24 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
     with their deadline at the midpoint of the time left, and a run capped
     by node_limit alone after it, only when truncated, as after a helper
     that fails. Deterministic for a fixed node_limit.
+
+    Sleep sets (Godefroid 1996). A move of train i touches the resources
+    its operation claims and those that train i's current operation
+    releases. Once a move a has been explored at a node, each later sibling
+    x of another train that touches none of a's resources puts a to sleep
+    below x, and a stays asleep while every applied event meets that same
+    test. An asleep move is not tried, but it keeps its train alive for the
+    dead-end test of `_branch_moves`. So a leaf is skipped only where a
+    would follow x e1 ... ek, each event independent of a, and its twin
+    a x e1 ... ek, then the same events, lies below a. Siblings go in start
+    order, so t_a <= t_x: in the twin a starts at t_a, no later than in the
+    leaf; x and each e start as before, because a claims and releases none
+    of their resources and sets the floor to t_a; after them every resource
+    has the same holder and stamps no later, so the remaining events start
+    no later. Costs never fall as starts grow later, so the twin costs no
+    more. It lies below an earlier sibling, so it is visited, pruned at a
+    bound at least z, or skipped for a twin of its own further left: pruning
+    at z, Optimal and Infeasible keep their meaning.
     """
     start = _time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
@@ -661,13 +694,42 @@ def solve_exact(instance: Instance, *, node_limit: int | None = None,
             now = _time.monotonic()
             pair = pairs(now + (deadline - now) / 2)
 
+    tables = disp.tables
+    # By depth: the node's sleep set, {(train, op): touched resources}, to
+    # which each move explored there is added once its subtree is done; and
+    # the train and touched resources of the move being explored there.
+    asleep: dict[int, dict[tuple[int, int], int]] = {}
+    moving: dict[int, tuple[int, int]] = {}
+
+    def explore(moves, depth, done):
+        for move in moves:
+            i, op, _ = move
+            claims, last = tables[i].claims, disp.last_op[i]
+            touched = claims[op] if last is None else claims[op] | claims[last]
+            moving[depth] = i, touched
+            yield move
+            done[i, op] = touched
+
     def earliest_first():
         nonlocal z, solution
         if disp.done() and (z is None or disp.z_partial < z):
             z, solution = disp.z_partial, disp.to_solution()
         moves = _branch_moves(disp, z)
+        if not moves:
+            return iter(moves)
         moves.sort(key=_START)      # stable: ties stay in (train, op) order
-        return iter(moves)
+        depth = len(disp.events)
+        slept = {}
+        if depth and asleep[depth - 1]:
+            moved, touched = moving[depth - 1]
+            slept = {key: t for key, t in asleep[depth - 1].items()
+                     if key[0] != moved and not t & touched}
+            if slept:
+                moves = [m for m in moves if (m[0], m[1]) not in slept]
+        asleep[depth] = slept
+        if len(moves) == 1 and not slept:
+            return iter(moves)
+        return explore(moves, depth, slept)
 
     try:
         truncated = _depth_first(disp, earliest_first, first_leaf=False)

@@ -733,10 +733,10 @@ class TestSolveExact:
         assert report.bound <= 298
         # A capped run's bound must hold for the whole tree, including the
         # root branches the search never reached. The warm start closes
-        # most draws at the root, so it takes 300 of them to cap 100 runs.
+        # most draws at the root, so it takes 350 of them to cap 100 runs.
         rng = random.Random(1)
         capped = 0
-        for _ in range(300):
+        for _ in range(350):
             instance = random_instance(rng, max_trains=3, max_ops=6)
             full = solve_exact(instance)
             for cap in (1, 2, 5, 10, 30):
@@ -772,8 +772,8 @@ class TestSolveExact:
             self, stations, objective, index_order_nodes):
         """The seed-0 corridors close at their optimum in at most a third of
         the nodes that a search branching in train-index order needs: in
-        2,814 and 3,467 nodes."""
-        nodes = {3: 2_814, 4: 3_467}[stations]
+        137 and 230 nodes, against 2,814 and 3,467 without sleep sets."""
+        nodes = {3: 137, 4: 230}[stations]
         line = generate_line(LineSpec(num_stations=stations, num_trains=3,
                                       seed=0))
         report = solve_exact(line.instance)
@@ -783,15 +783,16 @@ class TestSolveExact:
         assert verify(line.instance, report.solution).feasible
 
     def test_capped_desk_scale_corridor_reaches_the_optimum(self):
-        """At 100k nodes the 5x4 seed-42 corridor, which the search cannot
-        close, holds the optimum HiGHS proves on its integer program. Its
-        root bound is 0; the pair bound proves 265: all six pairs close, and
-        the matching {2, 3} + {0, 1} adds 218 + 47."""
+        """Under a 100k-node cap the 5x4 seed-42 corridor, whose root bound
+        is 0, closes at the optimum HiGHS proves on its integer program, in
+        27,487 nodes. Without sleep sets the search stopped at the cap with
+        that optimum unproven and the pair bound, 265."""
         golden = json.loads(data_text("line_5x4_seed42.json"))
         line = generate_line(LineSpec(**golden["line"]))
         report = solve_exact(line.instance, node_limit=100_000)
-        assert report.status is SolveStatus.FEASIBLE
-        assert (report.nodes, report.bound) == (100_001, 265)
+        assert report.status is SolveStatus.OPTIMAL
+        assert (report.nodes, report.bound) == (
+            27_487, golden["optimal_objective"])
         assert _Dispatcher(line.instance).bound() == 0
         assert report.solution.objective_value == golden["optimal_objective"]
         verdict = verify(line.instance, report.solution)
@@ -909,7 +910,7 @@ class TestSolveExact:
         where the helper forks once per run at the root. It is killed when
         the search closes, here after more applies than either cap of the
         truncated runs, falls back to the parent when it fails, and no child
-        is left."""
+        is left. The run that closes is 5x4 seed 42's, in 27,487 nodes."""
         caps = (999, 1_000)
         cases = [(generate_line(LineSpec(num_stations=stations,
                                          num_trains=trains,
@@ -917,8 +918,8 @@ class TestSolveExact:
                  for stations, trains, seed in ((3, 4, 0), (4, 4, 1),
                                                 (5, 3, 1))
                  for cap in caps]
-        closes = generate_line(LineSpec(num_stations=3, num_trains=3,
-                                        seed=0)).instance
+        closes = generate_line(LineSpec(num_stations=5, num_trains=4,
+                                        seed=42)).instance
         cases.append((closes, 1_000_000))
         reports, rose = [], 0
         can_fork = displib.solve._can_fork
@@ -1173,7 +1174,7 @@ class TestSolveExact:
     def test_exact_reports_but_bounds_are_pinned(self):
         """One digest of (status, nodes, objective, events), without bound,
         over the same reports, so that a change to the bounds alone moves
-        only the other digest: the pair bound raises 4 of the 57 capped
+        only the other digest: the pair bound raises 1 of the 44 capped
         bounds there."""
         assert exact_digests()[1] == EXACT_OUTCOME_DIGEST
 
@@ -1275,7 +1276,8 @@ class TestSolveExact:
         `random_instance(Random(97), 6, 8)`, each solution verified. Before
         the warm start, whose insertion pass schedules draws on which the
         search alone wedges, they were 96 Optimal, 23 TimeoutNoSolution
-        and 1 Infeasible."""
+        and 1 Infeasible; before sleep sets, 106 Optimal, 13
+        TimeoutNoSolution and 1 Infeasible."""
         rng = random.Random(97)
         statuses = []
         for _ in range(120):
@@ -1289,7 +1291,7 @@ class TestSolveExact:
                     report.solution.objective_value
         assert [statuses.count(status) for status in (
             SolveStatus.OPTIMAL, SolveStatus.TIMEOUT_NO_SOLUTION,
-            SolveStatus.INFEASIBLE)] == [106, 13, 1]
+            SolveStatus.INFEASIBLE)] == [107, 8, 5]
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
@@ -1310,11 +1312,55 @@ class TestSolveExact:
         assert optima >= 30
         assert infeasible >= 2
 
+    def test_sleep_sets_match_brute_force_on_start_windows(self):
+        """On 240 `random_reduced_instance` draws, whose operations carry
+        start windows that the corridors of criterion 2 lack, every optimum
+        equals the brute-force one and `Infeasible` comes only where brute
+        force finds no schedule. A skipped leaf is sound only because its
+        twin starts no event later, and a window is where a later start
+        would turn a schedule infeasible."""
+        rng = random.Random(41)
+        optima = windowed = infeasible = 0
+        for _ in range(240):
+            instance = random_reduced_instance(rng, max_trains=3, max_ops=6)
+            expected = oracles.brute_force_optimum(instance)
+            report = solve_exact(instance)
+            if expected is None:
+                assert report.status is SolveStatus.INFEASIBLE
+                infeasible += 1
+                continue
+            assert report.status is SolveStatus.OPTIMAL
+            assert report.solution.objective_value == expected[0]
+            assert verify(instance, report.solution).feasible
+            optima += 1
+            windowed += any(op.start_ub is not None
+                            for train in instance.trains
+                            for op in train.operations)
+        assert optima >= 200 and windowed >= 80 and infeasible >= 10
+
+    def test_random_corpus_is_decided(self):
+        """At 200k nodes the search decides all but at most 1 of the first
+        120 draws of `random_instance(Random(97), 6, 8)`, each solution
+        verified; without sleep sets it left 10 undecided."""
+        rng = random.Random(97)
+        undecided = 0
+        for _ in range(120):
+            instance = random_instance(rng, max_trains=6, max_ops=8)
+            report = solve_exact(instance, node_limit=200_000)
+            undecided += report.status not in (SolveStatus.OPTIMAL,
+                                               SolveStatus.INFEASIBLE)
+            if report.solution is not None:
+                verdict = verify(instance, report.solution)
+                assert verdict.feasible
+                assert verdict.computed_objective == \
+                    report.solution.objective_value
+        assert undecided <= 1
+
 
 EXACT_DIGEST = (
-    "7cbefecca23dc130a8917b0ea655ea226f7e3ea01615d2cf3ca26302df88c843")
+    "1b552740e82c6b0f08f112d0c1226506408783168d81dc6a63803c225b3b04ac")
 EXACT_OUTCOME_DIGEST = (
-    "acb5a6655573768904e4e9dd4e438d5a2e6354814c7456a2a10ea729d50a9e40")
+    "147f090cac5b6ca64279b8682efce37e9a1f6933108e2c9a5ebba2df2de84404")
 
 
 @functools.cache
